@@ -6,13 +6,7 @@ decomposed sequences with a context-tree weighted estimator, and runs the
 comparative study pipeline over real or synthetic market data.
 """
 
-from .ctw import (
-    ContextTree,
-    EntropyEstimate,
-    ctw_sequence_probability,
-    entropy_rate,
-    kt_update,
-)
+from .ctw import EntropyEstimate, entropy_rate
 from .errors import (
     AllInstrumentsFailedError,
     ConfigError,
@@ -52,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllInstrumentsFailedError",
     "ConfigError",
-    "ContextTree",
     "DataError",
     "DataFormatError",
     "EntropyEstimate",
@@ -69,14 +62,12 @@ __all__ = [
     "bin_counts",
     "config_from_json",
     "correlation_matrix",
-    "ctw_sequence_probability",
     "decompose",
     "delta_summary",
     "entropy_rate",
     "filter_eligible",
     "generate_synthetic_path",
     "kernel_density",
-    "kt_update",
     "load_prices",
     "log_returns",
     "pearson",

@@ -1,24 +1,35 @@
-"""Context-tree weighted sequence probabilities and entropy rates.
+"""Context-tree weighted entropy rates.
 
-The tree mixes, in exact log2 arithmetic, the add-half (Dirichlet(1/2,...))
-sequential estimates of every suffix model up to a fixed depth. Each
-internal node weights its own estimate against the product of its
-children's weighted probabilities with coefficient 1/2, which realises a
-prior of 2^-(internal nodes + leaves shorter than the depth bound) over
-suffix sets; for the binary alphabet that is 2^(-|S|-N(S)+1). The root's
-weighted probability after one left-to-right pass is the full mixture, and
--(1/n) log2 of it is the entropy-rate estimate in bits per symbol.
+The tree mixes the add-half (Dirichlet(1/2,...)) estimates of every suffix
+model up to a fixed depth. Each internal node weights its own estimate
+against the product of its children's weighted probabilities with
+coefficient 1/2, which realises a prior of 2^-(internal nodes + leaves
+shorter than the depth bound) over suffix sets; for the binary alphabet
+that is 2^(-|S|-N(S)+1). The first symbols of a sequence, which lack a full
+past, are given the context of `depth` copies of symbol 0.
 
-Cost is O(n * depth) time and at most n*(depth+1) lazily created nodes;
-no linear-domain probability is ever stored.
+An add-half estimate depends only on a context's final symbol counts, so
+the root's weighted probability is a fold over those counts; the sequence
+is never replayed symbol by symbol. Per depth d = 1..depth, every position's
+context is its depth d-1 context extended by the symbol d steps back, and
+contexts are relabelled by rank among the pairs (parent, symbol) that
+occur, so a label is always below n. Counting symbols per label gives that
+depth's count matrix. Each count matrix holds only contexts that occur, and
+each estimate is read from two cumulative log2 tables built per call. The
+fold then runs bottom-up in log2 arithmetic: P_w = (P_e + prod(children)) / 2,
+with P_w = P_e at the depth bound. -(1/n) log2 of the root's P_w is the
+entropy-rate estimate in bits per symbol.
+
+Cost is O(depth * m * n) time for alphabet size m, and O(tree nodes)
+memory, where the tree has at most n*depth + 1 nodes; no node is created
+for a context that does not occur, and no linear-domain probability is
+ever formed.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,189 +37,37 @@ from .quantise import SUPPORTED_ALPHABETS, SymbolSequence
 
 DEFAULT_DEPTH = 20
 
-# node record layout: [count_0, .., count_{m-1}, total, log_pe, log_pw, log_children]
+
+def _context_counts(symbols: np.ndarray, depth: int, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per depth 0..depth, the symbol counts of each context that occurs
+    (one row per context) and each context's row at the depth above."""
+    labels = np.zeros(symbols.size, dtype=np.int64)
+    levels = [(np.bincount(symbols, minlength=m).reshape(1, m), np.zeros(1, dtype=np.int64))]
+    for d in range(1, depth + 1):
+        pairs = labels * m
+        pairs[d:] += symbols[:-d]  # both empty once d >= n: the padding is zeros
+        occurs = np.zeros(levels[-1][0].shape[0] * m, dtype=bool)
+        occurs[pairs] = True
+        labels = (np.cumsum(occurs) - 1)[pairs]
+        kept = np.flatnonzero(occurs)
+        counts = np.bincount(labels * m + symbols, minlength=kept.size * m).reshape(kept.size, m)
+        levels.append((counts, kept // m))
+    return levels
 
 
-class NodeView(NamedTuple):
-    counts: tuple[int, ...]
-    log_estimated: float
-    log_weighted: float
-    log_children_product: float
-
-
-def kt_update(counts: Sequence[int] | Mapping[int, int], next_symbol: int) -> float:
-    """Log2 of the add-half probability of `next_symbol` given `counts`.
-
-    The caller increments counts[next_symbol] afterwards; folding the
-    returned increments over a sequence yields the log of its
-    Dirichlet(1/2,...,1/2) marginal likelihood.
-    """
-    if isinstance(counts, Mapping):
-        m = len(counts)
-        seen = counts[next_symbol]
-        total = sum(counts.values())
-    else:
-        m = len(counts)
-        seen = counts[next_symbol]
-        total = sum(counts)
-    return math.log2((seen + 0.5) / (total + 0.5 * m))
-
-
-class ContextTree:
-    """Sparse suffix tree over the last `depth` symbols of a sequence.
-
-    Contexts are stored most-recent symbol first; the node for context
-    (s1, ..., sd) lives at integer key offset_d + sum(si * m**(i-1)).
-    The first symbols of a sequence, which lack a full past, are given
-    the context of `depth` copies of symbol 0. A tree is single-writer
-    while a sequence is being processed and immutable afterwards.
-    """
-
-    def __init__(self, depth: int = DEFAULT_DEPTH, alphabet_size: int = 2):
-        if int(depth) != depth or depth < 0:
-            raise ValueError("depth must be a non-negative integer")
-        if alphabet_size not in SUPPORTED_ALPHABETS:
-            raise ValueError(f"alphabet size must be one of {SUPPORTED_ALPHABETS}")
-        self.depth = int(depth)
-        self.alphabet_size = int(alphabet_size)
-        self._pow = [self.alphabet_size**d for d in range(self.depth + 1)]
-        offsets = [0]
-        for d in range(self.depth):
-            offsets.append(offsets[-1] + self._pow[d])
-        self._offsets = offsets
-        self.nodes: dict[int, list] = {}
-        self._history: list[int] = [0] * self.depth  # zero padding for the first symbols
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def process(self, symbols) -> float:
-        """Fold a batch of symbols into the tree; returns the root's
-        current log2 weighted probability."""
-        sym = _symbol_list(symbols, self.alphabet_size)
-        m = self.alphabet_size
-        depth = self.depth
-        nodes = self.nodes
-        offsets = self._offsets
-        powers = self._pow
-        hist = self._history
-        log2 = math.log2
-        half_m = 0.5 * m
-        tot_i = m
-        pe_i = m + 1
-        pw_i = m + 2
-        kid_i = m + 3
-        path = [0] * (depth + 1)
-        for x in sym:
-            code = 0
-            top = len(hist)
-            for d in range(1, depth + 1):
-                code += hist[top - d] * powers[d - 1]
-                path[d] = offsets[d] + code
-            child_old = 0.0
-            child_new = 0.0
-            for d in range(depth, -1, -1):
-                node = nodes.get(path[d])
-                if node is None:
-                    nodes[path[d]] = node = [0] * m + [0, 0.0, 0.0, 0.0]
-                seen = node[x]
-                node[pe_i] += log2((seen + 0.5) / (node[tot_i] + half_m))
-                node[x] = seen + 1
-                node[tot_i] += 1
-                old_pw = node[pw_i]
-                if d == depth:
-                    new_pw = node[pe_i]
-                else:
-                    kids = node[kid_i] + child_new - child_old
-                    node[kid_i] = kids
-                    pe = node[pe_i]
-                    # log2(2^pe + 2^kids) - 1, max-shifted for stability
-                    if pe >= kids:
-                        new_pw = pe + log2(1.0 + 2.0 ** (kids - pe)) - 1.0
-                    else:
-                        new_pw = kids + log2(1.0 + 2.0 ** (pe - kids)) - 1.0
-                node[pw_i] = new_pw
-                child_old = old_pw
-                child_new = new_pw
-            hist.append(x)
-        self._n += len(sym)
-        return self.log_root_probability
-
-    def update(self, symbol: int) -> float:
-        """Feed one symbol; returns the updated root log2 probability."""
-        return self.process([symbol])
-
-    @property
-    def log_root_probability(self) -> float:
-        """log2 of the mixture probability of everything processed so far."""
-        root = self.nodes.get(0)
-        return 0.0 if root is None else root[self.alphabet_size + 2]
-
-    # inspection helpers (tests and diagnostics; not on the hot path)
-
-    def context_key(self, context: Sequence[int]) -> int:
-        if len(context) > self.depth:
-            raise ValueError("context longer than tree depth")
-        code = 0
-        for i, s in enumerate(context):
-            if not 0 <= s < self.alphabet_size:
-                raise ValueError(f"symbol {s} out of range")
-            code += s * self._pow[i]
-        return self._offsets[len(context)] + code
-
-    def node(self, context: Sequence[int]) -> NodeView | None:
-        record = self.nodes.get(self.context_key(context))
-        if record is None:
-            return None
-        m = self.alphabet_size
-        return NodeView(tuple(record[:m]), record[m + 1], record[m + 2], record[m + 3])
-
-    def visited_contexts(self) -> list[tuple[int, ...]]:
-        out = []
-        for key in self.nodes:
-            d = 0
-            while d < self.depth and key >= self._offsets[d + 1]:
-                d += 1
-            code = key - self._offsets[d]
-            ctx = []
-            for _ in range(d):
-                code, digit = divmod(code, self.alphabet_size)
-                ctx.append(digit)
-            out.append(tuple(ctx))
-        return out
-
-
-def _symbol_list(symbols, alphabet_size: int) -> list[int]:
-    if isinstance(symbols, SymbolSequence):
-        if symbols.alphabet_size != alphabet_size:
-            raise ValueError("sequence alphabet does not match the tree")
-        arr = symbols.symbols
-    else:
-        arr = np.ascontiguousarray(symbols, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("symbols must be 1-d")
-    if arr.size and (arr.min() < 0 or arr.max() >= alphabet_size):
-        raise ValueError(f"symbols out of range for alphabet size {alphabet_size}")
-    return arr.tolist()
-
-
-def _resolve_alphabet(seq, alphabet_size: int | None) -> int:
-    if isinstance(seq, SymbolSequence):
-        return seq.alphabet_size
-    return 2 if alphabet_size is None else alphabet_size
-
-
-def ctw_sequence_probability(
-    seq, depth: int = DEFAULT_DEPTH, alphabet_size: int | None = None
-) -> float:
-    """log2 of the depth-bounded mixture probability of the whole sequence."""
-    m = _resolve_alphabet(seq, alphabet_size)
-    tree = ContextTree(depth, m)
-    symbols = _symbol_list(seq, m)
-    if not symbols:
-        raise ValueError("sequence must not be empty")
-    return tree.process(symbols)
+def _log2_mixture_probability(symbols: np.ndarray, depth: int, m: int) -> float:
+    steps = np.arange(symbols.size, dtype=np.float64)
+    # log2 of the add-half numerator and denominator after c symbols
+    half = np.concatenate(([0.0], np.cumsum(np.log2(steps + 0.5))))
+    total = np.concatenate(([0.0], np.cumsum(np.log2(steps + 0.5 * m))))
+    weighted = child_parents = None
+    for counts, parents in reversed(_context_counts(symbols, depth, m)):
+        estimated = half[counts].sum(axis=1) - total[counts.sum(axis=1)]
+        if weighted is not None:  # below the depth bound: mix with the children
+            children = np.bincount(child_parents, weights=weighted, minlength=estimated.size)
+            estimated = np.logaddexp2(estimated, children) - 1.0
+        weighted, child_parents = estimated, parents
+    return float(weighted[0])
 
 
 def certified_ceiling(alphabet_size: int, n: int) -> float:
@@ -239,13 +98,27 @@ def entropy_rate(
     seq, depth: int = DEFAULT_DEPTH, alphabet_size: int | None = None
 ) -> EntropyEstimate:
     """-(1/n) log2 of the mixture probability: 0 is fully predictable,
-    ~1 is unpredictable binary, ~2 unpredictable quaternary."""
-    m = _resolve_alphabet(seq, alphabet_size)
-    symbols = _symbol_list(seq, m)
-    n = len(symbols)
+    ~1 is unpredictable binary, ~2 unpredictable quaternary.
+
+    A SymbolSequence brings its own alphabet size; any other sequence of
+    symbols uses `alphabet_size`, binary when it is None."""
+    if isinstance(seq, SymbolSequence):
+        m, symbols = seq.alphabet_size, seq.symbols
+    else:
+        m = 2 if alphabet_size is None else alphabet_size
+        symbols = np.ascontiguousarray(seq, dtype=np.int64)
+    if m not in SUPPORTED_ALPHABETS:
+        raise ValueError(f"alphabet size must be one of {SUPPORTED_ALPHABETS}")
+    if int(depth) != depth or depth < 0:
+        raise ValueError("depth must be a non-negative integer")
+    if symbols.ndim != 1:
+        raise ValueError("symbols must be 1-d")
+    n = symbols.size
     if n == 0:
         raise ValueError("cannot estimate the entropy of an empty sequence")
-    log_prob = ContextTree(depth, m).process(symbols)
+    if symbols.min() < 0 or symbols.max() >= m:
+        raise ValueError(f"symbols out of range for alphabet size {m}")
+    log_prob = _log2_mixture_probability(symbols, int(depth), m)
     return EntropyEstimate(
-        value=-log_prob / n, sequence_length=n, depth=depth, alphabet_size=m
+        value=-log_prob / n, sequence_length=n, depth=int(depth), alphabet_size=m
     )

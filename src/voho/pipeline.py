@@ -14,10 +14,12 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,7 +56,7 @@ ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entrop
 
 @dataclass
 class InputSpec:
-    path: str
+    path: str | os.PathLike
     format: str  # "daily" or "tick"
 
 
@@ -89,38 +91,92 @@ class StudyConfig:
     min_skeleton_events: int = 1000
     domain: str = "price"
     crossing: str = "multi"
-    out_dir: str = "voho-out"
+    out_dir: str | os.PathLike = "voho-out"
+
+
+def _from_json_object(raw, cls, where: str, errors: list[str]):
+    """`cls` built from a JSON object, or None after appending to `errors`
+    what is wrong with it: not an object, unknown keys, missing keys."""
+    if not isinstance(raw, dict):
+        errors.append(f"{where}: must be a JSON object")
+        return None
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    problems = [f"{where}: unknown config key {key!r}" for key in sorted(set(raw) - names)]
+    problems += [f"{where}: missing config key {key!r}" for key in sorted(required - set(raw))]
+    errors += problems
+    return None if problems else cls(**raw)
 
 
 def config_from_json(path: str | Path) -> StudyConfig:
-    """Load a StudyConfig from a flat JSON file; unknown keys are rejected."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError([f"{path}: config must be a JSON object"])
-    known = {f.name for f in fields(StudyConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError([f"{path}: unknown config key {key!r}" for key in unknown])
-    kwargs = dict(raw)
-    if "inputs" in kwargs:
-        kwargs["inputs"] = [InputSpec(**spec) for spec in kwargs["inputs"]]
-    if kwargs.get("synthetic") is not None:
-        kwargs["synthetic"] = SyntheticSpec(**kwargs["synthetic"])
-    return StudyConfig(**kwargs)
+    """Load a StudyConfig from a JSON file. Malformed JSON, and keys that
+    are unknown, missing or hold something other than an object where one
+    is expected, raise ConfigError; validate_config checks the values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: not valid JSON: {exc}"]) from None
+    errors: list[str] = []
+    if isinstance(raw, dict):
+        raw = dict(raw)
+        if isinstance(raw.get("inputs"), list):
+            raw["inputs"] = [
+                _from_json_object(spec, InputSpec, f"{path}: inputs[{i}]", errors)
+                for i, spec in enumerate(raw["inputs"])
+            ]
+        if raw.get("synthetic") is not None:
+            raw["synthetic"] = _from_json_object(raw["synthetic"], SyntheticSpec, f"{path}: synthetic", errors)
+    config = _from_json_object(raw, StudyConfig, str(path), errors)
+    if errors:
+        raise ConfigError(errors)
+    return config
+
+
+def _has_type(value, hint) -> bool:
+    if hint is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union, such as SyntheticSpec | None
+        return any(_has_type(value, arg) for arg in args)
+    return isinstance(value, hint)
+
+
+def _type_errors(spec, where: str) -> list[str]:
+    """One message per field of a config dataclass whose value does not
+    have the declared type (an int is accepted where a float is declared)."""
+    hints = get_type_hints(type(spec))
+    return [
+        f"{where}{f.name} must be of type {f.type}, got {getattr(spec, f.name)!r}"
+        for f in fields(spec)
+        if not _has_type(getattr(spec, f.name), hints[f.name])
+    ]
 
 
 def validate_config(config: StudyConfig) -> list[str]:
-    """All invariant violations at once; an empty list means the config is usable."""
-    errors: list[str] = []
+    """All invariant violations at once; an empty list means the config is
+    usable. Type errors are reported alone: the value checks assume the
+    declared types."""
+    errors = _type_errors(config, "")
+    if not errors:
+        for i, spec in enumerate(config.inputs):
+            errors += _type_errors(spec, f"inputs[{i}].")
+        if config.synthetic is not None:
+            errors += _type_errors(config.synthetic, "synthetic.")
+    if errors:
+        return errors
     if not config.deltas:
         errors.append("deltas must not be empty")
     else:
-        if any(not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0) for d in config.deltas):
+        if any(not (math.isfinite(d) and d > 0) for d in config.deltas):
             errors.append("every delta must be a positive finite number")
         elif any(b <= a for a, b in zip(config.deltas, config.deltas[1:])):
             errors.append("deltas must be strictly increasing")
-    if int(config.depth) != config.depth or config.depth < 0:
+    if config.depth < 0:
         errors.append("depth must be a non-negative integer")
     for v in config.variants:
         if v not in ORIGINAL_VARIANTS:
@@ -158,7 +214,7 @@ def validate_config(config: StudyConfig) -> list[str]:
             errors.append("synthetic vol_swing must be in [0, 1)")
         if syn.kind == "time_changed" and syn.vol_period <= 0:
             errors.append("synthetic vol_period must be positive")
-        if syn.kind == "jump" and (int(syn.jump_multiple) != syn.jump_multiple or syn.jump_multiple < 2):
+        if syn.kind == "jump" and syn.jump_multiple < 2:
             errors.append("synthetic jump_multiple must be an integer >= 2")
         if syn.kind == "jump" and not 0.0 < syn.jump_prob <= 1.0:
             errors.append("synthetic jump_prob must be in (0, 1]")

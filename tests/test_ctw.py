@@ -1,4 +1,5 @@
-"""Context-tree estimator against exact enumeration and closed forms."""
+"""Context-tree estimator against exact enumeration, closed forms and
+golden values of the earlier streaming implementation."""
 
 from __future__ import annotations
 
@@ -8,17 +9,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from voho.ctw import (
-    ContextTree,
-    EntropyEstimate,
-    certified_ceiling,
-    ctw_sequence_probability,
-    entropy_rate,
-    kt_update,
-)
+from voho.ctw import EntropyEstimate, _context_counts, certified_ceiling, entropy_rate
 from voho.quantise import SymbolSequence
 
 from ctw_oracle import (
+    _padded_context,
     enumerate_suffix_sets,
     kt_prob_from_counts,
     mixture_probability,
@@ -28,47 +23,71 @@ from ctw_oracle import (
 )
 
 
+def log2_prob(seq, depth: int, alphabet_size: int | None = None) -> float:
+    """log2 of the mixture probability, recovered from the entropy rate."""
+    est = entropy_rate(seq, depth=depth, alphabet_size=alphabet_size)
+    return -est.value * est.sequence_length
+
+
+def splitmix64(n: int, seed: int) -> np.ndarray:
+    """n pseudo-random 64-bit words, the same on every platform and numpy."""
+    z = (np.arange(n, dtype=np.uint64) + np.uint64(seed)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def golden_sequence(name: str) -> np.ndarray:
+    if name == "binary":  # a biased coin, P(1) = 0.3
+        return (splitmix64(20000, 1) % np.uint64(10) < np.uint64(3)).astype(np.int64)
+    if name == "quaternary":
+        return (splitmix64(24000, 2) >> np.uint64(62)).astype(np.int64)
+    # skeleton-like: alternating runs of up and down moves, 1 to 4 long
+    runs = 1 + (splitmix64(12000, 3) % np.uint64(4)).astype(np.int64)
+    return np.repeat(np.arange(runs.size) % 2, runs)[:21000]
+
+
+# log2 P at depth 20 from the streaming context tree this estimator replaced
+GOLDEN_LOG2_PROB = {
+    "binary": (2, -17621.964055976612),
+    "quaternary": (4, -48021.60763845499),
+    "skeleton_runs": (2, -16819.94145635043),
+}
+
+
 class TestKtUpdate:
+    """The add-half estimate, seen through a tree of depth 0 (the root alone)."""
+
     def test_fresh_binary_context_is_half(self):
-        assert kt_update([0, 0], 0) == -1.0
-        assert kt_update({0: 0, 1: 0}, 1) == -1.0
+        assert log2_prob([0], depth=0) == pytest.approx(-1.0, abs=1e-15)
+        assert log2_prob([1], depth=0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_sequence_00_product(self):
-        total = kt_update([0, 0], 0) + kt_update([1, 0], 0)
-        assert total == pytest.approx(math.log2(3 / 8), abs=1e-12)
+        assert log2_prob([0, 0], depth=0) == pytest.approx(math.log2(3 / 8), abs=1e-12)
 
     def test_sequence_01_product(self):
-        total = kt_update([0, 0], 0) + kt_update([1, 0], 1)
-        assert total == pytest.approx(math.log2(1 / 8), abs=1e-12)
+        assert log2_prob([0, 1], depth=0) == pytest.approx(math.log2(1 / 8), abs=1e-12)
 
     def test_quaternary_fresh_context(self):
-        assert kt_update([0, 0, 0, 0], 2) == pytest.approx(math.log2(0.25), abs=1e-15)
+        assert log2_prob([2], depth=0, alphabet_size=4) == pytest.approx(math.log2(0.25), abs=1e-15)
 
     def test_matches_closed_form_likelihood(self, rng):
         for m in (2, 4):
-            seq = rng.integers(0, m, size=30).tolist()
-            counts = [0] * m
-            log_prob = 0.0
-            for s in seq:
-                log_prob += kt_update(counts, s)
-                counts[s] += 1
-            exact = math.log2(kt_prob_from_counts(tuple(counts)))
-            assert log_prob == pytest.approx(exact, rel=1e-12)
+            for n in (1, 30, 300):
+                seq = rng.integers(0, m, size=n)
+                exact = math.log2(kt_prob_from_counts(tuple(np.bincount(seq, minlength=m).tolist())))
+                assert log2_prob(seq, depth=0, alphabet_size=m) == pytest.approx(exact, rel=1e-12)
 
 
 class TestSequenceProbability:
     def test_depth0_is_plain_kt(self, rng):
-        seq = rng.integers(0, 2, size=50).tolist()
-        counts = [0, 0]
-        expected = 0.0
-        for s in seq:
-            expected += kt_update(counts, s)
-            counts[s] += 1
-        assert ctw_sequence_probability(seq, depth=0) == pytest.approx(expected, rel=1e-12)
+        seq = rng.integers(0, 2, size=50)
+        expected = math.log2(kt_prob_from_counts(tuple(np.bincount(seq, minlength=2).tolist())))
+        assert log2_prob(seq, depth=0) == pytest.approx(expected, rel=1e-12)
+        assert log2_prob(np.sort(seq), depth=0) == pytest.approx(expected, rel=1e-12)
 
     def test_depth1_fixture_00(self):
-        log_prob = ctw_sequence_probability([0, 0], depth=1)
-        assert log_prob == pytest.approx(math.log2(3 / 8), abs=1e-12)
+        assert log2_prob([0, 0], depth=1) == pytest.approx(math.log2(3 / 8), abs=1e-12)
         est = entropy_rate([0, 0], depth=1)
         assert est.value == pytest.approx(0.70751875, abs=1e-6)
 
@@ -76,7 +95,7 @@ class TestSequenceProbability:
         for depth in (0, 1, 2):
             for n in (1, 3, 5):
                 for seq in product(range(2), repeat=n):
-                    got = ctw_sequence_probability(list(seq), depth=depth)
+                    got = log2_prob(list(seq), depth=depth)
                     want = math.log2(mixture_probability(seq, depth, 2))
                     assert got == pytest.approx(want, rel=1e-9)
 
@@ -84,15 +103,37 @@ class TestSequenceProbability:
         for m in (2, 4):
             for depth in (1, 3, 5):
                 seq = rng.integers(0, m, size=64).tolist()
-                got = ctw_sequence_probability(seq, depth=depth, alphabet_size=m)
+                got = log2_prob(seq, depth=depth, alphabet_size=m)
                 want = math.log2(recursive_weighted_probability(seq, depth, m))
                 assert got == pytest.approx(want, rel=1e-9)
+
+    def test_depth_at_least_length_reads_zero_padding(self, rng):
+        for m in (2, 4):
+            for n in (1, 3, 7):
+                seq = rng.integers(0, m, size=n).tolist()
+                for depth in (n, n + 1, 2 * n + 3):
+                    got = log2_prob(seq, depth=depth, alphabet_size=m)
+                    want = math.log2(recursive_weighted_probability(seq, depth, m))
+                    assert got == pytest.approx(want, rel=1e-12)
+
+    def test_constant_sequence_at_depth20(self):
+        # all zeros: every context is all zeros, padding included, so none splits;
+        # all threes: contexts split only where the zero padding shows
+        for seq, m in (([0] * 200, 2), ([0] * 200, 4), ([3] * 60, 4)):
+            got = log2_prob(seq, depth=20, alphabet_size=m)
+            want = math.log2(recursive_weighted_probability(seq, 20, m))
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_LOG2_PROB))
+    def test_matches_streaming_tree_golden_values(self, name):
+        m, want = GOLDEN_LOG2_PROB[name]
+        assert log2_prob(golden_sequence(name), depth=20, alphabet_size=m) == pytest.approx(want, rel=1e-12)
 
     def test_normalises_binary(self):
         for depth in (0, 1, 2):
             for n in (1, 4, 6):
                 total = sum(
-                    2.0 ** ctw_sequence_probability(list(seq), depth=depth)
+                    2.0 ** log2_prob(list(seq), depth=depth)
                     for seq in product(range(2), repeat=n)
                 )
                 assert total == pytest.approx(1.0, abs=1e-9)
@@ -101,24 +142,31 @@ class TestSequenceProbability:
         for depth in (0, 1, 2):
             for n in (1, 3, 4):
                 total = sum(
-                    2.0 ** ctw_sequence_probability(list(seq), depth=depth, alphabet_size=4)
+                    2.0 ** log2_prob(list(seq), depth=depth, alphabet_size=4)
                     for seq in product(range(4), repeat=n)
                 )
                 assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_symbol_sequence_input(self):
-        seq = SymbolSequence("X", 2, np.array([0, 1, 0, 1]))
-        assert ctw_sequence_probability(seq, depth=2) < 0.0
+    def test_symbol_sequence_input(self, rng):
+        for m in (2, 4):
+            values = rng.integers(0, m, size=300).tolist()
+            from_list = entropy_rate(values, depth=6, alphabet_size=m)
+            from_int8 = entropy_rate(np.array(values, dtype=np.int8), depth=6, alphabet_size=m)
+            from_sequence = entropy_rate(SymbolSequence("X", m, np.array(values)), depth=6)
+            assert from_list == from_int8 == from_sequence
+            assert from_sequence.alphabet_size == m
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ctw_sequence_probability([], depth=2)
+            entropy_rate([], depth=2)
 
     def test_out_of_range_symbols_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            ctw_sequence_probability([0, 2], depth=2)
+            entropy_rate([0, 2], depth=2)
+        with pytest.raises(ValueError, match="out of range"):
+            entropy_rate([-1, 0], depth=2)
         with pytest.raises(ValueError, match="alphabet"):
-            ctw_sequence_probability([0], depth=2, alphabet_size=3)
+            entropy_rate([0], depth=2, alphabet_size=3)
 
 
 class TestPriorWeights:
@@ -139,62 +187,32 @@ class TestPriorWeights:
 
 
 class TestTreeStructure:
-    def test_leaf_weighted_equals_estimated(self, rng):
-        tree = ContextTree(depth=3, alphabet_size=2)
-        tree.process(rng.integers(0, 2, size=40).tolist())
-        for ctx in tree.visited_contexts():
-            if len(ctx) == 3:
-                node = tree.node(ctx)
-                assert node.log_weighted == node.log_estimated
-
-    def test_internal_mixture_identity_in_linear_domain(self, rng):
-        tree = ContextTree(depth=3, alphabet_size=2)
-        tree.process(rng.integers(0, 2, size=60).tolist())
-        for ctx in tree.visited_contexts():
-            if len(ctx) == 3:
-                continue
-            node = tree.node(ctx)
-            children = 1.0
-            for s in range(2):
-                child = tree.node(ctx + (s,))
-                children *= 2.0**child.log_weighted if child is not None else 1.0
-            target = 0.5 * 2.0**node.log_estimated + 0.5 * children
-            assert 2.0**node.log_weighted == pytest.approx(target, rel=1e-12)
+    """The per-depth count matrices that the fold reads."""
 
     def test_counts_sum_over_children(self, rng):
-        tree = ContextTree(depth=4, alphabet_size=4)
-        tree.process(rng.integers(0, 4, size=80).tolist())
-        for ctx in tree.visited_contexts():
-            if len(ctx) == 4:
-                continue
-            node = tree.node(ctx)
-            summed = [0, 0, 0, 0]
-            for s in range(4):
-                child = tree.node(ctx + (s,))
-                if child is not None:
-                    summed = [a + b for a, b in zip(summed, child.counts)]
-            assert tuple(summed) == node.counts
-
-    def test_streaming_update_equals_batch(self, rng):
-        seq = rng.integers(0, 2, size=30).tolist()
-        batch = ContextTree(depth=4)
-        batch.process(seq)
-        stream = ContextTree(depth=4)
-        for s in seq:
-            stream.update(s)
-        assert stream.log_root_probability == batch.log_root_probability
+        seq = rng.integers(0, 4, size=80)
+        levels = _context_counts(seq, 4, 4)
+        assert levels[0][0].tolist() == [np.bincount(seq, minlength=4).tolist()]
+        for (above, _), (counts, parent) in zip(levels, levels[1:]):
+            summed = np.zeros_like(above)
+            np.add.at(summed, parent, counts)
+            assert np.array_equal(summed, above)
+            assert counts.sum(axis=1).min() >= 1
 
     def test_node_budget_linear_in_length(self, rng):
-        seq = rng.integers(0, 2, size=500).tolist()
-        tree = ContextTree(depth=8)
-        tree.process(seq)
-        assert len(tree.nodes) <= len(seq) * (tree.depth + 1)
+        for seq, depth in ((rng.integers(0, 2, size=500), 8), (np.zeros(50, dtype=np.int64), 20)):
+            levels = _context_counts(seq, depth, 2)
+            contexts = {_padded_context(seq.tolist(), i, depth)[:d] for i in range(seq.size) for d in range(depth + 1)}
+            assert sum(counts.shape[0] for counts, _ in levels) == len(contexts) <= seq.size * depth + 1
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError, match="depth"):
-            ContextTree(depth=-1)
+        for depth in (-1, 2.5):
+            with pytest.raises(ValueError, match="depth"):
+                entropy_rate([0, 1], depth=depth)
         with pytest.raises(ValueError, match="alphabet"):
-            ContextTree(depth=2, alphabet_size=3)
+            entropy_rate([0, 1], depth=2, alphabet_size=3)
+        with pytest.raises(ValueError, match="1-d"):
+            entropy_rate([[0, 1]], depth=2)
 
 
 class TestEntropyRate:
