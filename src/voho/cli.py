@@ -31,6 +31,7 @@ from .pipeline import (
     SyntheticSpec,
     compute_instrument_rows,
     config_from_json,
+    domain_path,
     run_study,
     validate_config,
 )
@@ -130,14 +131,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _decompose_series(series: PriceSeries, delta: float, domain: str, crossing: str):
-    if domain == "logpath":
-        import numpy as np
-
-        return decompose(
-            np.log(series.prices), delta, times=series.times, crossing=crossing,
-            instrument_id=series.instrument_id, input_kind="log_return_path",
-        )
-    return decompose(series, delta, crossing=crossing)
+    values, kind = domain_path(series, domain)
+    return decompose(
+        values, delta, times=series.times, crossing=crossing,
+        instrument_id=series.instrument_id, input_kind=kind,
+    )
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:

@@ -1,11 +1,24 @@
 """Spatial-skeleton decomposition of a path into fixed-size moves.
 
-The path is swept sample by sample; each time it ends a sample at least
-`delta` away from the current skeleton level, one event per crossed step
-is emitted at the linearly interpolated crossing time. Levels are tracked
-as an integer index times delta from the starting value, so consecutive
-skeleton levels differ by exactly one step and no floating-point drift
-accumulates.
+Crossings are decided on the integer grid u_j = (x_j - x_0) / delta, so a
+price that sits on a multiple of delta is compared as a whole number of
+steps, never as a float sum in price space. The skeleton level is an
+integer index k (the value base + k * delta); it starts at k_0 = 0, and
+after sample j it is
+
+    k_j = clamp(k_{j-1}, floor(u_j), ceil(u_j)),
+
+that is, it follows the path by whole steps whenever the path ends a
+sample at least one step away, and otherwise stays. Each unit move of k is
+one event, timed by linear interpolation on its sample interval.
+
+This recursion has a closed form: k_j is ceil(u_j) if the last change of
+floor(u) + ceil(u) up to sample j was downward and floor(u_j) otherwise, so
+the levels, and from them every event, come from a few numpy passes:
+O(samples + events) array work, and |u_j - k_j| < 1 by construction.
+crossing="single" caps the level at one step per sample; such a lagging
+level has no closed form, so it is one Python pass over the samples, with
+the same event emission.
 """
 
 from __future__ import annotations
@@ -17,12 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
 from .ingest import PriceSeries
 from .quantise import SymbolSequence
 
 SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
 
 CROSSING_MODES = ("multi", "single")
+# events one decompose call may emit; checked before any event array exists
+MAX_EVENTS = 10_000_000
 INPUT_KINDS = ("price", "log_return_path")
 
 
@@ -80,10 +96,19 @@ def decompose(
 
     `path` is either a PriceSeries (its prices and timestamps are used) or
     a plain real-valued array, in which case `times` defaults to 0..n-1.
-    crossing="multi" emits one event per delta crossed within a sample;
-    crossing="single" caps it at one event per sample. All events from one
-    sample interval share its interpolation line; when the interval has
-    zero time width the events land on its (shared) timestamp.
+
+    Crossings are decided on u = (x - x[0]) / delta. With crossing="multi"
+    the level after sample j is clamp(k_{j-1}, floor(u_j), ceil(u_j)),
+    taken in closed form, and a sample emits one event per step the level
+    moves. crossing="single" moves the level at most one step per sample,
+    so it may lag the path and catch up over later samples. An event at
+    level k from sample j is timed on the line through samples j-1 and j:
+    t_{j-1} + (x[0] + k*delta - x_{j-1}) / (x_j - x_{j-1}) * (t_j - t_{j-1}),
+    or t_j where x_j == x_{j-1} (a single-mode catch-up).
+
+    Cost: O(samples + events) numpy work in multi mode, plus one Python
+    pass over the samples in single mode. The event count is known before
+    any event array exists; above MAX_EVENTS a DataError is raised.
     """
     if isinstance(path, PriceSeries):
         values = path.prices
@@ -110,55 +135,79 @@ def decompose(
     if crossing not in CROSSING_MODES:
         raise ValueError(f"unknown crossing mode {crossing!r}")
 
-    x = values.tolist()
-    t = times.tolist()
-    multi = crossing == "multi"
-    base = x[0]
-    k = 0
-    ev_times: list[float] = []
-    ev_levels: list[int] = []
-    ev_dirs: list[int] = []
-    ev_src: list[int] = []
-    for j in range(1, len(x)):
-        xj = x[j]
-        diff = xj - (base + k * delta)
-        if diff >= delta:
-            step = 1
-            crossings = int(diff / delta)
-        elif diff <= -delta:
-            step = -1
-            crossings = int(-diff / delta)
-        else:
-            continue
-        if not multi:
-            crossings = 1
-        xp = x[j - 1]
-        tp = t[j - 1]
-        # dx is nonzero in multi mode (the previous residual was < delta);
-        # in single mode the level can lag a flat stretch, so fall back to t_j
-        dx = xj - xp
-        dt = t[j] - tp
-        for _ in range(crossings):
-            k += step
-            new_level = base + k * delta
-            if dx == 0.0:
-                ev_times.append(t[j])
-            else:
-                ev_times.append(tp + (new_level - xp) / dx * dt)
-            ev_levels.append(k)
-            ev_dirs.append(step)
-            ev_src.append(j)
-        if multi:
-            assert abs(xj - (base + k * delta)) < delta
+    with np.errstate(over="ignore"):  # an inf is clipped (single) or over the bound (multi)
+        u = (values - values[0]) / delta
+    if crossing == "single":
+        # the level moves at most one step per sample, so |k| < n and
+        # clipping u to [-n, n] changes no comparison with it
+        bound = float(values.size)
+        levels = _lagging_levels(np.clip(u, -bound, bound))
+    else:
+        reach = float(np.max(np.abs(u)))
+        if reach > MAX_EVENTS + 1:  # reaching level k_j takes |k_j| >= floor(|u_j|) events
+            raise _too_many_events(instrument_id, delta, f"at least {np.floor(reach):.0f}")
+        levels = _levels(u)
+    moves = np.diff(levels)
+    moved = np.flatnonzero(moves)
+    steps = moves[moved]
+    counts = np.abs(steps)
+    total = int(counts.sum())
+    if total > MAX_EVENTS:
+        raise _too_many_events(instrument_id, delta, str(total))
+
+    directions = np.repeat(np.sign(steps), counts)
+    source = np.repeat(moved + 1, counts)
+    level_indices = np.cumsum(directions)
+    x_prev = values[source - 1]
+    t_prev = times[source - 1]
+    dx = values[source] - x_prev
+    dt = times[source] - t_prev
+    # a zero-width price interval only occurs in single mode, where the
+    # level catches up over a flat stretch: those events land on t_j
+    flat = dx == 0.0
+    dx[flat] = 1.0
+    event_times = t_prev + (values[0] + level_indices * delta - x_prev) / dx * dt
+    event_times[flat] = times[source[flat]]
     return SkeletonSeries(
         instrument_id=instrument_id,
         delta=float(delta),
-        base_level=base,
-        times=np.asarray(ev_times),
-        level_indices=np.asarray(ev_levels, dtype=np.int64),
-        directions=np.asarray(ev_dirs, dtype=np.int8),
-        source_indices=np.asarray(ev_src, dtype=np.int64),
+        base_level=float(values[0]),
+        times=event_times,
+        level_indices=level_indices,
+        directions=directions,
+        source_indices=source,
         input_kind=input_kind,
+    )
+
+
+def _levels(u: np.ndarray) -> np.ndarray:
+    """k_j = clamp(k_{j-1}, floor(u_j), ceil(u_j)) with k_0 = 0, in closed
+    form: the level sits at the floor after an upward change of the
+    interval [floor(u), ceil(u)] and at the ceiling after a downward one."""
+    lower = np.floor(u).astype(np.int64)
+    upper = np.ceil(u).astype(np.int64)
+    change = np.sign(np.diff(lower + upper, prepend=0))
+    last = np.maximum.accumulate(np.where(change != 0, np.arange(u.size), 0))
+    return np.where(change[last] < 0, upper, lower)
+
+
+def _lagging_levels(u: np.ndarray) -> np.ndarray:
+    """The same rule with the level moving at most one step per sample."""
+    levels = [0] * u.size
+    k = 0
+    for j, (lower, upper) in enumerate(zip(np.floor(u).tolist(), np.ceil(u).tolist())):
+        if lower > k:
+            k += 1
+        elif upper < k:
+            k -= 1
+        levels[j] = k
+    return np.asarray(levels, dtype=np.int64)
+
+
+def _too_many_events(instrument_id: str, delta: float, count: str) -> DataError:
+    return DataError(
+        f"instrument {instrument_id!r}: delta={delta!r} gives {count} skeleton events, "
+        f"more than the limit of {MAX_EVENTS}"
     )
 
 
@@ -181,13 +230,9 @@ def write_skeleton_csv(skeletons: SkeletonSeries | list[SkeletonSeries], path: s
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SKELETON_CSV_HEADER)
         for skel in skeletons:
-            levels = skel.levels()
-            for i in range(len(skel)):
-                writer.writerow([
-                    skel.instrument_id,
-                    repr(float(skel.delta)),
-                    i + 1,
-                    repr(float(skel.times[i])),
-                    repr(float(levels[i])),
-                    int(skel.directions[i]),
-                ])
+            delta = repr(float(skel.delta))
+            events = zip(skel.times.tolist(), skel.levels().tolist(), skel.directions.tolist())
+            writer.writerows(
+                [skel.instrument_id, delta, i, repr(t), repr(level), direction]
+                for i, (t, level, direction) in enumerate(events, start=1)
+            )

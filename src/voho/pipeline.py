@@ -244,6 +244,14 @@ def synthetic_series(spec: SyntheticSpec) -> list[PriceSeries]:
     ]
 
 
+def domain_path(series: PriceSeries, domain: str) -> tuple[np.ndarray, str]:
+    """The path a skeleton is taken of, with its input kind: the prices,
+    or for domain "logpath" the log prices."""
+    if domain == "logpath":
+        return np.log(series.prices), "log_return_path"
+    return series.prices, "price"
+
+
 def compute_instrument_rows(
     series: PriceSeries,
     *,
@@ -266,12 +274,7 @@ def compute_instrument_rows(
             estimate = entropy_rate(seq, depth)
             rows.append(StudyRow(series.instrument_id, variant, estimate.value, len(seq)))
     if deltas:
-        if domain == "logpath":
-            values = np.log(series.prices)
-            kind = "log_return_path"
-        else:
-            values = series.prices
-            kind = "price"
+        values, kind = domain_path(series, domain)
         for delta in deltas:
             skeleton = decompose(
                 values,

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from voho import homogenise
+from voho.errors import DataError
 from voho.homogenise import SKELETON_CSV_HEADER, decompose, skeleton_to_symbols, write_skeleton_csv
 from voho.ingest import generate_synthetic_path
 
@@ -25,6 +30,45 @@ def residuals_by_sample(values, skeleton):
             position += 1
         out.append(abs(values[j] - (skeleton.base_level + k * skeleton.delta)))
     return out
+
+
+def loop_decompose(values, delta, times, crossing="multi"):
+    """Reference: one pass over the samples on the grid u = (x - x0) / delta.
+
+    The level follows the path to clamp(k, floor(u), ceil(u)), at most one
+    step per sample in single mode, and each step is one event timed on
+    the sample's interpolation line (at t_j where the price did not move).
+    Returns (times, level_indices, directions, source_indices)."""
+    x, t = list(map(float, values)), list(map(float, times))
+    events = ([], [], [], [])
+    k = 0
+    for j in range(1, len(x)):
+        u = (x[j] - x[0]) / delta
+        target = min(max(k, math.floor(u)), math.ceil(u))
+        if crossing == "single":
+            target = k + (target > k) - (target < k)
+        step = 1 if target > k else -1
+        dx = x[j] - x[j - 1]
+        while k != target:
+            k += step
+            if dx == 0.0:
+                events[0].append(t[j])
+            else:
+                events[0].append(t[j - 1] + (x[0] + k * delta - x[j - 1]) / dx * (t[j] - t[j - 1]))
+            events[1].append(k)
+            events[2].append(step)
+            events[3].append(j)
+    return events
+
+
+def assert_matches_loop(values, delta, times, crossing):
+    skel = decompose(values, delta, times=times, crossing=crossing)
+    want_times, want_levels, want_dirs, want_src = loop_decompose(values, delta, times, crossing)
+    assert skel.times.tolist() == want_times
+    assert skel.level_indices.tolist() == want_levels
+    assert skel.directions.tolist() == want_dirs
+    assert skel.source_indices.tolist() == want_src
+    return skel
 
 
 class TestDecomposeExamples:
@@ -149,6 +193,82 @@ class TestDecomposeProperties:
         assert np.all(np.diff(skel.times) >= 0)
 
 
+class TestDecomposeAgainstLoop:
+    @pytest.mark.parametrize("crossing", ["multi", "single"])
+    def test_random_continuous_paths(self, rng, crossing):
+        for _ in range(300):
+            n = int(rng.integers(2, 50))
+            delta = float(rng.uniform(0.05, 2.0))
+            steps = rng.normal(0.0, delta, size=n - 1)
+            jumps = rng.random(n - 1) < 0.15
+            steps[jumps] *= rng.uniform(2.0, 6.0, size=int(jumps.sum()))
+            steps[rng.random(n - 1) < 0.1] = 0.0  # flat stretches
+            values = 100.0 + np.concatenate([[0.0], np.cumsum(steps)])
+            times = np.cumsum(rng.uniform(0.0, 2.0, size=n))
+            times[rng.random(n) < 0.1] = times[0]  # zero-width intervals
+            assert_matches_loop(values, delta, np.maximum.accumulate(times), crossing)
+
+    @pytest.mark.parametrize("crossing", ["multi", "single"])
+    def test_random_decimal_grid_paths(self, rng, crossing):
+        # prices on a 0.001 tick, delta a whole number of ticks: many
+        # samples land exactly on a level, where a price-space float
+        # comparison used to miscount
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            delta = 0.001 * int(rng.integers(1, 20))
+            ticks = np.cumsum(np.concatenate([[0], rng.integers(-30, 31, size=n - 1)]))
+            values = np.round(100.0 + ticks * 0.001, 3)
+            skel = assert_matches_loop(values, delta, np.arange(n, dtype=float), crossing)
+            if crossing == "multi":
+                u = (values - values[0]) / delta
+                levels = np.zeros(n, dtype=np.int64)
+                np.add.at(levels, skel.source_indices, skel.directions.astype(np.int64))
+                assert np.all(np.abs(u - np.cumsum(levels)) < 1.0)
+
+    def test_five_row_tick_prices(self):
+        values = np.array([100.006, 100.007, 100.008, 100.011, 100.012])
+        skel = assert_matches_loop(values, 0.001, np.arange(5.0), "multi")
+        assert skel.level_indices.tolist() == [1, 2, 3, 4, 5, 6]
+        assert skel.source_indices.tolist() == [1, 3, 3, 3, 4, 4]
+
+
+class TestEventBound:
+    def test_far_move_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="at least 1000000000 skeleton events"):
+                decompose(np.array([0.0, 1e9]), 1.0, instrument_id="FAR")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_message_names_instrument_delta_and_count(self, monkeypatch):
+        monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
+        # the path never goes beyond 3 steps, but swings three times
+        with pytest.raises(DataError) as info:
+            decompose(np.array([0.0, 3.0, 0.0, 3.0]), 1.0, instrument_id="OSC")
+        assert str(info.value) == (
+            "instrument 'OSC': delta=1.0 gives 9 skeleton events, more than the limit of 5"
+        )
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        values = np.array([0.0, 3.0, 0.0])
+        monkeypatch.setattr(homogenise, "MAX_EVENTS", 6)
+        assert len(decompose(values, 1.0)) == 6
+        monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
+        with pytest.raises(DataError, match="gives 6 skeleton events"):
+            decompose(values, 1.0)
+
+    def test_overflowing_grid_raises(self):
+        with pytest.raises(DataError, match="at least inf"):
+            decompose(np.array([0.0, 1.0]), 1e-320)
+
+    def test_single_mode_is_bounded_by_the_sample_count(self):
+        skel = decompose(np.array([0.0, 1e9, 1e9]), 1.0, crossing="single")
+        assert skel.level_indices.tolist() == [1, 2]
+
+
 class TestSkeletonSymbols:
     def test_direction_mapping(self):
         skel = decompose(np.array([10.00, 10.30, 10.10, 9.70]), 0.25)
@@ -184,3 +304,19 @@ class TestSkeletonCsv:
         assert first[2] == "1"  # events are 1-based
         assert first[5] == "1"
         assert len(lines) == 1 + 3
+
+    def test_bytes_of_two_instruments_with_multi_crossings(self, tmp_path):
+        a = decompose(np.array([10.0, 10.5, 9.75]), 0.25, times=np.array([0.0, 1.0, 4.0]), instrument_id="A")
+        b = decompose(np.array([5.0, 4.0]), 0.5, instrument_id="B")
+        out = tmp_path / "skel.csv"
+        write_skeleton_csv([a, b], out)
+        assert out.read_bytes() == (
+            b"instrument,delta,i,T_i,level,direction\n"
+            b"A,0.25,1,0.5,10.25,1\n"
+            b"A,0.25,2,1.0,10.5,1\n"
+            b"A,0.25,3,2.0,10.25,-1\n"
+            b"A,0.25,4,3.0,10.0,-1\n"
+            b"A,0.25,5,4.0,9.75,-1\n"
+            b"B,0.5,1,0.5,4.5,-1\n"
+            b"B,0.5,2,1.0,4.0,-1\n"
+        )
