@@ -31,7 +31,7 @@ from .pipeline import (
     run_study,
     validate_config,
 )
-from .quantise import SymbolSequence, bin_counts, quantile_bins, write_symbols_csv
+from .quantise import SymbolSequence, quantile_bins
 from .stats import (
     StudyResult,
     StudyRow,
@@ -40,6 +40,7 @@ from .stats import (
     kernel_density,
     pearson,
 )
+from .variants import Variant
 
 __version__ = "0.1.0"
 
@@ -58,8 +59,8 @@ __all__ = [
     "StudyRow",
     "SymbolSequence",
     "SyntheticSpec",
+    "Variant",
     "VohoError",
-    "bin_counts",
     "config_from_json",
     "correlation_matrix",
     "decompose",
@@ -76,5 +77,4 @@ __all__ = [
     "skeleton_to_symbols",
     "validate_config",
     "write_skeleton_csv",
-    "write_symbols_csv",
 ]

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -222,17 +224,30 @@ def skeleton_to_symbols(skeleton: SkeletonSeries) -> SymbolSequence:
     )
 
 
-def write_skeleton_csv(skeletons: SkeletonSeries | list[SkeletonSeries], path: str | Path) -> None:
-    """Export skeletons as instrument,delta,i,T_i,level,direction rows."""
+def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], path: str | Path) -> int:
+    """Export skeletons as instrument,delta,i,T_i,level,direction rows and
+    return the number of events written. Skeletons are taken one at a time,
+    so a generator holds one in memory; the file is written beside `path`
+    and renamed into place when complete, so a failure leaves none."""
     if isinstance(skeletons, SkeletonSeries):
         skeletons = [skeletons]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SKELETON_CSV_HEADER)
-        for skel in skeletons:
-            delta = repr(float(skel.delta))
-            events = zip(skel.times.tolist(), skel.levels().tolist(), skel.directions.tolist())
-            writer.writerows(
-                [skel.instrument_id, delta, i, repr(t), repr(level), direction]
-                for i, (t, level, direction) in enumerate(events, start=1)
-            )
+    path = Path(path)
+    partial = path.with_name(path.name + ".part")
+    events = 0
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(SKELETON_CSV_HEADER)
+            for skel in skeletons:
+                delta = repr(float(skel.delta))
+                rows = zip(skel.times.tolist(), skel.levels().tolist(), skel.directions.tolist())
+                writer.writerows(
+                    [skel.instrument_id, delta, i, repr(t), repr(level), direction]
+                    for i, (t, level, direction) in enumerate(rows, start=1)
+                )
+                events += len(skel)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return events

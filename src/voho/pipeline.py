@@ -10,12 +10,14 @@ the output bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -25,7 +27,7 @@ import numpy as np
 
 from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import CROSSING_MODES, decompose, skeleton_to_symbols
+from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
 from .ingest import (
     GENERATOR_KINDS,
     PriceSeries,
@@ -40,15 +42,14 @@ from .stats import (
     StudyRow,
     correlation_matrix,
     delta_summary,
+    entropy_by_instrument,
     kernel_density,
-    parse_delta_variant,
-    variant_name,
 )
+from .variants import ORIGINAL_VARIANTS, Variant, name_clashes, study_variants
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DELTAS = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
-ORIGINAL_VARIANTS = ("orig2", "orig4")
 DOMAINS = ("price", "logpath")
 
 ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entropy_bits_per_symbol"]
@@ -81,6 +82,12 @@ class SyntheticSpec:
 
 @dataclass
 class StudyConfig:
+    """A study. `variants` names the originals to score (orig2, orig4);
+    each of the strictly increasing `deltas` adds a skeleton variant named
+    `delta_{delta:g}`, the step to six significant digits. validate_config
+    refuses deltas that share a name (1.0000001 and 1.0000002 are both
+    `delta_1`), since every output file is keyed by it."""
+
     inputs: list[InputSpec] = field(default_factory=list)
     synthetic: SyntheticSpec | None = None
     deltas: list[float] = field(default_factory=lambda: list(DEFAULT_DELTAS))
@@ -176,6 +183,8 @@ def validate_config(config: StudyConfig) -> list[str]:
             errors.append("every delta must be a positive finite number")
         elif any(b <= a for a, b in zip(config.deltas, config.deltas[1:])):
             errors.append("deltas must be strictly increasing")
+        else:
+            errors += name_clashes((f"delta {d!r}", Variant.skeleton(d)) for d in config.deltas)
     if config.depth < 0:
         errors.append("depth must be a non-negative integer")
     for v in config.variants:
@@ -244,53 +253,45 @@ def synthetic_series(spec: SyntheticSpec) -> list[PriceSeries]:
     ]
 
 
-def domain_path(series: PriceSeries, domain: str) -> tuple[np.ndarray, str]:
-    """The path a skeleton is taken of, with its input kind: the prices,
-    or for domain "logpath" the log prices."""
+def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: str) -> SkeletonSeries:
+    """The skeleton of the prices or, for domain "logpath", of the log prices."""
     if domain == "logpath":
-        return np.log(series.prices), "log_return_path"
-    return series.prices, "price"
+        values, kind = np.log(series.prices), "log_return_path"
+    else:
+        values, kind = series.prices, "price"
+    return decompose(
+        values, delta, times=series.times, crossing=crossing,
+        instrument_id=series.instrument_id, input_kind=kind,
+    )
 
 
 def compute_instrument_rows(
     series: PriceSeries,
     *,
-    variants: list[str],
-    deltas: list[float],
+    variants: list[Variant],
     depth: int,
     domain: str = "price",
     crossing: str = "multi",
     min_skeleton_events: int = 1,
 ) -> tuple[list[StudyRow], list[str]]:
-    """Entropy rows for one instrument plus the skeleton variants dropped
-    for having fewer than min_skeleton_events events."""
+    """Entropy rows for one instrument in the order of `variants`, plus the
+    skeleton variants dropped for having fewer than min_skeleton_events
+    events. Log returns are taken only when an original variant is asked for."""
+    if any(v.delta is None for v in variants):
+        returns = log_returns(series, drop_zero=series.kind == "tick")
     rows: list[StudyRow] = []
     dropped: list[str] = []
-    if variants:
-        returns = log_returns(series, drop_zero=series.kind == "tick")
-        for variant in variants:
-            m = 2 if variant == "orig2" else 4
-            seq = quantile_bins(returns, m)
-            estimate = entropy_rate(seq, depth)
-            rows.append(StudyRow(series.instrument_id, variant, estimate.value, len(seq)))
-    if deltas:
-        values, kind = domain_path(series, domain)
-        for delta in deltas:
-            skeleton = decompose(
-                values,
-                delta,
-                times=series.times,
-                crossing=crossing,
-                instrument_id=series.instrument_id,
-                input_kind=kind,
-            )
-            name = variant_name(delta)
+    for variant in variants:
+        if variant.delta is None:
+            seq = quantile_bins(returns, variant.alphabet)
+        else:
+            skeleton = decompose_series(series, variant.delta, domain, crossing)
             if len(skeleton) < min_skeleton_events:
-                dropped.append(name)
+                dropped.append(variant.name)
                 continue
             seq = skeleton_to_symbols(skeleton)
-            estimate = entropy_rate(seq, depth)
-            rows.append(StudyRow(series.instrument_id, name, estimate.value, len(seq)))
+        estimate = entropy_rate(seq, depth)
+        rows.append(StudyRow(series.instrument_id, variant.name, estimate.value, len(seq)))
     return rows, dropped
 
 
@@ -324,7 +325,8 @@ def _gather_series(config: StudyConfig) -> list[PriceSeries]:
 
 
 def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
-    """Execute the full pipeline and persist all outputs under out_dir."""
+    """Execute the full pipeline and persist all outputs under out_dir. Rows
+    follow the input order of instruments, then the order of study_variants."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
@@ -337,12 +339,12 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     logger.info("%d of %d instrument(s) eligible", len(eligible), len(series))
     if not eligible:
         raise DataError("no eligible instruments after length filters")
+    variants = study_variants(config.variants, config.deltas)
 
     def work(s: PriceSeries):
         return compute_instrument_rows(
             s,
-            variants=config.variants,
-            deltas=config.deltas,
+            variants=variants,
             depth=config.depth,
             domain=config.domain,
             crossing=config.crossing,
@@ -365,21 +367,16 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
             f"{next(iter(failures.values()))}"
         )
 
-    variant_order = [v for v in ORIGINAL_VARIANTS if v in config.variants]
-    variant_order += [variant_name(d) for d in config.deltas]
     rows: list[StudyRow] = []
-    for s in eligible:  # deterministic merge, input order
-        if s.instrument_id not in outcomes:
-            continue
-        by_variant = {row.variant: row for row in outcomes[s.instrument_id][0]}
-        rows.extend(by_variant[v] for v in variant_order if v in by_variant)
-        for name in outcomes[s.instrument_id][1]:
+    for instrument, (instrument_rows, dropped) in outcomes.items():  # input order
+        rows.extend(instrument_rows)
+        for name in dropped:
             logger.info(
                 "instrument %s: variant %s dropped (< %d skeleton events)",
-                s.instrument_id, name, config.min_skeleton_events,
+                instrument, name, config.min_skeleton_events,
             )
 
-    result = StudyResult(rows=rows, variants=variant_order)
+    result = StudyResult(rows=rows, variants=variants)
     _aggregate(result)
     _persist(result, config)
     return result
@@ -390,14 +387,14 @@ def _aggregate(result: StudyResult) -> None:
     for row in result.rows:
         values.setdefault(row.variant, []).append(row.entropy)
     for variant in result.variants:
-        entries = values.get(variant, [])
+        entries = values.get(variant.name, [])
         if len(entries) < 2:
             continue
         try:
-            result.kde_curves[variant] = kernel_density(entries)
+            result.kde_curves[variant.name] = kernel_density(entries)
         except ValueError as exc:
-            logger.warning("kde skipped for %s: %s", variant, exc)
-    present = [v for v in result.variants if v in values]
+            logger.warning("kde skipped for %s: %s", variant.name, exc)
+    present = [v.name for v in result.variants if v.name in values]
     if len(present) >= 2:
         try:
             matrix, kept, dropped = correlation_matrix(result.rows, present)
@@ -407,18 +404,31 @@ def _aggregate(result: StudyResult) -> None:
             result.dropped_instruments = dropped
         except ValueError as exc:
             logger.warning("correlation matrix skipped: %s", exc)
-    result.summary = delta_summary(result.rows)
+    result.summary = delta_summary(result.rows, result.variants)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_csv(path: str | os.PathLike | None, header: list[str], rows) -> None:
+    """Write a header and rows as CSV to path, or to stdout when path is None."""
+    with open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_entropy_csv(
+    path: str | os.PathLike | None, rows: list[StudyRow], variants: list[Variant], depth: int
+) -> None:
+    """The entropy.csv layout, one line per row; to stdout when path is None."""
+    alphabet = {v.name: v.alphabet for v in variants}
+    write_csv(
+        path,
+        ENTROPY_CSV_HEADER,
+        ([r.instrument, r.variant, r.n, depth, alphabet[r.variant], _fmt(r.entropy)] for r in rows),
+    )
 
 
 def _persist(result: StudyResult, config: StudyConfig) -> None:
@@ -431,17 +441,9 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
     except OSError as exc:
         raise DataError(f"output directory {out} is not writable: {exc}") from exc
 
-    alphabet = {v: (2 if v != "orig4" else 4) for v in result.variants}
-    _write_csv(
-        out / "entropy.csv",
-        ENTROPY_CSV_HEADER,
-        (
-            [r.instrument, r.variant, r.n, config.depth, alphabet[r.variant], _fmt(r.entropy)]
-            for r in result.rows
-        ),
-    )
+    write_entropy_csv(out / "entropy.csv", result.rows, result.variants, config.depth)
     for variant, (grid, density) in result.kde_curves.items():
-        _write_csv(
+        write_csv(
             out / f"kde_{variant}.csv",
             ["x", "density"],
             ([_fmt(x), _fmt(d)] for x, d in zip(grid, density)),
@@ -452,9 +454,9 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
             [v] + [_fmt(x) for x in result.corr_matrix[i]]
             for i, v in enumerate(result.corr_variants)
         ]
-        _write_csv(out / "corr.csv", header, body)
+        write_csv(out / "corr.csv", header, body)
     _write_scatter(result, out)
-    _write_csv(
+    write_csv(
         out / "summary.csv",
         ["delta", "mean_entropy"],
         ([_fmt(d), _fmt(m)] for d, m in result.summary),
@@ -464,27 +466,19 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
 
 def _write_scatter(result: StudyResult, out: Path) -> None:
     """orig4 against the smallest-delta skeleton variant, where both exist."""
-    delta_variants = sorted(
-        (parse_delta_variant(v), v) for v in result.variants if parse_delta_variant(v) is not None
-    )
-    if "orig4" not in result.variants or not delta_variants:
+    # deltas are strictly increasing, so the first skeleton variant is the finest
+    finest = next((v for v in result.variants if v.delta is not None), None)
+    if finest is None or "orig4" not in (v.name for v in result.variants):
         return
-    a, b = "orig4", delta_variants[0][1]
-    by_instrument: dict[str, dict[str, float]] = {}
-    order = []
-    for row in result.rows:
-        if row.instrument not in by_instrument:
-            by_instrument[row.instrument] = {}
-            order.append(row.instrument)
-        by_instrument[row.instrument][row.variant] = row.entropy
+    a, b = "orig4", finest.name
     pairs = [
-        (i, by_instrument[i][a], by_instrument[i][b])
-        for i in order
-        if a in by_instrument[i] and b in by_instrument[i]
+        (instrument, values[a], values[b])
+        for instrument, values in entropy_by_instrument(result.rows).items()
+        if a in values and b in values
     ]
     if not pairs:
         return
-    _write_csv(
+    write_csv(
         out / f"scatter_{a}_{b}.csv",
         ["instrument", f"value_{a}", f"value_{b}"],
         ([i, _fmt(va), _fmt(vb)] for i, va, vb in pairs),

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .ingest import ReturnSeries
 
 SUPPORTED_ALPHABETS = (2, 4)
-SYMBOL_CSV_HEADER = ["instrument", "variant", "position", "symbol"]
 
 
 @dataclass(frozen=True)
@@ -66,18 +63,3 @@ def quantile_bins(returns: ReturnSeries | np.ndarray, m: int) -> SymbolSequence:
         provenance="original_discretised",
     )
 
-
-def bin_counts(seq: SymbolSequence) -> dict[int, int]:
-    """Realized per-symbol counts, including zero-count symbols."""
-    counts = np.bincount(seq.symbols, minlength=seq.alphabet_size)
-    return {int(s): int(c) for s, c in enumerate(counts)}
-
-
-def write_symbols_csv(sequences: list[tuple[str, SymbolSequence]], path: str | Path) -> None:
-    """Export (variant, sequence) pairs as instrument,variant,position,symbol."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SYMBOL_CSV_HEADER)
-        for variant, seq in sequences:
-            for position, symbol in enumerate(seq.symbols.tolist()):
-                writer.writerow([seq.instrument_id, variant, position, symbol])

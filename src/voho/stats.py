@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .variants import Variant
+
 logger = logging.getLogger(__name__)
 
 KDE_GRID_POINTS = 512
@@ -29,7 +31,7 @@ class StudyResult:
     """Everything a study run produces before it is written to disk."""
 
     rows: list[StudyRow]
-    variants: list[str]
+    variants: list[Variant]
     kde_curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     corr_matrix: np.ndarray | None = None
     corr_variants: list[str] = field(default_factory=list)
@@ -96,6 +98,14 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, float(xc @ yc) / math.sqrt(sx * sy)))
 
 
+def entropy_by_instrument(rows: list[StudyRow]) -> dict[str, dict[str, float]]:
+    """Each instrument's entropy by variant, instruments in first-seen order."""
+    table: dict[str, dict[str, float]] = {}
+    for row in rows:
+        table.setdefault(row.instrument, {})[row.variant] = row.entropy
+    return table
+
+
 def correlation_matrix(
     rows: list[StudyRow], variants: list[str] | None = None
 ) -> tuple[np.ndarray, list[str], list[str]]:
@@ -104,22 +114,13 @@ def correlation_matrix(
     Instruments missing any of the requested variants are dropped listwise
     (and reported); returns (matrix, kept instruments, dropped instruments).
     """
-    by_instrument: dict[str, dict[str, float]] = {}
-    order: list[str] = []
-    seen_variants: list[str] = []
-    for row in rows:
-        if row.instrument not in by_instrument:
-            by_instrument[row.instrument] = {}
-            order.append(row.instrument)
-        by_instrument[row.instrument][row.variant] = row.entropy
-        if row.variant not in seen_variants:
-            seen_variants.append(row.variant)
+    by_instrument = entropy_by_instrument(rows)
     if variants is None:
-        variants = seen_variants
+        variants = list(dict.fromkeys(row.variant for row in rows))
     if len(variants) < 2:
         raise ValueError("need at least 2 variants for a correlation matrix")
-    kept = [i for i in order if all(v in by_instrument[i] for v in variants)]
-    dropped = [i for i in order if i not in set(kept)]
+    kept = [i for i, values in by_instrument.items() if all(v in values for v in variants)]
+    dropped = [i for i in by_instrument if i not in set(kept)]
     if len(kept) < 2:
         raise ValueError("fewer than 2 instruments have every variant")
     if dropped:
@@ -137,28 +138,14 @@ def correlation_matrix(
     return matrix, kept, dropped
 
 
-def variant_name(delta: float) -> str:
-    return f"delta_{delta:g}"
-
-
-def parse_delta_variant(variant: str) -> float | None:
-    """The delta of a skeleton variant name, or None for original variants."""
-    if not variant.startswith("delta_"):
-        return None
-    try:
-        return float(variant[len("delta_"):])
-    except ValueError:
-        return None
-
-
-def delta_summary(rows: list[StudyRow]) -> list[tuple[float, float]]:
-    """Mean entropy over instruments for each decomposition step size."""
-    accumulator: dict[float, list[float]] = {}
+def delta_summary(rows: list[StudyRow], variants: list[Variant]) -> list[tuple[float, float]]:
+    """Mean entropy over instruments for each skeleton variant, by increasing
+    delta; a variant without rows is left out."""
+    values: dict[str, list[float]] = {}
     for row in rows:
-        delta = parse_delta_variant(row.variant)
-        if delta is not None:
-            accumulator.setdefault(delta, []).append(row.entropy)
-    return [(delta, float(np.mean(vals))) for delta, vals in sorted(accumulator.items())]
+        values.setdefault(row.variant, []).append(row.entropy)
+    skeletons = sorted((v for v in variants if v.delta is not None), key=lambda v: v.delta)
+    return [(v.delta, float(np.mean(values[v.name]))) for v in skeletons if v.name in values]
 
 
 def format_summary_table(summary: list[tuple[float, float]]) -> str:

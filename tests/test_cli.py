@@ -1,4 +1,4 @@
-"""Command-line exit codes and messages for malformed study configs."""
+"""Command-line exit codes and messages for malformed configs and variants."""
 
 from __future__ import annotations
 
@@ -24,8 +24,15 @@ from conftest import write_tick_csv
         ('{"synthetic": 3}', ["synthetic: must be a JSON object"]),
         ('{"depth": "20", "deltas": [0.1, "x"]}', ["depth must be of type int", "deltas must be of type list[float]"]),
         ('{"inputs": [{"path": 1, "format": "daily"}]}', ["inputs[0].path must be of type str"]),
+        (
+            '{"synthetic": {"n": 100}, "deltas": [0.5, 1.0000001, 1.0000002]}',
+            ["delta 1.0000001 and delta 1.0000002 share the variant name 'delta_1'"],
+        ),
     ],
-    ids=["field-name", "field-type", "truncated", "not-object", "nested-not-object", "top-level-types", "input-type"],
+    ids=[
+        "field-name", "field-type", "truncated", "not-object", "nested-not-object", "top-level-types",
+        "input-type", "deltas-sharing-a-name",
+    ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, text, messages):
     config = tmp_path / "config.json"
@@ -50,6 +57,44 @@ def test_undecodable_config_is_a_config_error(tmp_path, capsys):
 def test_missing_config_file_stays_a_data_error(tmp_path, capsys):
     assert main(["study", "--config", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize(
+    "variants, message",
+    [
+        ("delta_-1", "variant 'delta_-1': delta must be a positive finite number"),
+        ("orig2,delta_0", "variant 'delta_0': delta must be a positive finite number"),
+        ("delta_nan", "variant 'delta_nan': delta must be a positive finite number"),
+        ("delta_inf", "variant 'delta_inf': delta must be a positive finite number"),
+        ("delta_0.5,delta_0.5", "'delta_0.5' and 'delta_0.5' share the variant name 'delta_0.5'"),
+        ("delta_0.50,orig4,delta_0.5", "'delta_0.50' and 'delta_0.5' share the variant name 'delta_0.5'"),
+        ("orig2,orig2", "'orig2' and 'orig2' share the variant name 'orig2'"),
+        ("orig3", "unknown variant 'orig3'"),
+        ("delta_x", "unknown variant 'delta_x'"),
+    ],
+    ids=["negative", "zero", "nan", "inf", "repeated", "same-name", "repeated-original", "unknown", "no-number"],
+)
+def test_bad_entropy_variant_is_a_config_error(tmp_path, capsys, variants, message):
+    data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), 100.0 + i % 3) for i in range(20)])
+    out = tmp_path / "entropy.csv"
+    code = main(["entropy", "--input", str(data), "--format", "tick", "--variants", variants, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_entropy_lists_originals_as_given_then_deltas_in_order(tmp_path, capsys):
+    data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), 100.0 + i % 3) for i in range(20)])
+    args = ["entropy", "--input", str(data), "--format", "tick", "--depth", "2"]
+    assert main(args + ["--variants", "delta_1,orig4,delta_0.5,orig2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "instrument,variant,n,depth,alphabet,entropy_bits_per_symbol"
+    assert [line.split(",")[1:5] for line in lines[1:]] == [
+        ["orig4", "19", "2", "4"],
+        ["orig2", "19", "2", "2"],
+        ["delta_0.5", "50", "2", "2"],
+        ["delta_1", "25", "2", "2"],
+    ]
 
 
 def test_decompose_on_a_decimal_tick_grid(tmp_path, capsys):

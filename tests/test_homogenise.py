@@ -320,3 +320,21 @@ class TestSkeletonCsv:
             b"B,0.5,1,0.5,4.5,-1\n"
             b"B,0.5,2,1.0,4.0,-1\n"
         )
+
+    def test_a_generator_writes_the_bytes_of_a_list(self, tmp_path):
+        skeletons = [
+            decompose(np.array([10.0, 10.5, 9.75]), 0.25, instrument_id="A"),
+            decompose(np.array([5.0, 4.0]), 0.5, instrument_id="B"),
+        ]
+        assert write_skeleton_csv(skeletons, tmp_path / "list.csv") == 7
+        assert write_skeleton_csv((s for s in skeletons), tmp_path / "generator.csv") == 7
+        assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "generator.csv").read_bytes()
+
+    def test_a_failing_skeleton_leaves_no_file(self, tmp_path):
+        def skeletons():
+            yield decompose(np.array([10.0, 10.5]), 0.25, instrument_id="A")
+            raise DataError("second instrument failed")
+
+        with pytest.raises(DataError, match="second instrument failed"):
+            write_skeleton_csv(skeletons(), tmp_path / "skel.csv")
+        assert list(tmp_path.iterdir()) == []

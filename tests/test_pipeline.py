@@ -6,7 +6,7 @@ import csv
 
 import pytest
 
-from voho.pipeline import ENTROPY_CSV_HEADER, StudyConfig, SyntheticSpec, run_study
+from voho.pipeline import ENTROPY_CSV_HEADER, StudyConfig, SyntheticSpec, run_study, validate_config
 
 VARIANTS = ["orig2", "orig4", "delta_0.5", "delta_1"]
 INSTRUMENTS = ["SYN000", "SYN001", "SYN002"]
@@ -29,11 +29,11 @@ PINNED = {
 }
 
 
-def study(out_dir, threads: int):
+def study(out_dir, threads: int, variants=("orig2", "orig4")):
     config = StudyConfig(
         synthetic=SyntheticSpec(kind="brownian", instruments=3, n=800, seed=5),
         deltas=[0.5, 1.0],
-        variants=["orig2", "orig4"],
+        variants=list(variants),
         min_daily=100,
         min_skeleton_events=10,
         out_dir=out_dir,
@@ -51,6 +51,7 @@ def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("study")
     for threads in (1, 2):
         study(root / f"threads{threads}", threads)
+    study(root / "reversed", 1, variants=("orig4", "orig2"))
     return root
 
 
@@ -90,3 +91,19 @@ def test_output_bytes_do_not_depend_on_thread_count(outputs):
     assert names == sorted(p.name for p in two.iterdir())
     for name in names:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_output_order_does_not_follow_the_order_variants_are_listed_in(outputs):
+    reversed_order = outputs / "reversed"
+    assert [r[1] for r in read_csv(reversed_order / "entropy.csv")[1:4]] == VARIANTS[:3]
+    assert read_csv(reversed_order / "corr.csv")[0] == ["variant"] + VARIANTS
+    for name in ("entropy.csv", "corr.csv"):
+        assert (reversed_order / name).read_bytes() == (outputs / "threads1" / name).read_bytes(), name
+
+
+def test_deltas_that_share_a_name_are_refused():
+    config = StudyConfig(synthetic=SyntheticSpec(), deltas=[0.5, 1.0000001, 1.0000002, 1.0000003])
+    assert validate_config(config) == [
+        "delta 1.0000001 and delta 1.0000002 share the variant name 'delta_1'",
+        "delta 1.0000001 and delta 1.0000003 share the variant name 'delta_1'",
+    ]

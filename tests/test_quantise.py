@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from voho.ingest import ReturnSeries
-from voho.quantise import bin_counts, quantile_bins, quantile_boundaries, write_symbols_csv
+from voho.quantise import SymbolSequence, quantile_bins, quantile_boundaries
 
 
 class TestQuantileBins:
@@ -34,8 +34,8 @@ class TestQuantileBins:
     def test_equal_counts_for_tie_free_divisible_input(self, rng):
         for m in (2, 4):
             values = rng.permutation(np.linspace(-1.0, 1.0, 32))
-            counts = bin_counts(quantile_bins(values, m))
-            assert all(c == 32 // m for c in counts.values())
+            counts = np.bincount(quantile_bins(values, m).symbols, minlength=m)
+            assert counts.tolist() == [32 // m] * m
 
     def test_monotone_in_value(self, rng):
         values = rng.normal(size=101)
@@ -70,29 +70,15 @@ class TestQuantileBins:
 class TestBinCounts:
     def test_two_state_counts(self):
         seq = quantile_bins(np.array([-2.0, -1.0, 1.0, 2.0]), 2)
-        assert bin_counts(seq) == {0: 2, 1: 2}
+        assert np.bincount(seq.symbols, minlength=2).tolist() == [2, 2]
 
     def test_empty_sequence_all_zeros(self):
-        from voho.quantise import SymbolSequence
-
         seq = SymbolSequence("X", 4, np.empty(0, dtype=np.int64))
-        assert bin_counts(seq) == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert len(seq) == 0
+        assert np.bincount(seq.symbols, minlength=4).tolist() == [0, 0, 0, 0]
 
     def test_direct_count(self):
-        from voho.quantise import SymbolSequence
-
         seq = SymbolSequence("X", 4, np.array([0, 1, 1, 2, 3, 3, 3]))
-        counts = bin_counts(seq)
-        assert counts == {0: 1, 1: 2, 2: 1, 3: 3}
-        assert sum(counts.values()) == len(seq)
-
-
-class TestSymbolCsv:
-    def test_export_schema(self, tmp_path):
-        seq = quantile_bins(ReturnSeries("ABC", np.array([-0.1, 0.2, -0.3, 0.4])), 2)
-        out = tmp_path / "symbols.csv"
-        write_symbols_csv([("orig2", seq)], out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "instrument,variant,position,symbol"
-        assert lines[1] == "ABC,orig2,0,0"
-        assert len(lines) == 5
+        counts = np.bincount(seq.symbols, minlength=seq.alphabet_size)
+        assert counts.tolist() == [1, 2, 1, 3]
+        assert counts.sum() == len(seq)

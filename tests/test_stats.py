@@ -13,11 +13,10 @@ from voho.stats import (
     delta_summary,
     format_summary_table,
     kernel_density,
-    parse_delta_variant,
     pearson,
     silverman_bandwidth,
-    variant_name,
 )
+from voho.variants import Variant
 
 
 class TestKernelDensity:
@@ -174,8 +173,8 @@ class TestCorrelationMatrix:
 class TestDeltaSummary:
     def test_variant_name_round_trip(self):
         for delta in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
-            assert parse_delta_variant(variant_name(delta)) == delta
-        assert parse_delta_variant("orig2") is None
+            assert Variant.parse(Variant.skeleton(delta).name) == Variant.skeleton(delta)
+        assert Variant.parse("orig2") == Variant("orig2", 2, None)
 
     def test_single_instrument_means_are_values(self):
         rows = [
@@ -183,14 +182,15 @@ class TestDeltaSummary:
             StudyRow("I", "delta_1", 0.32, 40),
             StudyRow("I", "orig2", 0.99, 1000),
         ]
-        assert delta_summary(rows) == [(0.05, 0.13), (1.0, 0.32)]
+        variants = [Variant.parse(v) for v in ("orig2", "delta_1", "delta_0.05")]
+        assert delta_summary(rows, variants) == [(0.05, 0.13), (1.0, 0.32)]
 
     def test_mean_over_instruments(self):
         rows = [
             StudyRow("A", "delta_0.5", 0.2, 10),
             StudyRow("B", "delta_0.5", 0.4, 10),
         ]
-        assert delta_summary(rows) == [(0.5, pytest.approx(0.3))]
+        assert delta_summary(rows, [Variant.skeleton(0.5)]) == [(0.5, pytest.approx(0.3))]
 
     def test_table_layout(self):
         text = format_summary_table([(0.05, 0.13), (1.0, 0.32)])
