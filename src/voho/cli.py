@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 invalid configuration (also a bad `--variants`
 entry: an unknown name, a delta that is not a positive finite number, or
-a name given twice), 2 data error, 3 every instrument failed.
+a name given twice; and a numeric flag that a study config would refuse,
+such as `--delta -1`, `--depth -1`, `--n 1` or `--min-daily 1`, checked
+before any input is read), 2 data error, 3 every instrument failed.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from .ingest import (
     load_prices,
 )
 from .pipeline import (
+    StudyConfig,
     SyntheticSpec,
     compute_instrument_rows,
     config_from_json,
     decompose_series,
     run_study,
     synthetic_series,
+    validate_config,
     write_csv,
     write_entropy_csv,
 )
@@ -48,6 +52,14 @@ def _parse_deltas(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad delta list {text!r}") from None
+
+
+def _check(**values) -> None:
+    """Refuse command-line values that validate_config refuses in a study
+    config with the same fields."""
+    errors = validate_config(StudyConfig(**values))
+    if errors:
+        raise ConfigError(errors)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    _check(min_daily=args.min_daily, min_tick_changes=args.min_tick_changes)
     series = load_prices(args.input, args.format)
     eligible = {
         s.instrument_id
@@ -127,6 +140,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    _check(deltas=[args.delta])
     series = load_prices(args.input, args.format)
     if not series:
         raise DataError(f"{args.input}: no instruments")
@@ -138,6 +152,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     variants = parse_variants(v.strip() for v in args.variants.split(",") if v.strip())
+    _check(depth=args.depth, min_skeleton_events=args.min_skeleton_events)
     series = load_prices(args.input, args.format)
     if not series:
         raise DataError(f"{args.input}: no instruments")
@@ -165,6 +180,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
+    _check(synthetic=spec)
     series = synthetic_series(spec)
     daily = spec.frequency == "daily"
     rows = (

@@ -41,7 +41,6 @@ SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
 CROSSING_MODES = ("multi", "single")
 # events one decompose call may emit; checked before any event array exists
 MAX_EVENTS = 10_000_000
-INPUT_KINDS = ("price", "log_return_path")
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class SkeletonSeries:
     level_indices: np.ndarray
     directions: np.ndarray
     source_indices: np.ndarray
-    input_kind: str = "price"
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=np.float64)
@@ -70,8 +68,6 @@ class SkeletonSeries:
         src = np.ascontiguousarray(self.source_indices, dtype=np.int64)
         if not (times.size == levels.size == dirs.size == src.size):
             raise ValueError("skeleton arrays must have equal length")
-        if self.input_kind not in INPUT_KINDS:
-            raise ValueError(f"unknown input kind {self.input_kind!r}")
         for name, arr in (("times", times), ("level_indices", levels),
                           ("directions", dirs), ("source_indices", src)):
             arr.flags.writeable = False
@@ -92,7 +88,6 @@ def decompose(
     times: np.ndarray | None = None,
     crossing: str = "multi",
     instrument_id: str | None = None,
-    input_kind: str = "price",
 ) -> SkeletonSeries:
     """Extract the delta-step skeleton of a path.
 
@@ -178,7 +173,6 @@ def decompose(
         level_indices=level_indices,
         directions=directions,
         source_indices=source,
-        input_kind=input_kind,
     )
 
 
@@ -216,12 +210,7 @@ def _too_many_events(instrument_id: str, delta: float, count: str) -> DataError:
 def skeleton_to_symbols(skeleton: SkeletonSeries) -> SymbolSequence:
     """Binary sequence of the skeleton's moves: 1 for up, 0 for down."""
     symbols = (skeleton.directions > 0).astype(np.int64)
-    return SymbolSequence(
-        instrument_id=skeleton.instrument_id,
-        alphabet_size=2,
-        symbols=symbols,
-        provenance="skeleton",
-    )
+    return SymbolSequence(instrument_id=skeleton.instrument_id, alphabet_size=2, symbols=symbols)
 
 
 def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], path: str | Path) -> int:

@@ -34,8 +34,7 @@ class PriceSeries:
     """Timestamped positive prices for one instrument.
 
     `times` are day ordinals for daily data and epoch seconds for tick data.
-    Arrays are frozen after construction; a PriceSeries is safe to share
-    read-only across workers.
+    Arrays are frozen after construction.
     """
 
     instrument_id: str

@@ -1,11 +1,10 @@
-"""End-to-end study orchestration: config, fan-out, persistence.
+"""End-to-end study orchestration: config, the per-instrument loop, persistence.
 
 A study loads (or synthesises) price series, keeps the eligible ones,
 computes the original discretised variants and one skeleton variant per
 step size for each instrument, estimates every variant's entropy rate,
-and writes the aggregate CSV outputs. Instruments are independent work
-items; results are merged in input order, so thread count never changes
-the output bytes.
+and writes the aggregate CSV outputs. Instruments are scored one after
+another in input order; one that raises is logged and left out.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -255,14 +253,8 @@ def synthetic_series(spec: SyntheticSpec) -> list[PriceSeries]:
 
 def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: str) -> SkeletonSeries:
     """The skeleton of the prices or, for domain "logpath", of the log prices."""
-    if domain == "logpath":
-        values, kind = np.log(series.prices), "log_return_path"
-    else:
-        values, kind = series.prices, "price"
-    return decompose(
-        values, delta, times=series.times, crossing=crossing,
-        instrument_id=series.instrument_id, input_kind=kind,
-    )
+    values = np.log(series.prices) if domain == "logpath" else series.prices
+    return decompose(values, delta, times=series.times, crossing=crossing, instrument_id=series.instrument_id)
 
 
 def compute_instrument_rows(
@@ -295,19 +287,6 @@ def compute_instrument_rows(
     return rows, dropped
 
 
-def resolve_workers(threads: int | None = None) -> int:
-    """Explicit argument beats VOHO_THREADS; 0 or unset means one per CPU."""
-    if threads is None:
-        env = os.environ.get("VOHO_THREADS", "0").strip()
-        try:
-            threads = int(env) if env else 0
-        except ValueError:
-            raise ConfigError([f"VOHO_THREADS must be an integer, got {env!r}"]) from None
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    return max(1, int(threads))
-
-
 def _gather_series(config: StudyConfig) -> list[PriceSeries]:
     series: list[PriceSeries] = []
     for spec in config.inputs:
@@ -326,11 +305,15 @@ def _gather_series(config: StudyConfig) -> list[PriceSeries]:
 
 def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     """Execute the full pipeline and persist all outputs under out_dir. Rows
-    follow the input order of instruments, then the order of study_variants."""
+    follow the input order of instruments, then the order of study_variants.
+
+    Instruments are scored one after another in the calling thread; one that
+    raises is logged and left out, and AllInstrumentsFailedError is raised
+    only when every eligible instrument did. `threads` is accepted for
+    callers that still pass a worker count and is ignored."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
-    workers = resolve_workers(threads)
 
     series = _gather_series(config)
     if not series:
@@ -341,40 +324,33 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
         raise DataError("no eligible instruments after length filters")
     variants = study_variants(config.variants, config.deltas)
 
-    def work(s: PriceSeries):
-        return compute_instrument_rows(
-            s,
-            variants=variants,
-            depth=config.depth,
-            domain=config.domain,
-            crossing=config.crossing,
-            min_skeleton_events=config.min_skeleton_events,
-        )
-
-    outcomes: dict[str, tuple[list[StudyRow], list[str]]] = {}
-    failures: dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {s.instrument_id: pool.submit(work, s) for s in eligible}
-        for instrument, future in futures.items():
-            try:
-                outcomes[instrument] = future.result()
-            except Exception as exc:  # per-instrument isolation
-                failures[instrument] = str(exc)
-                logger.warning("instrument %s failed: %s", instrument, exc)
-    if not outcomes:
-        raise AllInstrumentsFailedError(
-            f"all {len(eligible)} eligible instrument(s) failed; first error: "
-            f"{next(iter(failures.values()))}"
-        )
-
     rows: list[StudyRow] = []
-    for instrument, (instrument_rows, dropped) in outcomes.items():  # input order
+    failures: list[str] = []
+    for s in eligible:
+        try:
+            instrument_rows, dropped = compute_instrument_rows(
+                s,
+                variants=variants,
+                depth=config.depth,
+                domain=config.domain,
+                crossing=config.crossing,
+                min_skeleton_events=config.min_skeleton_events,
+            )
+        except Exception as exc:  # per-instrument isolation
+            failures.append(str(exc))
+            logger.warning("instrument %s failed: %s", s.instrument_id, exc)
+            logger.debug("instrument %s traceback", s.instrument_id, exc_info=True)
+            continue
         rows.extend(instrument_rows)
         for name in dropped:
             logger.info(
                 "instrument %s: variant %s dropped (< %d skeleton events)",
-                instrument, name, config.min_skeleton_events,
+                s.instrument_id, name, config.min_skeleton_events,
             )
+    if len(failures) == len(eligible):
+        raise AllInstrumentsFailedError(
+            f"all {len(eligible)} eligible instrument(s) failed; first error: {failures[0]}"
+        )
 
     result = StudyResult(rows=rows, variants=variants)
     _aggregate(result)

@@ -18,7 +18,6 @@ class SymbolSequence:
     instrument_id: str
     alphabet_size: int
     symbols: np.ndarray
-    provenance: str = "original_discretised"  # or "skeleton"
 
     def __post_init__(self):
         symbols = np.ascontiguousarray(self.symbols, dtype=np.int64)
@@ -56,10 +55,5 @@ def quantile_bins(returns: ReturnSeries | np.ndarray, m: int) -> SymbolSequence:
         raise ValueError(f"need at least {m} values, got {values.size}")
     boundaries = quantile_boundaries(values, m)
     symbols = np.searchsorted(boundaries, values, side="left")
-    return SymbolSequence(
-        instrument_id=instrument_id,
-        alphabet_size=m,
-        symbols=symbols,
-        provenance="original_discretised",
-    )
+    return SymbolSequence(instrument_id=instrument_id, alphabet_size=m, symbols=symbols)
 

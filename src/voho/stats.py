@@ -40,12 +40,25 @@ class StudyResult:
     summary: list[tuple[float, float]] = field(default_factory=list)
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile's default linear method, bit for bit, on sorted data.
+    np.percentile itself imports numpy.ma on its first call in a process,
+    which costs more than the rest of a study's KDE."""
+    index = (ordered.size - 1) * (q / 100.0)
+    lo = math.floor(index)
+    a, b = ordered[lo], ordered[min(lo + 1, ordered.size - 1)]
+    t = index - lo
+    # numpy's lerp works from b when t >= 0.5; the two forms round differently
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def silverman_bandwidth(values: np.ndarray) -> float:
     """0.9 * min(sd, IQR/1.34) * n^(-1/5); zero when the spread degenerates."""
     v = np.asarray(values, dtype=np.float64)
     sd = float(np.std(v, ddof=1))
-    q75, q25 = np.percentile(v, [75.0, 25.0])
-    return 0.9 * min(sd, (q75 - q25) / 1.34) * v.size ** (-0.2)
+    ordered = np.sort(v)
+    iqr = _percentile(ordered, 75.0) - _percentile(ordered, 25.0)
+    return 0.9 * min(sd, iqr / 1.34) * v.size ** (-0.2)
 
 
 def kernel_density(

@@ -83,6 +83,30 @@ def test_bad_entropy_variant_is_a_config_error(tmp_path, capsys, variants, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["decompose", "--input", "{tmp}/absent.csv", "--format", "tick", "--delta", "-1", "--out", "{tmp}/skel.csv"],
+            "every delta must be a positive finite number",
+        ),
+        (
+            ["entropy", "--input", "{tmp}/absent.csv", "--format", "tick", "--depth", "-1", "--out", "{tmp}/h.csv"],
+            "depth must be a non-negative integer",
+        ),
+        (["synth", "--n", "1", "--out", "{tmp}/synth.csv"], "synthetic n must be >= 2"),
+        (["ingest", "--input", "{tmp}/absent.csv", "--format", "tick", "--min-tick-changes", "1"],
+         "min_tick_changes must be >= 2"),
+    ],
+    ids=["decompose-delta", "entropy-depth", "synth-n", "ingest-min-tick-changes"],
+)
+def test_bad_numeric_argument_is_a_config_error_before_any_input_is_read(tmp_path, capsys, args, message):
+    # the input does not exist: reading it first would end in a data error
+    assert main([arg.format(tmp=tmp_path) for arg in args]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_entropy_lists_originals_as_given_then_deltas_in_order(tmp_path, capsys):
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), 100.0 + i % 3) for i in range(20)])
     args = ["entropy", "--input", str(data), "--format", "tick", "--depth", "2"]

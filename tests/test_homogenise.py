@@ -127,7 +127,6 @@ class TestDecomposeExamples:
         series = make_series([10.0, 11.0, 12.0], instrument="ZZZ")
         skel = decompose(series, 0.5)
         assert skel.instrument_id == "ZZZ"
-        assert skel.input_kind == "price"
 
     def test_errors(self):
         with pytest.raises(ValueError, match="delta"):
@@ -275,7 +274,6 @@ class TestSkeletonSymbols:
         seq = skeleton_to_symbols(skel)
         assert seq.symbols.tolist() == [1, 0, 0]
         assert seq.alphabet_size == 2
-        assert seq.provenance == "skeleton"
 
     def test_empty_skeleton_gives_empty_sequence(self):
         skel = decompose(np.array([0.0, 0.1]), 5.0)

@@ -1,6 +1,11 @@
-"""The package's public names."""
+"""The package's public names, and the modules a study leaves unloaded."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import voho
 
@@ -9,3 +14,24 @@ def test_every_export_resolves_once():
     assert len(voho.__all__) == len(set(voho.__all__))
     missing = [name for name in voho.__all__ if not hasattr(voho, name)]
     assert missing == []
+
+
+def test_a_study_loads_no_thread_pool_and_no_numpy_ma(tmp_path):
+    script = """
+import sys
+import voho
+config = voho.StudyConfig(
+    synthetic=voho.SyntheticSpec(instruments=2, n=300), deltas=[0.5, 1.0],
+    min_daily=100, min_skeleton_events=10, out_dir=sys.argv[1],
+)
+voho.run_study(config)
+print(",".join(m for m in ("concurrent.futures", "numpy.ma") if m in sys.modules))
+"""
+    src = str(Path(voho.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "kde_orig2.csv").exists()  # the KDE ran
+    assert done.stdout == "\n"

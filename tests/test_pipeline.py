@@ -1,12 +1,21 @@
-"""End-to-end study on an in-config synthetic dataset."""
+"""End-to-end studies on in-config synthetic data and on tick files."""
 
 from __future__ import annotations
 
 import csv
+import json
+import logging
+import threading
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from voho.pipeline import ENTROPY_CSV_HEADER, StudyConfig, SyntheticSpec, run_study, validate_config
+from voho.cli import main
+from voho.errors import AllInstrumentsFailedError
+from voho.pipeline import ENTROPY_CSV_HEADER, InputSpec, StudyConfig, SyntheticSpec, run_study, validate_config
+
+from conftest import write_tick_csv
 
 VARIANTS = ["orig2", "orig4", "delta_0.5", "delta_1"]
 INSTRUMENTS = ["SYN000", "SYN001", "SYN002"]
@@ -29,7 +38,7 @@ PINNED = {
 }
 
 
-def study(out_dir, threads: int, variants=("orig2", "orig4")):
+def study(out_dir, variants=("orig2", "orig4"), **run_args):
     config = StudyConfig(
         synthetic=SyntheticSpec(kind="brownian", instruments=3, n=800, seed=5),
         deltas=[0.5, 1.0],
@@ -38,7 +47,7 @@ def study(out_dir, threads: int, variants=("orig2", "orig4")):
         min_skeleton_events=10,
         out_dir=out_dir,
     )
-    return run_study(config, threads=threads)
+    return run_study(config, **run_args)
 
 
 def read_csv(path) -> list[list[str]]:
@@ -49,14 +58,13 @@ def read_csv(path) -> list[list[str]]:
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("study")
-    for threads in (1, 2):
-        study(root / f"threads{threads}", threads)
-    study(root / "reversed", 1, variants=("orig4", "orig2"))
+    study(root / "default")
+    study(root / "reversed", variants=("orig4", "orig2"))
     return root
 
 
 def test_writes_the_documented_files_with_their_headers(outputs):
-    out = outputs / "threads1"
+    out = outputs / "default"
     headers = {
         "entropy.csv": ENTROPY_CSV_HEADER,
         "corr.csv": ["variant"] + VARIANTS,
@@ -70,7 +78,7 @@ def test_writes_the_documented_files_with_their_headers(outputs):
 
 
 def test_rows_follow_input_then_variant_order(outputs):
-    out = outputs / "threads1"
+    out = outputs / "default"
     entropy = read_csv(out / "entropy.csv")[1:]
     assert [(r[0], r[1]) for r in entropy] == [(i, v) for i in INSTRUMENTS for v in VARIANTS]
     assert [r[0] for r in read_csv(out / "corr.csv")[1:]] == VARIANTS
@@ -79,18 +87,22 @@ def test_rows_follow_input_then_variant_order(outputs):
 
 
 def test_entropy_matches_pinned_estimates(outputs):
-    for instrument, variant, n, depth, alphabet, value in read_csv(outputs / "threads1" / "entropy.csv")[1:]:
+    for instrument, variant, n, depth, alphabet, value in read_csv(outputs / "default" / "entropy.csv")[1:]:
         want_n, want_value = PINNED[(instrument, variant)]
         assert (int(n), int(depth), int(alphabet)) == (want_n, 20, 4 if variant == "orig4" else 2)
         assert float(value) == pytest.approx(want_value, rel=1e-12, abs=0.0)
 
 
-def test_output_bytes_do_not_depend_on_thread_count(outputs):
-    one, two = outputs / "threads1", outputs / "threads2"
-    names = sorted(p.name for p in one.iterdir())
-    assert names == sorted(p.name for p in two.iterdir())
+def test_threads_argument_starts_no_thread_and_writes_the_same_bytes(outputs, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_study started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    study(tmp_path, threads=2)
+    names = sorted(p.name for p in (outputs / "default").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (outputs / "default" / name).read_bytes(), name
 
 
 def test_output_order_does_not_follow_the_order_variants_are_listed_in(outputs):
@@ -98,7 +110,7 @@ def test_output_order_does_not_follow_the_order_variants_are_listed_in(outputs):
     assert [r[1] for r in read_csv(reversed_order / "entropy.csv")[1:4]] == VARIANTS[:3]
     assert read_csv(reversed_order / "corr.csv")[0] == ["variant"] + VARIANTS
     for name in ("entropy.csv", "corr.csv"):
-        assert (reversed_order / name).read_bytes() == (outputs / "threads1" / name).read_bytes(), name
+        assert (reversed_order / name).read_bytes() == (outputs / "default" / name).read_bytes(), name
 
 
 def test_deltas_that_share_a_name_are_refused():
@@ -107,3 +119,67 @@ def test_deltas_that_share_a_name_are_refused():
         "delta 1.0000001 and delta 1.0000002 share the variant name 'delta_1'",
         "delta 1.0000001 and delta 1.0000003 share the variant name 'delta_1'",
     ]
+
+
+def walk(instrument: str, seed: int, steps: int = 60):
+    """Tick rows of a random walk on a 0.5 grid: every tick changes the price."""
+    moves = np.random.default_rng(seed).choice([-0.5, 0.5], size=steps)
+    prices = 100.0 + np.concatenate([[0.0], np.cumsum(moves)])
+    return [(instrument, float(t), float(p)) for t, p in enumerate(prices)]
+
+
+def two_changes(instrument: str):
+    """Two price changes: eligible at min_tick_changes=2, too few returns for orig4."""
+    return [(instrument, float(t), p) for t, p in enumerate([100.0, 100.0, 100.5, 100.5, 100.0])]
+
+
+def three_changes(instrument: str):
+    return [(instrument, float(t), p) for t, p in enumerate([100.0, 100.5, 101.0, 100.5])]
+
+
+def tick_config(tmp_path, rows) -> StudyConfig:
+    data = write_tick_csv(tmp_path / "ticks.csv", rows)
+    return StudyConfig(
+        inputs=[InputSpec(str(data), "tick")],
+        deltas=[0.5, 1.0],
+        depth=3,
+        min_tick_changes=2,
+        min_skeleton_events=1,
+        out_dir=str(tmp_path / "out"),
+    )
+
+
+def test_a_failing_instrument_is_logged_and_the_others_are_written(tmp_path, caplog):
+    config = tick_config(tmp_path, walk("A", 1) + two_changes("B") + walk("C", 2))
+    with caplog.at_level(logging.WARNING, logger="voho.pipeline"):
+        run_study(config)
+    entropy = read_csv(tmp_path / "out" / "entropy.csv")[1:]
+    assert [(r[0], r[1]) for r in entropy] == [(i, v) for i in ("A", "C") for v in VARIANTS]
+    assert "instrument B failed: need at least 4 values, got 2" in caplog.messages
+
+
+def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path, capsys):
+    config = tick_config(tmp_path, two_changes("B") + three_changes("D"))
+    message = "all 2 eligible instrument(s) failed; first error: need at least 4 values, got 2"
+    with pytest.raises(AllInstrumentsFailedError) as raised:
+        run_study(config)
+    assert str(raised.value) == message
+    assert not (tmp_path / "out").exists()
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+    assert main(["study", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path):
+    config = StudyConfig(
+        synthetic=SyntheticSpec(instruments=2, n=200),
+        deltas=[1.0],
+        variants=[],
+        min_daily=100,
+        min_skeleton_events=10**6,
+        out_dir=str(tmp_path),
+    )
+    assert run_study(config).rows == []
+    assert read_csv(tmp_path / "entropy.csv") == [ENTROPY_CSV_HEADER]

@@ -56,7 +56,6 @@ class TestQuantileBins:
         returns = ReturnSeries("ABC", np.array([-0.1, 0.2, -0.3, 0.4]))
         seq = quantile_bins(returns, 2)
         assert seq.instrument_id == "ABC"
-        assert seq.provenance == "original_discretised"
 
     def test_unsupported_alphabet_rejected(self):
         with pytest.raises(ValueError, match="alphabet size"):

@@ -14,6 +14,7 @@ from voho.stats import (
     format_summary_table,
     kernel_density,
     pearson,
+    _percentile,
     silverman_bandwidth,
 )
 from voho.variants import Variant
@@ -57,6 +58,18 @@ class TestKernelDensity:
         iqr = np.percentile(values, 75) - np.percentile(values, 25)
         expected = 0.9 * min(sd, iqr / 1.34) * 5 ** (-0.2)
         assert silverman_bandwidth(values) == pytest.approx(expected, rel=1e-12)
+
+    def test_quartiles_match_numpy_percentile_bit_for_bit(self, rng):
+        for k in range(500):
+            values = rng.normal(size=int(rng.integers(2, 61))) * 10.0 ** rng.uniform(-12, 3)
+            if k % 3 == 0:
+                values = np.round(values, 1)  # ties
+            ordered = np.sort(values)
+            for q in (25.0, 75.0):
+                assert _percentile(ordered, q) == np.percentile(values, q)
+            q75, q25 = np.percentile(values, [75.0, 25.0])
+            sd = float(np.std(values, ddof=1))
+            assert silverman_bandwidth(values) == 0.9 * min(sd, (q75 - q25) / 1.34) * values.size ** (-0.2)
 
     def test_identical_values_need_explicit_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
