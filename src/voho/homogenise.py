@@ -41,6 +41,8 @@ SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
 CROSSING_MODES = ("multi", "single")
 # events one decompose call may emit; checked before any event array exists
 MAX_EVENTS = 10_000_000
+# events of one skeleton turned into CSV rows at a time by write_skeleton_csv
+CSV_SLICE_EVENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,8 @@ def skeleton_to_symbols(skeleton: SkeletonSeries) -> SymbolSequence:
 def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], path: str | Path) -> int:
     """Export skeletons as instrument,delta,i,T_i,level,direction rows and
     return the number of events written. Skeletons are taken one at a time,
-    so a generator holds one in memory; the file is written beside `path`
+    so a generator holds one in memory, and each is turned into rows
+    CSV_SLICE_EVENTS events at a time; the file is written beside `path`
     and renamed into place when complete, so a failure leaves none."""
     if isinstance(skeletons, SkeletonSeries):
         skeletons = [skeletons]
@@ -229,11 +232,14 @@ def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], pat
             writer.writerow(SKELETON_CSV_HEADER)
             for skel in skeletons:
                 delta = repr(float(skel.delta))
-                rows = zip(skel.times.tolist(), skel.levels().tolist(), skel.directions.tolist())
-                writer.writerows(
-                    [skel.instrument_id, delta, i, repr(t), repr(level), direction]
-                    for i, (t, level, direction) in enumerate(rows, start=1)
-                )
+                levels = skel.levels()
+                for start in range(0, len(skel), CSV_SLICE_EVENTS):
+                    part = slice(start, start + CSV_SLICE_EVENTS)
+                    rows = zip(skel.times[part].tolist(), levels[part].tolist(), skel.directions[part].tolist())
+                    writer.writerows(
+                        [skel.instrument_id, delta, i, repr(t), repr(level), direction]
+                        for i, (t, level, direction) in enumerate(rows, start=start + 1)
+                    )
                 events += len(skel)
         os.replace(partial, path)
     except BaseException:

@@ -4,6 +4,12 @@ CSV schemas:
     daily:  instrument,date,open,high,low,close,volume   (date as YYYYMMDD)
     tick:   instrument,timestamp,price,volume            (epoch seconds)
 
+Only instrument, date or timestamp, and close or price are parsed; the other
+columns must be present and may hold any text. load_prices reads a file in
+one np.loadtxt pass and checks the columns as arrays. Any file that this
+read or a check refuses is read again by the row reader, which alone words
+errors, each as `path:line: reason`.
+
 Daily dates are stored as proleptic-Gregorian day ordinals so that linear
 interpolation across weekends/holidays uses real day spacing.
 """
@@ -11,8 +17,10 @@ interpolation across weekends/holidays uses real day spacing.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -27,6 +35,9 @@ DAILY_HEADER = ["instrument", "date", "open", "high", "low", "close", "volume"]
 TICK_HEADER = ["instrument", "timestamp", "price", "volume"]
 
 GENERATOR_KINDS = ("brownian", "time_changed", "jump")
+
+_SEPARATOR_CONTROLS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day ordinal of datetime64 day 0
 
 
 @dataclass(frozen=True)
@@ -93,25 +104,138 @@ def _parse_yyyymmdd(field: str) -> date:
     return date(int(text[:4]), int(text[4:6]), int(text[6:8]))
 
 
+def _schema(format: str) -> list[str]:
+    if format not in ("daily", "tick"):
+        raise ValueError(f"unknown format {format!r}")
+    return DAILY_HEADER if format == "daily" else TICK_HEADER
+
+
+def _read_header(fh, path: str | Path, expected: list[str]) -> bool:
+    """Check the header line of `fh`; False for a file with no lines."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        return False
+    if [h.strip().lower() for h in header] != expected:
+        raise DataFormatError(f"{path}:1: expected header {','.join(expected)!r}")
+    return True
+
+
 def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
     """Read a daily or tick CSV into one PriceSeries per instrument.
 
     Instruments may be interleaved; rows must already be time-ordered
     within each instrument (strictly for daily, ties allowed for tick,
     preserving file order). The returned list follows first appearance.
+
+    Only the instrument id, the time (`date` or `timestamp`) and the price
+    (`close` or `price`) are parsed; the other columns must be present but
+    may hold any text. The rows are read in one `np.loadtxt` pass and
+    checked as arrays. When that read or any check fails, the file is read
+    again row by row, which raises the `DataFormatError` naming the first
+    bad line (or returns the series, for the few inputs that only the row
+    reader accepts, such as numbers with underscores or non-ASCII digits).
     """
-    if format not in ("daily", "tick"):
-        raise ValueError(f"unknown format {format!r}")
-    expected = DAILY_HEADER if format == "daily" else TICK_HEADER
+    expected = _schema(format)
+    if _has_separator_controls(path):
+        return _load_rows(path, format)
+    # ids and dates as str objects, never cut to a fixed width
+    parsed = {"instrument": "O", "date": "O", "timestamp": "f8", "price": "f8", "close": "f8"}
+    dtype = np.dtype([(name, parsed.get(name, "U1")) for name in expected])
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        if not _read_header(fh, path, expected):
+            return []
+        rows = _skip_blank_lines(fh)
+        if rows is None:
+            return []
+        try:
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except ValueError:
+            return _load_rows(path, format)
+    try:
+        return _table_series(table, format)
+    except ValueError:
+        return _load_rows(path, format)
+
+
+def _has_separator_controls(path: str | Path) -> bool:
+    """Whether the file holds a control character U+001C..U+001F. np.loadtxt
+    strips them from numbers as whitespace, float() refuses them, so only the
+    row reader decides such a file. In UTF-8 these bytes are never part of
+    another character."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if any(c in chunk for c in _SEPARATOR_CONTROLS):
+                return True
+    return False
+
+
+def _skip_blank_lines(fh) -> Iterator[str] | None:
+    """The lines of `fh` from its first non-blank one on, or None when only
+    blank lines are left (np.loadtxt would warn of an empty input)."""
+    for line in fh:
+        if line not in ("\n", "\r\n", "\r"):
+            return itertools.chain([line], fh)
+    return None
+
+
+def _table_series(table: np.ndarray, format: str) -> list[PriceSeries]:
+    """Group the rows that np.loadtxt read by instrument, in order of first
+    appearance. Raises ValueError for any row that the row reader refuses;
+    PriceSeries checks the times and prices of each instrument."""
+    if format == "daily":
+        times, prices = _day_ordinals(table["date"]), table["close"]
+    else:
+        times, prices = table["timestamp"], table["price"]
+    raw_ids, first, inverse = np.unique(table["instrument"], return_index=True, return_inverse=True)
+    # ids that differ only in padding are one instrument; numbering the
+    # stripped ids in order of first appearance keeps the file's order
+    code = np.empty(raw_ids.size, dtype=np.intp)
+    ids: dict[str, int] = {}
+    for k in np.argsort(first).tolist():
+        instrument = raw_ids[k].strip()
+        if not instrument:
+            raise ValueError("empty instrument id")
+        code[k] = ids.setdefault(instrument, len(ids))
+    codes = code[inverse]
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1]
+    return [
+        PriceSeries(instrument, t, p, format)
+        for instrument, t, p in zip(ids, np.split(times[order], bounds), np.split(prices[order], bounds))
+    ]
+
+
+def _day_ordinals(fields: np.ndarray) -> np.ndarray:
+    """Day ordinals of YYYYMMDD fields written in ASCII digits; ValueError
+    for any other field or an invalid date."""
+    text = [field.strip() for field in fields.tolist()]
+    if any(len(t) != 8 for t in text):
+        raise ValueError("date is not YYYYMMDD")
+    digits = np.frombuffer("".join(text).encode("ascii"), dtype=np.uint8).reshape(-1, 8) - ord("0")
+    if digits.max() > 9:
+        raise ValueError("date is not YYYYMMDD")
+    ymd = digits.astype(np.int64)
+    year = ymd[:, :4] @ [1000, 100, 10, 1]
+    month = ymd[:, 4:6] @ [10, 1]
+    day = ymd[:, 6:] @ [10, 1]
+    days = ((year - 1970) * 12 + month - 1).astype("datetime64[M]").astype("datetime64[D]") + (day - 1)
+    # round trip: a month or day out of range lands in another month
+    months = days.astype("datetime64[M]")
+    back_month = months.astype(np.int64)
+    back = (back_month // 12 + 1970, back_month % 12 + 1, (days - months).astype(np.int64) + 1)
+    if np.any(year < 1) or not all(np.array_equal(a, b) for a, b in zip(back, (year, month, day))):
+        raise ValueError("invalid date")
+    return days.astype(np.int64) + _EPOCH_ORDINAL
+
+
+def _load_rows(path: str | Path, format: str) -> list[PriceSeries]:
+    """load_prices one row at a time: the reader of record for every error."""
+    expected = _schema(format)
     groups: dict[str, tuple[list[float], list[float]]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        if not _read_header(fh, path, expected):
             return []
-        if [h.strip().lower() for h in header] != expected:
-            raise DataFormatError(f"{path}:1: expected header {','.join(expected)!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != len(expected):

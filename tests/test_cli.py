@@ -121,6 +121,13 @@ def test_entropy_lists_originals_as_given_then_deltas_in_order(tmp_path, capsys)
     ]
 
 
+def test_ingest_of_a_malformed_tick_file_is_a_data_error_naming_its_line(tmp_path, capsys):
+    data = tmp_path / "ticks.csv"
+    data.write_text("instrument,timestamp,price,volume\nA,1,10,1\n\nA,2,-3,1\n", encoding="utf-8")
+    assert main(["ingest", "--input", str(data), "--format", "tick"]) == 2
+    assert capsys.readouterr().err == f"data error: {data}:4: non-positive price -3.0\n"
+
+
 def test_decompose_on_a_decimal_tick_grid(tmp_path, capsys):
     prices = [100.006, 100.007, 100.008, 100.011, 100.012]
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), p) for i, p in enumerate(prices)])

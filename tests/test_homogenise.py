@@ -319,6 +319,16 @@ class TestSkeletonCsv:
             b"B,0.5,2,1.0,4.0,-1\n"
         )
 
+    def test_a_skeleton_written_in_slices_has_the_bytes_of_one_slice(self, tmp_path, monkeypatch):
+        skeletons = [
+            decompose(np.array([10.0, 10.5, 9.75, 11.0]), 0.25, times=np.array([0.0, 1.0, 4.0, 4.5]), instrument_id="A"),
+            decompose(np.array([5.0, 4.0]), 0.5, instrument_id="B"),
+        ]
+        write_skeleton_csv(skeletons, tmp_path / "whole.csv")
+        monkeypatch.setattr(homogenise, "CSV_SLICE_EVENTS", 3)  # A's 10 events span four slices
+        assert write_skeleton_csv(skeletons, tmp_path / "sliced.csv") == 12
+        assert (tmp_path / "sliced.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_a_generator_writes_the_bytes_of_a_list(self, tmp_path):
         skeletons = [
             decompose(np.array([10.0, 10.5, 9.75]), 0.25, instrument_id="A"),

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import math
+import random
+import warnings
+from datetime import date
 
 import numpy as np
 import pytest
 
+import voho.ingest
 from voho.errors import DataFormatError
 from voho.homogenise import decompose
 from voho.ingest import (
+    DAILY_HEADER,
+    TICK_HEADER,
     PriceSeries,
+    _load_rows,
     filter_eligible,
     generate_synthetic_path,
     load_prices,
@@ -96,6 +103,149 @@ class TestLoadPrices:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
             load_prices(tmp_path / "whatever.csv", "hourly")
+
+
+_IDS = ["A", "B", " A ", "A ", '"X,Y"', '"a""b"', "ŻYWIEC", "INSTRUMENT_ID_LONGER_THAN_16"]
+_BAD_IDS = ["", "  ", 'a"b', '"']
+_BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "1_000", "0x10", "", "abc", "٣", "0", "-1", '"1', "1 2"]
+_BAD_DATES = ["00000101", "20100230", "٢٠١٠٠١٠٤", "²0100104", "2010-01-04", "2010010", "201001044",
+              "20101301", "20100100", "", "20100104\x00"]
+# padding that float() and np.loadtxt may strip differently
+_EDGES = [" ", "\t", "\u3000", "\xa0", "\x0b", "\x1c", "\x1f", "\x00", "\u200b", '"']
+_FREE = ["1", "", "x y", '"q,r"', '"two\nlines"', "é", 'o"k']
+
+
+class TestColumnarReader:
+    """load_prices reads with np.loadtxt and falls back to the row reader,
+    _load_rows, which must decide every file the same way."""
+
+    @pytest.fixture
+    def no_row_reader(self, monkeypatch):
+        def refuse(path, format):
+            raise AssertionError("the row reader ran")
+
+        monkeypatch.setattr(voho.ingest, "_load_rows", refuse)
+
+    def test_header_and_blank_lines_give_empty_list_without_warning(self, tmp_path, no_row_reader):
+        path = tmp_path / "t.csv"
+        path.write_text("instrument,timestamp,price,volume\n\n\r\n\n", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_prices(path, "tick") == []
+
+    @pytest.mark.parametrize("format", ["daily", "tick"])
+    def test_single_row_loads(self, tmp_path, no_row_reader, format):
+        if format == "daily":
+            path = write_daily_csv(tmp_path / "d.csv", [("AAA", "20100104", 10.0)])
+            times = [float(date(2010, 1, 4).toordinal())]
+        else:
+            path = write_tick_csv(tmp_path / "t.csv", [("AAA", 7.5, 10.0)])
+            times = [7.5]
+        (series,) = load_prices(path, format)
+        assert (series.instrument_id, series.times.tolist(), series.prices.tolist()) == ("AAA", times, [10.0])
+
+    def test_ids_whole_and_unparsed_columns_free(self, tmp_path, no_row_reader):
+        long_id = "WARSAW_STOCK_EXCHANGE_INSTRUMENT"
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "instrument,date,open,high,low,close,volume\n"
+            f"{long_id},20100104,n/a,,\"1,5\",10,lots\n"
+            " ŻYWIEC ,20100105,x,y,z,11,-\n"
+            f" {long_id},20100106,1,1,1,12,1_000\n",
+            encoding="utf-8",
+        )
+        series = load_prices(path, "daily")
+        assert [(s.instrument_id, s.prices.tolist()) for s in series] == [
+            (long_id, [10.0, 12.0]), ("ŻYWIEC", [11.0]),
+        ]
+
+    def test_error_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("instrument,timestamp,price,volume\n\n\nX,1,10,1\n\nX,2,abc,1\n")
+        with pytest.raises(DataFormatError, match=r"t\.csv:6: could not convert string to float: 'abc'"):
+            load_prices(path, "tick")
+
+    def test_interleaved_ties_keep_file_order(self, tmp_path, no_row_reader):
+        rng = np.random.default_rng(5)
+        ids = rng.choice(["X", "Y", " Z"], size=3000)
+        rows = [(i, float(t), float(p)) for i, t, p in zip(ids, np.arange(3000) // 7, rng.uniform(1, 2, 3000))]
+        path = write_tick_csv(tmp_path / "t.csv", rows)
+        assert _outcome(load_prices, path, "tick") == _outcome(_load_rows, path, "tick")
+
+    @pytest.mark.parametrize("day", ["20100104", "20000229", "00010101", *_BAD_DATES])
+    def test_dates_decided_as_by_row_reader(self, tmp_path, day):
+        path = write_daily_csv(tmp_path / "d.csv", [("AAA", "20091231", 9.0), ("AAA", day, 10.0)])
+        assert _outcome(load_prices, path, "daily") == _outcome(_load_rows, path, "daily")
+
+    def test_agrees_with_row_reader_on_random_files(self, tmp_path):
+        rng = random.Random(20240917)
+        path = tmp_path / "f.csv"
+        seen = {"ok": 0, "raise": 0}
+        for _ in range(1200):
+            format = rng.choice(["daily", "tick"])
+            path.write_bytes(_random_price_file(rng, format).encode("utf-8"))
+            new, old = _outcome(load_prices, path, format), _outcome(_load_rows, path, format)
+            assert new == old, path.read_bytes()
+            seen[old[0]] += 1
+        assert min(seen.values()) > 300, seen
+
+
+def _outcome(load, path, format):
+    """What a reader makes of a file: its series, bit for bit, or its error."""
+    try:
+        series = load(path, format)
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+    return ("ok", [(s.instrument_id, s.kind, s.times.tobytes(), s.prices.tobytes()) for s in series])
+
+
+def _random_price_file(rng: random.Random, format: str) -> str:
+    """A small daily or tick file; about half hold malformed rows."""
+    clean = rng.random() < 0.45
+    ids = rng.sample(_IDS if clean else _IDS + _BAD_IDS, rng.randint(1, 3))
+    clock = {i: rng.randint(0, 50) for i in ids}
+    lines = []
+    for _ in range(rng.randint(1, 10)):
+        instrument = rng.choice(ids)
+        clock[instrument] += rng.choice([0, 1, 2] if format == "tick" else [1, 3])
+        if not clean and rng.random() < 0.15:
+            clock[instrument] += rng.choice([0, -1])  # equal or decreasing
+        c = clock[instrument]
+        if format == "tick":
+            time = rng.choice([str(1_600_000_000 + c), f" {c}.0 ", f'"{c}"', f"{c}e0", f"+{c}"])
+            price = rng.choice(["10.5", " 7 ", '"8.25"', "1e1", repr(rng.uniform(1e-3, 1e6))])
+        else:
+            time = f"{20100101 + c % 28 + 100 * (c // 28 % 12) + 10_000 * (c // 336):08d}"
+            time = rng.choice([time, f" {time} ", f'"{time}"'])
+            price = rng.choice(["10.5", " 3 ", repr(rng.uniform(1e-3, 1e4))])
+        if not clean and rng.random() < 0.2:
+            time = rng.choice(_BAD_NUMBERS if format == "tick" else _BAD_DATES)
+        if not clean and rng.random() < 0.2:
+            price = rng.choice(_BAD_NUMBERS)
+        if rng.random() < 0.1:
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
+            price = rng.choice(["", "-"]) + digits + rng.choice(["", ".", f".{rng.randint(0, 10**12)}", f"e{rng.randint(-330, 330)}"])
+        if format == "tick":
+            fields = [instrument, time, price, rng.choice(_FREE)]
+        else:
+            fields = [instrument, time, *rng.choices(_FREE, k=3), price, rng.choice(_FREE)]
+        if not clean and rng.random() < 0.1:
+            k = rng.randrange(len(fields))
+            fields[k] = rng.choice([rng.choice(_EDGES) + fields[k], fields[k] + rng.choice(_EDGES)])
+        if not clean and rng.random() < 0.1:  # too few or too many fields
+            if rng.random() < 0.5:
+                fields.pop(rng.randrange(1, len(fields)))
+            else:
+                fields.insert(rng.randrange(1, len(fields)), "1")
+        lines.append(",".join(fields))
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "", "  "] if not clean else [""]))
+    if rng.random() < 0.05:
+        lines = [""] * rng.randint(1, 3)
+    header = ",".join(DAILY_HEADER if format == "daily" else TICK_HEADER)
+    end = rng.choice(["\n", "\r\n", "\r"])
+    text = end.join([header, *lines]) + (end if rng.random() < 0.8 else "")
+    return ("\ufeff" if rng.random() < 0.2 else "") + text
 
 
 class TestPriceSeriesInvariants:
