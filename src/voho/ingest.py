@@ -6,9 +6,11 @@ CSV schemas:
 
 Only instrument, date or timestamp, and close or price are parsed; the other
 columns must be present and may hold any text. load_prices reads a file in
-one np.loadtxt pass and checks the columns as arrays. Any file that this
-read or a check refuses is read again by the row reader, which alone words
-errors, each as `path:line: reason`.
+one np.loadtxt pass and checks the columns as arrays. np.loadtxt is given
+the file's path, which its C reader pulls in chunks, unless numpy would
+read that path differently from the row reader: then it is given the
+file's lines. Any file that this read or a check refuses is read again by
+the row reader, which alone words errors, each as `path:line: reason`.
 
 Daily dates are stored as proleptic-Gregorian day ordinals so that linear
 interpolation across weekends/holidays uses real day spacing.
@@ -20,6 +22,7 @@ import csv
 import itertools
 import logging
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
@@ -36,7 +39,13 @@ TICK_HEADER = ["instrument", "timestamp", "price", "volume"]
 
 GENERATOR_KINDS = ("brownian", "time_changed", "jump")
 
-_SEPARATOR_CONTROLS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# np.loadtxt strips U+001C..U+001F from numbers as whitespace, float()
+# refuses them, so only the row reader decides a file holding one
+_SEPARATOR_CONTROLS = {b"\x1c", b"\x1d", b"\x1e", b"\x1f"}
+_QUOTE_AND_CR = {b'"', b"\r"}
+_MARKS = _SEPARATOR_CONTROLS | _QUOTE_AND_CR
+# numpy decompresses a path by these suffixes
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day ordinal of datetime64 day 0
 
 
@@ -110,14 +119,16 @@ def _schema(format: str) -> list[str]:
     return DAILY_HEADER if format == "daily" else TICK_HEADER
 
 
-def _read_header(fh, path: str | Path, expected: list[str]) -> bool:
-    """Check the header line of `fh`; False for a file with no lines."""
-    header = next(csv.reader(fh), None)
+def _read_header(fh, path: str | Path, expected: list[str]) -> int:
+    """Check the header record of `fh`; the number of lines it spans, 0 for
+    a file with no lines."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
     if header is None:
-        return False
+        return 0
     if [h.strip().lower() for h in header] != expected:
         raise DataFormatError(f"{path}:1: expected header {','.join(expected)!r}")
-    return True
+    return reader.line_num
 
 
 def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
@@ -130,25 +141,45 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
     Only the instrument id, the time (`date` or `timestamp`) and the price
     (`close` or `price`) are parsed; the other columns must be present but
     may hold any text. The rows are read in one `np.loadtxt` pass and
-    checked as arrays. When that read or any check fails, the file is read
-    again row by row, which raises the `DataFormatError` naming the first
-    bad line (or returns the series, for the few inputs that only the row
-    reader accepts, such as numbers with underscores or non-ASCII digits).
+    checked as arrays. That pass reads from one of two sources:
+
+    - the file's path, which numpy's C reader pulls in chunks, for most
+      files;
+    - the file's lines, as the row reader splits them, when numpy would
+      read the path differently: it decompresses a name ending in `.gz`,
+      `.bz2`, `.xz` or `.lzma`, its universal newlines turn a `\r` inside a
+      quoted field into `\n` (so a file holding both `"` and `\r`), and it
+      skips lines, not records, past a header that spans several lines.
+
+    When that read or any check fails, the file is read again row by row,
+    which raises the `DataFormatError` naming the first bad line (or
+    returns the series, for the few inputs that only the row reader
+    accepts, such as numbers with underscores or non-ASCII digits).
     """
     expected = _schema(format)
-    if _has_separator_controls(path):
+    marks = _marker_bytes(path)
+    if marks & _SEPARATOR_CONTROLS:
         return _load_rows(path, format)
     # ids and dates as str objects, never cut to a fixed width
     parsed = {"instrument": "O", "date": "O", "timestamp": "f8", "price": "f8", "close": "f8"}
     dtype = np.dtype([(name, parsed.get(name, "U1")) for name in expected])
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        if not _read_header(fh, path, expected):
+        header_lines = _read_header(fh, path, expected)
+        if not header_lines:
             return []
         rows = _skip_blank_lines(fh)
         if rows is None:
             return []
+        if header_lines > 1 or _QUOTE_AND_CR <= marks or str(path).lower().endswith(_COMPRESSED_SUFFIXES):
+            source, skiprows = rows, 0
+        else:
+            # an absolute path is never taken for a URL
+            source, skiprows = os.path.abspath(path), 1
         try:
-            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+            table = np.loadtxt(
+                source, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                skiprows=skiprows, encoding="utf-8-sig",
+            )
         except ValueError:
             return _load_rows(path, format)
     try:
@@ -157,16 +188,14 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
         return _load_rows(path, format)
 
 
-def _has_separator_controls(path: str | Path) -> bool:
-    """Whether the file holds a control character U+001C..U+001F. np.loadtxt
-    strips them from numbers as whitespace, float() refuses them, so only the
-    row reader decides such a file. In UTF-8 these bytes are never part of
-    another character."""
+def _marker_bytes(path: str | Path) -> set[bytes]:
+    """Which bytes of `_SEPARATOR_CONTROLS` and `_QUOTE_AND_CR` the file
+    holds. In UTF-8 none of them is ever part of another character."""
+    found = set()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            if any(c in chunk for c in _SEPARATOR_CONTROLS):
-                return True
-    return False
+            found.update(mark for mark in _MARKS if mark in chunk)
+    return found
 
 
 def _skip_blank_lines(fh) -> Iterator[str] | None:
@@ -186,22 +215,24 @@ def _table_series(table: np.ndarray, format: str) -> list[PriceSeries]:
         times, prices = _day_ordinals(table["date"]), table["close"]
     else:
         times, prices = table["timestamp"], table["price"]
-    raw_ids, first, inverse = np.unique(table["instrument"], return_index=True, return_inverse=True)
+    ids = table["instrument"]
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     # ids that differ only in padding are one instrument; numbering the
-    # stripped ids in order of first appearance keeps the file's order
-    code = np.empty(raw_ids.size, dtype=np.intp)
-    ids: dict[str, int] = {}
-    for k in np.argsort(first).tolist():
-        instrument = raw_ids[k].strip()
+    # stripped id of each run of equal ids in order of first appearance
+    # keeps the file's order
+    codes: dict[str, int] = {}
+    run_codes = []
+    for instrument in ids[heads].tolist():
+        instrument = instrument.strip()
         if not instrument:
             raise ValueError("empty instrument id")
-        code[k] = ids.setdefault(instrument, len(ids))
-    codes = code[inverse]
-    order = np.argsort(codes, kind="stable")
-    bounds = np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1]
+        run_codes.append(codes.setdefault(instrument, len(codes)))
+    row_codes = np.repeat(run_codes, np.diff(heads, append=ids.size))
+    order = np.argsort(row_codes, kind="stable")
+    bounds = np.cumsum(np.bincount(row_codes, minlength=len(codes)))[:-1]
     return [
         PriceSeries(instrument, t, p, format)
-        for instrument, t, p in zip(ids, np.split(times[order], bounds), np.split(prices[order], bounds))
+        for instrument, t, p in zip(codes, np.split(times[order], bounds), np.split(prices[order], bounds))
     ]
 
 
@@ -233,9 +264,14 @@ def _load_rows(path: str | Path, format: str) -> list[PriceSeries]:
     expected = _schema(format)
     groups: dict[str, tuple[list[float], list[float]]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        if not _read_header(fh, path, expected):
+        header_lines = _read_header(fh, path, expected)
+        if not header_lines:
             return []
-        for lineno, row in enumerate(csv.reader(fh), start=2):
+        reader = csv.reader(fh)
+        last = header_lines  # the last line read so far
+        for row in reader:
+            # errors name the first line of a record that spans several
+            lineno, last = last + 1, header_lines + reader.line_num
             if not row:
                 continue
             if len(row) != len(expected):

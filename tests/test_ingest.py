@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import socket
 import warnings
 from datetime import date
 
@@ -70,6 +72,19 @@ class TestLoadPrices:
         with pytest.raises(DataFormatError, match=r":3: "):
             load_prices(path, "daily")
 
+    @pytest.mark.parametrize(
+        "rows,error",
+        [
+            ('"A\nB",1,10,1\nX,2,-1,1\n', r":4: non-positive price"),
+            ('X,1,10,"1\n\n2"\nX,2,11,1\nX,3,12\n', r":6: expected 4 fields"),
+        ],
+    )
+    def test_error_after_a_record_over_several_lines_names_its_line(self, tmp_path, rows, error):
+        path = tmp_path / "t.csv"
+        path.write_text("instrument,timestamp,price,volume\n" + rows)
+        with pytest.raises(DataFormatError, match=error):
+            load_prices(path, "tick")
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("instrument,timestamp,price,volume\nX,1.0,10.0\n")
@@ -105,14 +120,15 @@ class TestLoadPrices:
             load_prices(tmp_path / "whatever.csv", "hourly")
 
 
-_IDS = ["A", "B", " A ", "A ", '"X,Y"', '"a""b"', "ŻYWIEC", "INSTRUMENT_ID_LONGER_THAN_16"]
+_IDS = ["A", "B", " A ", "A ", '"X,Y"', '"a""b"', "ŻYWIEC", "INSTRUMENT_ID_LONGER_THAN_16",
+        '"A\nB"', '"A\r\nB"', '"A\rB"']
 _BAD_IDS = ["", "  ", 'a"b', '"']
 _BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "1_000", "0x10", "", "abc", "٣", "0", "-1", '"1', "1 2"]
 _BAD_DATES = ["00000101", "20100230", "٢٠١٠٠١٠٤", "²0100104", "2010-01-04", "2010010", "201001044",
               "20101301", "20100100", "", "20100104\x00"]
 # padding that float() and np.loadtxt may strip differently
 _EDGES = [" ", "\t", "\u3000", "\xa0", "\x0b", "\x1c", "\x1f", "\x00", "\u200b", '"']
-_FREE = ["1", "", "x y", '"q,r"', '"two\nlines"', "é", 'o"k']
+_FREE = ["1", "", "x y", '"q,r"', '"two\nlines"', '"cr\rin"', "é", 'o"k']
 
 
 class TestColumnarReader:
@@ -125,6 +141,66 @@ class TestColumnarReader:
             raise AssertionError("the row reader ran")
 
         monkeypatch.setattr(voho.ingest, "_load_rows", refuse)
+
+    @pytest.fixture
+    def sources(self, monkeypatch):
+        """The first argument of every np.loadtxt call, in order."""
+        seen = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            seen.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return seen
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_unquoted_files_are_read_from_their_path(self, tmp_path, no_row_reader, sources, end):
+        path = tmp_path / "t.csv"
+        lines = ["instrument,timestamp,price,volume", "", "X,1,10,1", "Y,2,20,x y", "", "X,3,11,1"]
+        path.write_text(end.join(lines) + end, newline="")
+        series = load_prices(path, "tick")
+        assert sources == [os.path.abspath(path)]
+        assert [(s.instrument_id, s.prices.tolist()) for s in series] == [("X", [10.0, 11.0]), ("Y", [20.0])]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'instrument,timestamp,price,volume\r\n"A\r\nB",1,10,1\r\nC,2,3,1\r\n',
+            'instrument,timestamp,price,volume\n"A\rB",1,10,1\n',
+            'instrument,timestamp,price,volume\r"X",1,10,1\r',
+            # numpy skips lines, not records, so it would read `\nB` here
+            'instrument,timestamp,price,"volume\n"\nB",1,10,1\n',
+        ],
+    )
+    def test_files_numpy_would_read_otherwise_are_read_from_their_lines(self, tmp_path, no_row_reader, sources, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        new = _outcome(load_prices, path, "tick")
+        assert new == _outcome(_load_rows, path, "tick")
+        assert new[0] == "ok" and len(sources) == 1 and not isinstance(sources[0], str)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_file_with_a_compressed_name_loads_as_csv(self, tmp_path, no_row_reader, suffix):
+        rows = [("X", 1.0, 10.0), ("Y", 1.0, 20.0), ("X", 2.0, 11.0)]
+        plain = write_tick_csv(tmp_path / "t.csv", rows)
+        named = write_tick_csv(tmp_path / f"t.csv{suffix}", rows)
+        loaded = _outcome(load_prices, named, "tick")
+        assert loaded[0] == "ok" and loaded == _outcome(load_prices, plain, "tick")
+
+    def test_relative_path_that_parses_as_a_url_is_read_locally(self, tmp_path, monkeypatch, no_row_reader, sources):
+        def offline(*args, **kwargs):
+            raise OSError("network access attempted")
+
+        monkeypatch.setattr(socket.socket, "connect", offline)
+        monkeypatch.setattr(socket, "getaddrinfo", offline)
+        (tmp_path / "http:" / "example.com").mkdir(parents=True)
+        write_tick_csv(tmp_path / "http:" / "example.com" / "f.csv", [("X", 1.0, 10.0), ("X", 2.0, 11.0)])
+        monkeypatch.chdir(tmp_path)
+        (series,) = load_prices("http://example.com/f.csv", "tick")
+        assert series.prices.tolist() == [10.0, 11.0]
+        assert sources == [str(tmp_path / "http:" / "example.com" / "f.csv")]
 
     def test_header_and_blank_lines_give_empty_list_without_warning(self, tmp_path, no_row_reader):
         path = tmp_path / "t.csv"
