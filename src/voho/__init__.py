@@ -17,7 +17,6 @@ from .errors import (
 from .homogenise import SkeletonSeries, decompose, skeleton_to_symbols, write_skeleton_csv
 from .ingest import (
     PriceSeries,
-    ReturnSeries,
     filter_eligible,
     generate_synthetic_path,
     load_prices,
@@ -31,7 +30,7 @@ from .pipeline import (
     run_study,
     validate_config,
 )
-from .quantise import SymbolSequence, quantile_bins
+from .quantise import quantile_bins
 from .stats import (
     StudyResult,
     StudyRow,
@@ -52,12 +51,10 @@ __all__ = [
     "EntropyEstimate",
     "InputSpec",
     "PriceSeries",
-    "ReturnSeries",
     "SkeletonSeries",
     "StudyConfig",
     "StudyResult",
     "StudyRow",
-    "SymbolSequence",
     "SyntheticSpec",
     "Variant",
     "VohoError",

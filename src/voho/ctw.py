@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantise import SUPPORTED_ALPHABETS, SymbolSequence
+from .quantise import SUPPORTED_ALPHABETS
 
 DEFAULT_DEPTH = 20
 
@@ -94,19 +94,14 @@ class EntropyEstimate:
             )
 
 
-def entropy_rate(
-    seq, depth: int = DEFAULT_DEPTH, alphabet_size: int | None = None
-) -> EntropyEstimate:
+def entropy_rate(seq, depth: int = DEFAULT_DEPTH, alphabet_size: int = 2) -> EntropyEstimate:
     """-(1/n) log2 of the mixture probability: 0 is fully predictable,
     ~1 is unpredictable binary, ~2 unpredictable quaternary.
 
-    A SymbolSequence brings its own alphabet size; any other sequence of
-    symbols uses `alphabet_size`, binary when it is None."""
-    if isinstance(seq, SymbolSequence):
-        m, symbols = seq.alphabet_size, seq.symbols
-    else:
-        m = 2 if alphabet_size is None else alphabet_size
-        symbols = np.ascontiguousarray(seq, dtype=np.int64)
+    `seq` is a 1-d sequence of integer symbols in [0, alphabet_size), such
+    as the arrays `quantile_bins` and `skeleton_to_symbols` return."""
+    m = alphabet_size
+    symbols = np.ascontiguousarray(seq, dtype=np.int64)
     if m not in SUPPORTED_ALPHABETS:
         raise ValueError(f"alphabet size must be one of {SUPPORTED_ALPHABETS}")
     if int(depth) != depth or depth < 0:

@@ -33,8 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import PriceSeries
-from .quantise import SymbolSequence
 
 SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
 
@@ -84,17 +82,16 @@ class SkeletonSeries:
 
 
 def decompose(
-    path: PriceSeries | np.ndarray,
+    values: np.ndarray,
     delta: float,
     *,
     times: np.ndarray | None = None,
     crossing: str = "multi",
-    instrument_id: str | None = None,
+    instrument_id: str = "",
 ) -> SkeletonSeries:
-    """Extract the delta-step skeleton of a path.
-
-    `path` is either a PriceSeries (its prices and timestamps are used) or
-    a plain real-valued array, in which case `times` defaults to 0..n-1.
+    """Extract the delta-step skeleton of the path `values`, a 1-d real
+    array sampled at `times` (0..n-1 when None). `instrument_id` only
+    labels the result and its errors.
 
     Crossings are decided on u = (x - x[0]) / delta. With crossing="multi"
     the level after sample j is clamp(k_{j-1}, floor(u_j), ceil(u_j)),
@@ -109,16 +106,7 @@ def decompose(
     pass over the samples in single mode. The event count is known before
     any event array exists; above MAX_EVENTS a DataError is raised.
     """
-    if isinstance(path, PriceSeries):
-        values = path.prices
-        if times is None:
-            times = path.times
-        if instrument_id is None:
-            instrument_id = path.instrument_id
-    else:
-        values = np.ascontiguousarray(path, dtype=np.float64)
-    if instrument_id is None:
-        instrument_id = ""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be a positive finite number")
     if values.ndim != 1 or values.size < 2:
@@ -209,10 +197,9 @@ def _too_many_events(instrument_id: str, delta: float, count: str) -> DataError:
     )
 
 
-def skeleton_to_symbols(skeleton: SkeletonSeries) -> SymbolSequence:
-    """Binary sequence of the skeleton's moves: 1 for up, 0 for down."""
-    symbols = (skeleton.directions > 0).astype(np.int64)
-    return SymbolSequence(instrument_id=skeleton.instrument_id, alphabet_size=2, symbols=symbols)
+def skeleton_to_symbols(skeleton: SkeletonSeries) -> np.ndarray:
+    """Binary int64 symbols of the skeleton's moves: 1 for up, 0 for down."""
+    return (skeleton.directions > 0).astype(np.int64)
 
 
 def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], path: str | Path) -> int:

@@ -88,24 +88,6 @@ class PriceSeries:
         return int(self.prices.size)
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Log returns aligned to the source price series."""
-
-    instrument_id: str
-    returns: np.ndarray
-
-    def __post_init__(self):
-        returns = np.ascontiguousarray(self.returns, dtype=np.float64)
-        if returns.ndim != 1:
-            raise ValueError("returns must be a 1-d array")
-        returns.flags.writeable = False
-        object.__setattr__(self, "returns", returns)
-
-    def __len__(self) -> int:
-        return int(self.returns.size)
-
-
 def _parse_yyyymmdd(field: str) -> date:
     text = field.strip()
     if len(text) != 8 or not text.isdigit():
@@ -155,6 +137,8 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
     which raises the `DataFormatError` naming the first bad line (or
     returns the series, for the few inputs that only the row reader
     accepts, such as numbers with underscores or non-ASCII digits).
+    Bytes that are not UTF-8 raise `path:line: not UTF-8 text` on either
+    route, naming the line of the first such byte.
     """
     expected = _schema(format)
     marks = _marker_bytes(path)
@@ -164,10 +148,11 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
     parsed = {"instrument": "O", "date": "O", "timestamp": "f8", "price": "f8", "close": "f8"}
     dtype = np.dtype([(name, parsed.get(name, "U1")) for name in expected])
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header_lines = _read_header(fh, path, expected)
+        lines = _utf8_lines(fh, path)
+        header_lines = _read_header(lines, path, expected)
         if not header_lines:
             return []
-        rows = _skip_blank_lines(fh)
+        rows = _skip_blank_lines(lines)
         if rows is None:
             return []
         if header_lines > 1 or _QUOTE_AND_CR <= marks or str(path).lower().endswith(_COMPRESSED_SUFFIXES):
@@ -196,6 +181,36 @@ def _marker_bytes(path: str | Path) -> set[bytes]:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             found.update(mark for mark in _MARKS if mark in chunk)
     return found
+
+
+def _utf8_lines(fh, path: str | Path) -> Iterator[str]:
+    """The lines of the text file `fh`. Where decoding fails, raises the
+    DataFormatError naming the line of the first byte that is not UTF-8:
+    the decoder works in chunks, so its own error names neither."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}:{_first_undecodable_line(path)}: not UTF-8 text") from None
+
+
+def _first_undecodable_line(path: str | Path) -> int:
+    """The number of the file's first line that does not decode as UTF-8.
+    bytes.splitlines splits on the same LF, CRLF and CR as the text
+    reader, and no newline byte is ever part of a multi-byte character, so
+    each line decodes on its own; the last part of a chunk is carried into
+    the next, since it may go on there."""
+    lineno = 0
+    tail = b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            *lines, tail = (tail + chunk).splitlines(keepends=True)
+            for line in lines:
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return lineno + 1  # the last line, which only the text decoder refused
 
 
 def _skip_blank_lines(fh) -> Iterator[str] | None:
@@ -264,10 +279,11 @@ def _load_rows(path: str | Path, format: str) -> list[PriceSeries]:
     expected = _schema(format)
     groups: dict[str, tuple[list[float], list[float]]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header_lines = _read_header(fh, path, expected)
+        lines = _utf8_lines(fh, path)
+        header_lines = _read_header(lines, path, expected)
         if not header_lines:
             return []
-        reader = csv.reader(fh)
+        reader = csv.reader(lines)
         last = header_lines  # the last line read so far
         for row in reader:
             # errors name the first line of a record that spans several
@@ -334,8 +350,8 @@ def filter_eligible(
     return kept
 
 
-def log_returns(series: PriceSeries, drop_zero: bool = False) -> ReturnSeries:
-    """r_t = ln(p_t / p_{t-1}).
+def log_returns(series: PriceSeries, drop_zero: bool = False) -> np.ndarray:
+    """The array of r_t = ln(p_t / p_{t-1}).
 
     With drop_zero (required for tick data) observations whose price equals
     the previous one are removed before differencing, so every emitted
@@ -349,9 +365,7 @@ def log_returns(series: PriceSeries, drop_zero: bool = False) -> ReturnSeries:
         keep[0] = True
         keep[1:] = np.diff(prices) != 0.0
         prices = prices[keep]
-    if prices.size < 2:
-        return ReturnSeries(series.instrument_id, np.empty(0))
-    return ReturnSeries(series.instrument_id, np.log(prices[1:] / prices[:-1]))
+    return np.log(prices[1:] / prices[:-1])
 
 
 def generate_synthetic_path(

@@ -268,7 +268,8 @@ def compute_instrument_rows(
 ) -> tuple[list[StudyRow], list[str]]:
     """Entropy rows for one instrument in the order of `variants`, plus the
     skeleton variants dropped for having fewer than min_skeleton_events
-    events. Log returns are taken only when an original variant is asked for."""
+    events. Log returns are taken only when an original variant is asked for.
+    Each sequence is a plain symbol array, scored with its variant's alphabet."""
     if any(v.delta is None for v in variants):
         returns = log_returns(series, drop_zero=series.kind == "tick")
     rows: list[StudyRow] = []
@@ -282,7 +283,7 @@ def compute_instrument_rows(
                 dropped.append(variant.name)
                 continue
             seq = skeleton_to_symbols(skeleton)
-        estimate = entropy_rate(seq, depth)
+        estimate = entropy_rate(seq, depth, alphabet_size=variant.alphabet)
         rows.append(StudyRow(series.instrument_id, variant.name, estimate.value, len(seq)))
     return rows, dropped
 
@@ -373,11 +374,8 @@ def _aggregate(result: StudyResult) -> None:
     present = [v.name for v in result.variants if v.name in values]
     if len(present) >= 2:
         try:
-            matrix, kept, dropped = correlation_matrix(result.rows, present)
-            result.corr_matrix = matrix
+            result.corr_matrix = correlation_matrix(result.rows, present)[0]
             result.corr_variants = present
-            result.corr_instruments = kept
-            result.dropped_instruments = dropped
         except ValueError as exc:
             logger.warning("correlation matrix skipped: %s", exc)
     result.summary = delta_summary(result.rows, result.variants)

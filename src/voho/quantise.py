@@ -1,35 +1,15 @@
-"""Equal-count discretisation of real-valued returns into m-ary symbols."""
+"""Equal-count discretisation of real-valued returns into m-ary symbols.
+
+Symbols are plain int64 arrays; the alphabet size is the caller's to keep
+(a study takes it from each `Variant`), and `entropy_rate` checks that
+every symbol lies below it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ingest import ReturnSeries
-
 SUPPORTED_ALPHABETS = (2, 4)
-
-
-@dataclass(frozen=True)
-class SymbolSequence:
-    """Finite-alphabet sequence ready for entropy estimation."""
-
-    instrument_id: str
-    alphabet_size: int
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        symbols = np.ascontiguousarray(self.symbols, dtype=np.int64)
-        if symbols.ndim != 1:
-            raise ValueError("symbols must be a 1-d array")
-        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.alphabet_size):
-            raise ValueError(f"symbols out of range for alphabet size {self.alphabet_size}")
-        symbols.flags.writeable = False
-        object.__setattr__(self, "symbols", symbols)
-
-    def __len__(self) -> int:
-        return int(self.symbols.size)
 
 
 def quantile_boundaries(values: np.ndarray, m: int) -> np.ndarray:
@@ -40,20 +20,16 @@ def quantile_boundaries(values: np.ndarray, m: int) -> np.ndarray:
     return ordered[np.asarray(ranks) - 1]
 
 
-def quantile_bins(returns: ReturnSeries | np.ndarray, m: int) -> SymbolSequence:
-    """Discretise into m equal-count states; a value's symbol is the number
-    of cut points strictly below it, so boundary ties fall in the lower bin."""
+def quantile_bins(values: np.ndarray, m: int) -> np.ndarray:
+    """Discretise a 1-d array into m equal-count states, as int64 symbols
+    in [0, m); a value's symbol is the number of cut points strictly below
+    it, so boundary ties fall in the lower bin."""
     if m not in SUPPORTED_ALPHABETS:
         raise ValueError(f"alphabet size must be one of {SUPPORTED_ALPHABETS}, got {m}")
-    if isinstance(returns, ReturnSeries):
-        instrument_id = returns.instrument_id
-        values = returns.returns
-    else:
-        instrument_id = ""
-        values = np.ascontiguousarray(returns, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-d array")
     if values.size < m:
         raise ValueError(f"need at least {m} values, got {values.size}")
     boundaries = quantile_boundaries(values, m)
-    symbols = np.searchsorted(boundaries, values, side="left")
-    return SymbolSequence(instrument_id=instrument_id, alphabet_size=m, symbols=symbols)
-
+    return np.searchsorted(boundaries, values, side="left").astype(np.int64, copy=False)

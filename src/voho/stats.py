@@ -35,8 +35,6 @@ class StudyResult:
     kde_curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     corr_matrix: np.ndarray | None = None
     corr_variants: list[str] = field(default_factory=list)
-    corr_instruments: list[str] = field(default_factory=list)
-    dropped_instruments: list[str] = field(default_factory=list)
     summary: list[tuple[float, float]] = field(default_factory=list)
 
 

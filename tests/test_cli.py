@@ -128,6 +128,13 @@ def test_ingest_of_a_malformed_tick_file_is_a_data_error_naming_its_line(tmp_pat
     assert capsys.readouterr().err == f"data error: {data}:4: non-positive price -3.0\n"
 
 
+def test_ingest_of_a_file_that_is_not_utf8_is_a_data_error_naming_its_line(tmp_path, capsys):
+    data = tmp_path / "ticks.csv"
+    data.write_bytes(b"instrument,timestamp,price,volume\nA,1,10,1\nA,2,\xff11,1\n")
+    assert main(["ingest", "--input", str(data), "--format", "tick"]) == 2
+    assert capsys.readouterr().err == f"data error: {data}:3: not UTF-8 text\n"
+
+
 def test_decompose_on_a_decimal_tick_grid(tmp_path, capsys):
     prices = [100.006, 100.007, 100.008, 100.011, 100.012]
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), p) for i, p in enumerate(prices)])

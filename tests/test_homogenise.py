@@ -125,7 +125,7 @@ class TestDecomposeExamples:
 
     def test_price_series_input_carries_id(self):
         series = make_series([10.0, 11.0, 12.0], instrument="ZZZ")
-        skel = decompose(series, 0.5)
+        skel = decompose(series.prices, 0.5, times=series.times, instrument_id=series.instrument_id)
         assert skel.instrument_id == "ZZZ"
 
     def test_errors(self):
@@ -272,8 +272,8 @@ class TestSkeletonSymbols:
     def test_direction_mapping(self):
         skel = decompose(np.array([10.00, 10.30, 10.10, 9.70]), 0.25)
         seq = skeleton_to_symbols(skel)
-        assert seq.symbols.tolist() == [1, 0, 0]
-        assert seq.alphabet_size == 2
+        assert seq.dtype == np.int64
+        assert seq.tolist() == [1, 0, 0]
 
     def test_empty_skeleton_gives_empty_sequence(self):
         skel = decompose(np.array([0.0, 0.1]), 5.0)
@@ -281,8 +281,7 @@ class TestSkeletonSymbols:
 
     def test_jump_path_gives_runs_of_five(self):
         series = generate_synthetic_path("jump", 100, seed=2, delta=0.5, jump_multiple=5)
-        seq = skeleton_to_symbols(decompose(series, 0.5))
-        symbols = seq.symbols
+        symbols = skeleton_to_symbols(decompose(series.prices, 0.5))
         flips = np.flatnonzero(np.diff(symbols) != 0)
         assert np.all((flips + 1) % 5 == 0)  # sign can only change between blocks
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gzip
 import math
 import os
 import random
+import re
 import socket
 import warnings
 from datetime import date
@@ -189,6 +191,40 @@ class TestColumnarReader:
         loaded = _outcome(load_prices, named, "tick")
         assert loaded[0] == "ok" and loaded == _outcome(load_prices, plain, "tick")
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, end):
+        lines = [b"instrument,timestamp,price,volume"]
+        lines += [f"AAA,{i},{100 + i % 7 * 0.5},1".encode() for i in range(6000)]
+        lines[4001] += b"\xff"
+        path = tmp_path / "t.csv"
+        path.write_bytes(end.join(lines) + end)
+        assert path.read_bytes().index(b"\xff") > 1 << 16  # past the first chunks decoded
+        for load in (load_prices, _load_rows):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:4002: not UTF-8 text$"):
+                load(path, "tick")
+
+    def test_compressed_file_is_not_utf8_text(self, tmp_path):
+        plain = write_tick_csv(tmp_path / "t.csv", [("X", 1.0, 10.0), ("X", 2.0, 11.0)])
+        path = tmp_path / "real.csv.gz"
+        path.write_bytes(gzip.compress(plain.read_bytes()))
+        for load in (load_prices, _load_rows):
+            with pytest.raises(DataFormatError, match=r":1: not UTF-8 text$"):
+                load(path, "tick")
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            # a \r\n split across the 1 MiB chunks is one line end, not two
+            (b"x" * ((1 << 20) - 1) + b"\r\n" + b"y\xff\n", 2),
+            (b"a\nb\rc\r\n\xc3", 4),  # a character cut short by the end of the file
+        ],
+        ids=["crlf-across-chunks", "last-line"],
+    )
+    def test_first_undecodable_line(self, tmp_path, data, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        assert voho.ingest._first_undecodable_line(path) == line
+
     def test_relative_path_that_parses_as_a_url_is_read_locally(self, tmp_path, monkeypatch, no_row_reader, sources):
         def offline(*args, **kwargs):
             raise OSError("network access attempted")
@@ -370,16 +406,16 @@ class TestFilterEligible:
 class TestLogReturns:
     def test_constant_pair_gives_zero(self):
         r = log_returns(make_series([100.0, 100.0]), drop_zero=False)
-        assert r.returns.tolist() == [0.0]
+        assert r.tolist() == [0.0]
 
     def test_single_step_formula(self):
         r = log_returns(make_series([100.0, 105.0]))
-        assert r.returns.size == 1
-        assert r.returns[0] == pytest.approx(math.log(1.05), abs=1e-15)
+        assert r.size == 1
+        assert r[0] == pytest.approx(math.log(1.05), abs=1e-15)
 
     def test_drop_zero_removes_flat_observation(self):
         r = log_returns(make_series([100.0, 100.0, 105.0]), drop_zero=True)
-        assert r.returns.tolist() == pytest.approx([math.log(1.05)])
+        assert r.tolist() == pytest.approx([math.log(1.05)])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -387,13 +423,13 @@ class TestLogReturns:
 
     def test_constant_series_drop_zero_empty(self):
         r = log_returns(make_series([100.0, 100.0, 100.0]), drop_zero=True)
-        assert len(r) == 0
+        assert len(r) == 0 and r.dtype == np.float64
 
     def test_cumsum_reproduces_log_price(self, rng):
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=500)))
         series = make_series(prices)
         r = log_returns(series, drop_zero=False)
-        rebuilt = np.log(prices[0]) + np.cumsum(r.returns)
+        rebuilt = np.log(prices[0]) + np.cumsum(r)
         assert np.allclose(rebuilt, np.log(prices[1:]), rtol=1e-12, atol=0)
 
 
@@ -422,7 +458,7 @@ class TestSyntheticPaths:
 
     def test_jump_skeleton_runs_of_five(self):
         s = generate_synthetic_path("jump", 400, seed=11, delta=0.5, jump_multiple=5)
-        skel = decompose(s, 0.5)
+        skel = decompose(s.prices, 0.5)
         assert len(skel) == 399 * 5
         runs = np.diff(np.flatnonzero(np.diff(skel.directions.astype(int)) != 0))
         assert np.all(runs % 5 == 0)  # sign flips only at jump boundaries
