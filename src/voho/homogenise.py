@@ -106,34 +106,14 @@ def decompose(
     pass over the samples in single mode. The event count is known before
     any event array exists; above MAX_EVENTS a DataError is raised.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be a positive finite number")
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("path must be 1-d with at least 2 samples")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("path contains non-finite values")
+    values = _checked_path(values, delta, crossing)
     if times is None:
         times = np.arange(values.size, dtype=np.float64)
     else:
         times = np.ascontiguousarray(times, dtype=np.float64)
         if times.shape != values.shape:
             raise ValueError("times must match the path length")
-    if crossing not in CROSSING_MODES:
-        raise ValueError(f"unknown crossing mode {crossing!r}")
-
-    with np.errstate(over="ignore"):  # an inf is clipped (single) or over the bound (multi)
-        u = (values - values[0]) / delta
-    if crossing == "single":
-        # the level moves at most one step per sample, so |k| < n and
-        # clipping u to [-n, n] changes no comparison with it
-        bound = float(values.size)
-        levels = _lagging_levels(np.clip(u, -bound, bound))
-    else:
-        reach = float(np.max(np.abs(u)))
-        if reach > MAX_EVENTS + 1:  # reaching level k_j takes |k_j| >= floor(|u_j|) events
-            raise _too_many_events(instrument_id, delta, f"at least {np.floor(reach):.0f}")
-        levels = _levels(u)
+    levels = _skeleton_levels(values, delta, crossing, instrument_id)
     moves = np.diff(levels)
     moved = np.flatnonzero(moves)
     steps = moves[moved]
@@ -164,6 +144,44 @@ def decompose(
         directions=directions,
         source_indices=source,
     )
+
+
+def count_events(values: np.ndarray, delta: float, *, crossing: str = "multi", instrument_id: str = "") -> int:
+    """The number of events decompose(values, delta, crossing=crossing)
+    emits, counted from the skeleton levels alone, with no event array
+    built. It raises as decompose does on bad input and on a path whose
+    reach alone is over MAX_EVENTS, but does not compare the count itself
+    with MAX_EVENTS: a caller summing over several paths does."""
+    values = _checked_path(values, delta, crossing)
+    return int(np.abs(np.diff(_skeleton_levels(values, delta, crossing, instrument_id))).sum())
+
+
+def _checked_path(values: np.ndarray, delta: float, crossing: str) -> np.ndarray:
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be a positive finite number")
+    if values.ndim != 1 or values.size < 2:
+        raise ValueError("path must be 1-d with at least 2 samples")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path contains non-finite values")
+    if crossing not in CROSSING_MODES:
+        raise ValueError(f"unknown crossing mode {crossing!r}")
+    return values
+
+
+def _skeleton_levels(values: np.ndarray, delta: float, crossing: str, instrument_id: str) -> np.ndarray:
+    """The level index after each sample; the first is 0."""
+    with np.errstate(over="ignore"):  # an inf is clipped (single) or over the bound (multi)
+        u = (values - values[0]) / delta
+    if crossing == "single":
+        # the level moves at most one step per sample, so |k| < n and
+        # clipping u to [-n, n] changes no comparison with it
+        bound = float(values.size)
+        return _lagging_levels(np.clip(u, -bound, bound))
+    reach = float(np.max(np.abs(u)))
+    if reach > MAX_EVENTS + 1:  # reaching level k_j takes |k_j| >= floor(|u_j|) events
+        raise _too_many_events(instrument_id, delta, f"at least {np.floor(reach):.0f}")
+    return _levels(u)
 
 
 def _levels(u: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
+from .homogenise import CROSSING_MODES, SkeletonSeries, count_events, decompose, skeleton_to_symbols
 from .ingest import (
     GENERATOR_KINDS,
     PriceSeries,
@@ -253,8 +253,17 @@ def synthetic_series(spec: SyntheticSpec) -> list[PriceSeries]:
 
 def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: str) -> SkeletonSeries:
     """The skeleton of the prices or, for domain "logpath", of the log prices."""
-    values = np.log(series.prices) if domain == "logpath" else series.prices
-    return decompose(values, delta, times=series.times, crossing=crossing, instrument_id=series.instrument_id)
+    return decompose(_path(series, domain), delta, times=series.times, crossing=crossing,
+                     instrument_id=series.instrument_id)
+
+
+def count_series_events(series: PriceSeries, delta: float, domain: str, crossing: str) -> int:
+    """The number of events decompose_series emits, without building them."""
+    return count_events(_path(series, domain), delta, crossing=crossing, instrument_id=series.instrument_id)
+
+
+def _path(series: PriceSeries, domain: str) -> np.ndarray:
+    return np.log(series.prices) if domain == "logpath" else series.prices
 
 
 def compute_instrument_rows(

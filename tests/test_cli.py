@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from voho import homogenise
 from voho.cli import main
 from voho.homogenise import decompose
 
@@ -155,6 +156,24 @@ def test_decompose_over_the_event_bound_is_a_data_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("data error: instrument 'A': delta=0.0001 gives at least 20000000 skeleton events")
     assert not out.exists()
+
+
+def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(homogenise, "MAX_EVENTS", 6)
+    rows = [(name, t, p) for name in ("A", "B") for t, p in ((0.0, 1.0), (1.0, 2.0))]  # 4 events each
+    args = ["decompose", "--format", "tick", "--delta", "0.25"]
+    for name in ("A", "B"):
+        alone = write_tick_csv(tmp_path / f"{name}.csv", [r for r in rows if r[0] == name])
+        assert main(args + ["--input", str(alone), "--out", str(tmp_path / f"{name}.skel.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "both.skel.csv"
+    both = write_tick_csv(tmp_path / "both.csv", rows)
+    assert main(args + ["--input", str(both), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {both}: delta=0.25 gives 8 skeleton events over 2 instrument(s)")
+    assert "more than the limit of 6" in err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.part"))
 
 
 def test_decompose_logpath_is_the_skeleton_of_log_prices(tmp_path):

@@ -1,15 +1,18 @@
-"""Context-tree estimator against exact enumeration, closed forms and
-golden values of the earlier streaming implementation."""
+"""Context-tree estimator against exact enumeration, closed forms, golden
+values of the earlier streaming implementation, and, bit for bit, the
+relabelling kernel that the sorted-history kernel replaced."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from voho.ctw import EntropyEstimate, _context_counts, certified_ceiling, entropy_rate
+from voho import ctw
+from voho.ctw import EntropyEstimate, _context_blocks, _log2_mixture_probability, certified_ceiling, entropy_rate
 
 from ctw_oracle import (
     _padded_context,
@@ -44,6 +47,68 @@ def golden_sequence(name: str) -> np.ndarray:
     # skeleton-like: alternating runs of up and down moves, 1 to 4 long
     runs = 1 + (splitmix64(12000, 3) % np.uint64(4)).astype(np.int64)
     return np.repeat(np.arange(runs.size) % 2, runs)[:21000]
+
+
+def relabel_context_counts(symbols: np.ndarray, depth: int, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The relabelling kernel, kept as the reference: per depth 0..depth,
+    the symbol counts of each context that occurs (one row per context) and
+    each context's row at the depth above. Each depth relabels every
+    position by rank among the (parent, symbol) pairs that occur."""
+    labels = np.zeros(symbols.size, dtype=np.int64)
+    levels = [(np.bincount(symbols, minlength=m).reshape(1, m), np.zeros(1, dtype=np.int64))]
+    for d in range(1, depth + 1):
+        pairs = labels * m
+        pairs[d:] += symbols[:-d]  # both empty once d >= n: the padding is zeros
+        occurs = np.zeros(levels[-1][0].shape[0] * m, dtype=bool)
+        occurs[pairs] = True
+        labels = (np.cumsum(occurs) - 1)[pairs]
+        kept = np.flatnonzero(occurs)
+        counts = np.bincount(labels * m + symbols, minlength=kept.size * m).reshape(kept.size, m)
+        levels.append((counts, kept // m))
+    return levels
+
+
+def relabel_log2_probability(symbols: np.ndarray, depth: int, m: int) -> float:
+    """The fold over the reference kernel's count matrices."""
+    steps = np.arange(symbols.size, dtype=np.float64)
+    half = np.concatenate(([0.0], np.cumsum(np.log2(steps + 0.5))))
+    total = np.concatenate(([0.0], np.cumsum(np.log2(steps + 0.5 * m))))
+    weighted = child_parents = None
+    for counts, parents in reversed(relabel_context_counts(symbols, depth, m)):
+        estimated = half[counts].sum(axis=1) - total[counts.sum(axis=1)]
+        if weighted is not None:
+            children = np.bincount(child_parents, weights=weighted, minlength=estimated.size)
+            estimated = np.logaddexp2(estimated, children) - 1.0
+        weighted, child_parents = estimated, parents
+    return float(weighted[0])
+
+
+def sorted_kernel_levels(symbols: np.ndarray, depth: int, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of the sorted-history kernel as the reference's per-depth
+    (counts, parents) pairs."""
+    levels = {}
+    for depths, offsets, counts, parents in _context_blocks(symbols, depth, m):
+        for i, d in enumerate(depths):
+            rows = slice(offsets[i], offsets[i + 1])
+            levels[d] = (np.stack([c[rows] for c in counts], axis=1), parents[rows])
+    assert sorted(levels) == list(range(depth + 1))
+    return [levels[d] for d in range(depth + 1)]
+
+
+def differential_sequence(kind: str, n: int, m: int, seed: int) -> np.ndarray:
+    words = splitmix64(n, seed)
+    if kind == "random":
+        return (words % np.uint64(m)).astype(np.int64)
+    if kind == "runs":  # runs of 1 to 8 equal symbols
+        lengths = 1 + (words % np.uint64(8)).astype(np.int64)
+        return np.repeat((words >> np.uint64(32)) % np.uint64(m), lengths)[:n].astype(np.int64)
+    if kind == "constant":
+        return np.full(n, seed % m, dtype=np.int64)
+    # sparse: zeros with about one symbol in 32 drawn at random
+    return np.where(words % np.uint64(32) == 0, (words >> np.uint64(32)) % np.uint64(m), 0).astype(np.int64)
+
+
+DIFFERENTIAL_KINDS = ("random", "runs", "constant", "sparse")
 
 
 # log2 P at depth 20 from the streaming context tree this estimator replaced
@@ -158,6 +223,37 @@ class TestSequenceProbability:
         with pytest.raises(ValueError, match="empty"):
             entropy_rate([], depth=2)
 
+    def test_integer_valued_inputs_accepted(self):
+        want = entropy_rate([0, 1, 1, 0, 1, 1], depth=2)
+        for seq in (
+            np.array([0, 1, 1, 0, 1, 1]),
+            np.array([0, 1, 1, 0, 1, 1], dtype=np.uint8),
+            [False, True, True, False, True, True],
+            [0.0, 1.0, 1.0, 0.0, 1.0, 1.0],
+            np.array([0, 1, 1, 0, 1, 1], dtype=np.float32),
+        ):
+            assert entropy_rate(seq, depth=2) == want
+
+    def test_fractional_symbols_rejected_not_truncated(self):
+        # truncated, [0.5, 1.7, 0.2, 1.9] would read as [0, 1, 0, 1]
+        for seq in ([0.5, 1.7, 0.2, 1.9], [0.0, 1.0 + 1e-9]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                entropy_rate(seq, depth=2)
+
+    def test_nan_and_infinite_symbols_rejected(self):
+        for seq in ([0.0, np.nan], [np.inf, 0.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                entropy_rate(seq, depth=2)
+
+    def test_whole_but_huge_float_is_out_of_range_not_cast(self):
+        with pytest.raises(ValueError, match="out of range"):
+            entropy_rate([1e300, 0.0], depth=2)
+
+    def test_non_numeric_symbols_rejected(self):
+        for seq in (["0", "1"], [0, None], [0j, 1j]):
+            with pytest.raises(ValueError, match="integers"):
+                entropy_rate(seq, depth=2)
+
     def test_out_of_range_symbols_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             entropy_rate([0, 2], depth=2)
@@ -185,11 +281,11 @@ class TestPriorWeights:
 
 
 class TestTreeStructure:
-    """The per-depth count matrices that the fold reads."""
+    """The per-depth contexts that the fold reads."""
 
     def test_counts_sum_over_children(self, rng):
         seq = rng.integers(0, 4, size=80)
-        levels = _context_counts(seq, 4, 4)
+        levels = sorted_kernel_levels(seq, 4, 4)
         assert levels[0][0].tolist() == [np.bincount(seq, minlength=4).tolist()]
         for (above, _), (counts, parent) in zip(levels, levels[1:]):
             summed = np.zeros_like(above)
@@ -199,7 +295,7 @@ class TestTreeStructure:
 
     def test_node_budget_linear_in_length(self, rng):
         for seq, depth in ((rng.integers(0, 2, size=500), 8), (np.zeros(50, dtype=np.int64), 20)):
-            levels = _context_counts(seq, depth, 2)
+            levels = sorted_kernel_levels(seq, depth, 2)
             contexts = {_padded_context(seq.tolist(), i, depth)[:d] for i in range(seq.size) for d in range(depth + 1)}
             assert sum(counts.shape[0] for counts, _ in levels) == len(contexts) <= seq.size * depth + 1
 
@@ -211,6 +307,71 @@ class TestTreeStructure:
             entropy_rate([0, 1], depth=2, alphabet_size=3)
         with pytest.raises(ValueError, match="1-d"):
             entropy_rate([[0, 1]], depth=2)
+
+
+class TestAgainstRelabellingKernel:
+    """The sorted-history kernel gives the relabelling kernel's contexts,
+    counts and parents, and so its estimate bit for bit."""
+
+    @staticmethod
+    def assert_same(seq: np.ndarray, depth: int, m: int) -> None:
+        want = relabel_context_counts(seq, depth, m)
+        got = sorted_kernel_levels(seq, depth, m)
+        for d, ((want_counts, want_parents), (counts, parents)) in enumerate(zip(want, got)):
+            assert np.array_equal(counts, want_counts), (seq.size, depth, m, d)
+            assert np.array_equal(parents, want_parents), (seq.size, depth, m, d)
+        assert _log2_mixture_probability(seq, depth, m) == relabel_log2_probability(seq, depth, m)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("kind", DIFFERENTIAL_KINDS)
+    def test_lengths_up_to_2000_and_depths_up_to_70(self, kind, m):
+        for case in range(12):
+            words = splitmix64(2, 1000 * m + 100 * DIFFERENTIAL_KINDS.index(kind) + case)
+            n = 1 + int(words[0] % np.uint64(2000))
+            depth = int(words[1] % np.uint64(71))
+            self.assert_same(differential_sequence(kind, n, m, case), depth, m)
+
+    @pytest.mark.parametrize("m, depths", [(2, (62, 63, 64, 65, 70, 129)), (4, (30, 31, 32, 33, 40, 70))])
+    def test_histories_longer_than_one_key(self, m, depths):
+        for kind in DIFFERENTIAL_KINDS:
+            seq = differential_sequence(kind, 600, m, 5)
+            for depth in depths:
+                self.assert_same(seq, depth, m)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_depth_at_least_length(self, m):
+        for kind in DIFFERENTIAL_KINDS:
+            for n in (1, 2, 3, 17, 40):
+                seq = differential_sequence(kind, n, m, n)
+                for depth in (n - 1, n, n + 1, 2 * n + 5, 70):
+                    self.assert_same(seq, depth, m)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_many_small_blocks(self, monkeypatch, m):
+        # with no cells beyond one per symbol, deep depths take a block each
+        monkeypatch.setattr(ctw, "BLOCK_CELLS", 0)
+        for kind in DIFFERENTIAL_KINDS:
+            for n, depth in ((1, 5), (30, 70), (500, 20), (1500, 33)):
+                self.assert_same(differential_sequence(kind, n, m, 3), depth, m)
+
+    def test_workload_like_sequences(self):
+        for name, (m, _) in GOLDEN_LOG2_PROB.items():
+            self.assert_same(golden_sequence(name), 20, m)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("m, n, limit_mib", [(4, 100_000, 64), (2, 200_000, 31)])
+    def test_peak_is_bounded_by_the_blocks(self, m, n, limit_mib):
+        # the relabelling kernel peaked at 55.3 and 26.8 MiB here; building
+        # every depth at once would peak far above the limits
+        seq = (splitmix64(n, 11) % np.uint64(m)).astype(np.int64)
+        tracemalloc.start()
+        try:
+            entropy_rate(seq, depth=20, alphabet_size=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
 
 class TestEntropyRate:

@@ -10,7 +10,7 @@ import pytest
 
 from voho import homogenise
 from voho.errors import DataError
-from voho.homogenise import SKELETON_CSV_HEADER, decompose, skeleton_to_symbols, write_skeleton_csv
+from voho.homogenise import SKELETON_CSV_HEADER, count_events, decompose, skeleton_to_symbols, write_skeleton_csv
 from voho.ingest import generate_synthetic_path
 
 from conftest import make_series
@@ -266,6 +266,18 @@ class TestEventBound:
     def test_single_mode_is_bounded_by_the_sample_count(self):
         skel = decompose(np.array([0.0, 1e9, 1e9]), 1.0, crossing="single")
         assert skel.level_indices.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("crossing", ["multi", "single"])
+    def test_count_events_is_the_skeleton_length(self, rng, crossing):
+        for delta in (0.05, 0.3, 2.0):
+            values = np.cumsum(rng.standard_normal(400))
+            assert count_events(values, delta, crossing=crossing) == len(decompose(values, delta, crossing=crossing))
+
+    def test_count_events_leaves_the_total_to_its_caller(self, monkeypatch):
+        monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
+        assert count_events(np.array([0.0, 3.0, 0.0, 3.0]), 1.0) == 9
+        with pytest.raises(DataError, match="at least 7 skeleton events"):
+            count_events(np.array([0.0, 7.0]), 1.0, instrument_id="FAR")
 
 
 class TestSkeletonSymbols:
