@@ -33,7 +33,6 @@ from .pipeline import (
     SyntheticSpec,
     compute_instrument_rows,
     config_from_json,
-    count_series_events,
     decompose_series,
     run_study,
     synthetic_series,
@@ -146,14 +145,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     series = load_prices(args.input, args.format)
     if not series:
         raise DataError(f"{args.input}: no instruments")
-    # MAX_EVENTS bounds the command, not one instrument: count them all before writing
-    total = sum(count_series_events(s, args.delta, args.domain, args.crossing) for s in series)
+    # skeletons are O(samples) until written, so all are built before the
+    # command-wide MAX_EVENTS bound is checked and none is decomposed twice
+    skeletons = [decompose_series(s, args.delta, args.domain, args.crossing) for s in series]
+    total = sum(map(len, skeletons))
     if total > homogenise.MAX_EVENTS:
         raise DataError(
             f"{args.input}: delta={args.delta!r} gives {total} skeleton events over {len(series)} "
             f"instrument(s), more than the limit of {homogenise.MAX_EVENTS}"
         )
-    skeletons = (decompose_series(s, args.delta, args.domain, args.crossing) for s in series)
     events = write_skeleton_csv(skeletons, args.out)
     print(f"{events} event(s) for {len(series)} instrument(s) -> {args.out}")
     return 0

@@ -14,16 +14,21 @@ one event, timed by linear interpolation on its sample interval.
 
 This recursion has a closed form: k_j is ceil(u_j) if the last change of
 floor(u) + ceil(u) up to sample j was downward and floor(u_j) otherwise, so
-the levels, and from them every event, come from a few numpy passes:
-O(samples + events) array work, and |u_j - k_j| < 1 by construction.
-crossing="single" caps the level at one step per sample; such a lagging
-level has no closed form, so it is one Python pass over the samples, with
-the same event emission.
+the levels come from a few numpy passes, and |u_j - k_j| < 1 by
+construction. crossing="single" caps the level at one step per sample;
+such a lagging level has no closed form, so it is one Python pass over the
+samples.
+
+A skeleton is kept in run-length form: the samples after which the level
+moved and the signed number of steps it moved there. Decomposing costs
+O(samples) and gives the event count; the per-event arrays (times, levels,
+directions, source samples) cost O(events) each time one is read.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from collections.abc import Iterable
@@ -43,38 +48,82 @@ MAX_EVENTS = 10_000_000
 CSV_SLICE_EVENTS = 65_536
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SkeletonSeries:
-    """Decomposition output: event times, integer level indices, directions.
+    """A delta-step skeleton in run-length form.
 
-    The level at event i is base_level + level_indices[i] * delta; the
-    event index itself (1-based) is the time-change estimate at that event.
-    source_indices records which input sample produced each event, for
-    diagnostics.
+    `path` and `sample_times` are the decomposed samples (copied, so the
+    caller's arrays may change afterwards). After sample `moved_at[r]`
+    (increasing, each >= 1) the level moved by `steps[r]` whole steps, never
+    0; each unit step is one event, so the skeleton has sum(|steps|) events.
+
+    The per-event arrays are derived from that form each time they are
+    read, in O(events), and are not kept, so a list of skeletons stays
+    O(samples): `directions` (+1 or -1), `level_indices` (the level index
+    after each event; its level is base_level + level_indices[i] * delta),
+    `source_indices` (the sample that produced each event) and `times`
+    (each event's interpolated time). The event index itself (1-based) is
+    the time-change estimate at that event.
     """
 
     instrument_id: str
     delta: float
-    base_level: float
-    times: np.ndarray
-    level_indices: np.ndarray
-    directions: np.ndarray
-    source_indices: np.ndarray
+    path: np.ndarray
+    sample_times: np.ndarray
+    moved_at: np.ndarray
+    steps: np.ndarray
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
-        levels = np.ascontiguousarray(self.level_indices, dtype=np.int64)
-        dirs = np.ascontiguousarray(self.directions, dtype=np.int8)
-        src = np.ascontiguousarray(self.source_indices, dtype=np.int64)
-        if not (times.size == levels.size == dirs.size == src.size):
-            raise ValueError("skeleton arrays must have equal length")
-        for name, arr in (("times", times), ("level_indices", levels),
-                          ("directions", dirs), ("source_indices", src)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        path = np.array(self.path, dtype=np.float64)
+        sample_times = np.array(self.sample_times, dtype=np.float64)
+        moved_at = np.array(self.moved_at, dtype=np.int64)
+        steps = np.array(self.steps, dtype=np.int64)
+        if path.shape != sample_times.shape or moved_at.shape != steps.shape:
+            raise ValueError("skeleton arrays must have matching lengths")
+        for name, arr in (("path", path), ("sample_times", sample_times),
+                          ("moved_at", moved_at), ("steps", steps)):
+            object.__setattr__(self, name, _read_only(arr))
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return int(np.abs(self.steps).sum())
+
+    @property
+    def base_level(self) -> float:
+        return float(self.path[0])
+
+    def _per_event(self, per_run: np.ndarray) -> np.ndarray:
+        return np.repeat(per_run, np.abs(self.steps))
+
+    @property
+    def directions(self) -> np.ndarray:
+        return _read_only(self._per_event(np.sign(self.steps).astype(np.int8)))
+
+    @property
+    def level_indices(self) -> np.ndarray:
+        return _read_only(np.cumsum(self._per_event(np.sign(self.steps))))
+
+    @property
+    def source_indices(self) -> np.ndarray:
+        return _read_only(self._per_event(self.moved_at))
+
+    @property
+    def times(self) -> np.ndarray:
+        """Each event timed on the line through its samples j-1 and j, or
+        at t_j where x_j == x_{j-1} (a single-mode catch-up)."""
+        x, t, j = self.path, self.sample_times, self.moved_at
+        dx = x[j] - x[j - 1]
+        flat = dx == 0.0
+        dx[flat] = 1.0
+        t_prev, x_prev, dx, dt = (self._per_event(a) for a in (t[j - 1], x[j - 1], dx, t[j] - t[j - 1]))
+        event_times = t_prev + (x[0] + self.level_indices * self.delta - x_prev) / dx * dt
+        flat = self._per_event(flat)
+        event_times[flat] = self._per_event(t[j])[flat]
+        return _read_only(event_times)
 
     def levels(self) -> np.ndarray:
         """Skeleton values base_level + k_i * delta."""
@@ -102,9 +151,9 @@ def decompose(
     t_{j-1} + (x[0] + k*delta - x_{j-1}) / (x_j - x_{j-1}) * (t_j - t_{j-1}),
     or t_j where x_j == x_{j-1} (a single-mode catch-up).
 
-    Cost: O(samples + events) numpy work in multi mode, plus one Python
-    pass over the samples in single mode. The event count is known before
-    any event array exists; above MAX_EVENTS a DataError is raised.
+    Cost: O(samples) numpy work in multi mode, plus one Python pass over
+    the samples in single mode; reading an event array of the result costs
+    O(events). Above MAX_EVENTS events a DataError is raised.
     """
     values = _checked_path(values, delta, crossing)
     if times is None:
@@ -113,47 +162,20 @@ def decompose(
         times = np.ascontiguousarray(times, dtype=np.float64)
         if times.shape != values.shape:
             raise ValueError("times must match the path length")
-    levels = _skeleton_levels(values, delta, crossing, instrument_id)
-    moves = np.diff(levels)
+    moves = np.diff(_skeleton_levels(values, delta, crossing, instrument_id))
     moved = np.flatnonzero(moves)
     steps = moves[moved]
-    counts = np.abs(steps)
-    total = int(counts.sum())
+    total = int(np.abs(steps).sum())
     if total > MAX_EVENTS:
         raise _too_many_events(instrument_id, delta, str(total))
-
-    directions = np.repeat(np.sign(steps), counts)
-    source = np.repeat(moved + 1, counts)
-    level_indices = np.cumsum(directions)
-    x_prev = values[source - 1]
-    t_prev = times[source - 1]
-    dx = values[source] - x_prev
-    dt = times[source] - t_prev
-    # a zero-width price interval only occurs in single mode, where the
-    # level catches up over a flat stretch: those events land on t_j
-    flat = dx == 0.0
-    dx[flat] = 1.0
-    event_times = t_prev + (values[0] + level_indices * delta - x_prev) / dx * dt
-    event_times[flat] = times[source[flat]]
     return SkeletonSeries(
         instrument_id=instrument_id,
         delta=float(delta),
-        base_level=float(values[0]),
-        times=event_times,
-        level_indices=level_indices,
-        directions=directions,
-        source_indices=source,
+        path=values,
+        sample_times=times,
+        moved_at=moved + 1,
+        steps=steps,
     )
-
-
-def count_events(values: np.ndarray, delta: float, *, crossing: str = "multi", instrument_id: str = "") -> int:
-    """The number of events decompose(values, delta, crossing=crossing)
-    emits, counted from the skeleton levels alone, with no event array
-    built. It raises as decompose does on bad input and on a path whose
-    reach alone is over MAX_EVENTS, but does not compare the count itself
-    with MAX_EVENTS: a caller summing over several paths does."""
-    values = _checked_path(values, delta, crossing)
-    return int(np.abs(np.diff(_skeleton_levels(values, delta, crossing, instrument_id))).sum())
 
 
 def _checked_path(values: np.ndarray, delta: float, crossing: str) -> np.ndarray:
@@ -217,15 +239,23 @@ def _too_many_events(instrument_id: str, delta: float, count: str) -> DataError:
 
 def skeleton_to_symbols(skeleton: SkeletonSeries) -> np.ndarray:
     """Binary int64 symbols of the skeleton's moves: 1 for up, 0 for down."""
-    return (skeleton.directions > 0).astype(np.int64)
+    return np.repeat((skeleton.steps > 0).astype(np.int64), np.abs(skeleton.steps))
+
+
+def _csv_prefix(*fields) -> str:
+    """The fields as csv.writer quotes them, each followed by a comma."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(fields)
+    return line.getvalue()[:-1] + ","
 
 
 def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], path: str | Path) -> int:
     """Export skeletons as instrument,delta,i,T_i,level,direction rows and
     return the number of events written. Skeletons are taken one at a time,
-    so a generator holds one in memory, and each is turned into rows
-    CSV_SLICE_EVENTS events at a time; the file is written beside `path`
-    and renamed into place when complete, so a failure leaves none."""
+    so a generator holds one and its event arrays in memory, and each is
+    turned into text CSV_SLICE_EVENTS events at a time; the file is written
+    beside `path` and renamed into place when complete, so a failure leaves
+    none. Times and levels are written as repr of a Python float."""
     if isinstance(skeletons, SkeletonSeries):
         skeletons = [skeletons]
     path = Path(path)
@@ -233,19 +263,18 @@ def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], pat
     events = 0
     try:
         with open(partial, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SKELETON_CSV_HEADER)
+            fh.write(",".join(SKELETON_CSV_HEADER) + "\n")
             for skel in skeletons:
-                delta = repr(float(skel.delta))
-                levels = skel.levels()
-                for start in range(0, len(skel), CSV_SLICE_EVENTS):
+                prefix = _csv_prefix(skel.instrument_id, repr(float(skel.delta)))
+                times, levels, directions = skel.times, skel.levels(), skel.directions
+                for start in range(0, times.size, CSV_SLICE_EVENTS):
                     part = slice(start, start + CSV_SLICE_EVENTS)
-                    rows = zip(skel.times[part].tolist(), levels[part].tolist(), skel.directions[part].tolist())
-                    writer.writerows(
-                        [skel.instrument_id, delta, i, repr(t), repr(level), direction]
+                    rows = zip(times[part].tolist(), levels[part].tolist(), directions[part].tolist())
+                    fh.write("".join(
+                        f"{prefix}{i},{t!r},{level!r},{direction}\n"
                         for i, (t, level, direction) in enumerate(rows, start=start + 1)
-                    )
-                events += len(skel)
+                    ))
+                events += times.size
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

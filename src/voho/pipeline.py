@@ -25,7 +25,7 @@ import numpy as np
 
 from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import CROSSING_MODES, SkeletonSeries, count_events, decompose, skeleton_to_symbols
+from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
 from .ingest import (
     GENERATOR_KINDS,
     PriceSeries,
@@ -257,11 +257,6 @@ def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: s
                      instrument_id=series.instrument_id)
 
 
-def count_series_events(series: PriceSeries, delta: float, domain: str, crossing: str) -> int:
-    """The number of events decompose_series emits, without building them."""
-    return count_events(_path(series, domain), delta, crossing=crossing, instrument_id=series.instrument_id)
-
-
 def _path(series: PriceSeries, domain: str) -> np.ndarray:
     return np.log(series.prices) if domain == "logpath" else series.prices
 
@@ -390,12 +385,9 @@ def _aggregate(result: StudyResult) -> None:
     result.summary = delta_summary(result.rows, result.variants)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(path: str | os.PathLike | None, header: list[str], rows) -> None:
-    """Write a header and rows as CSV to path, or to stdout when path is None."""
+    """Write a header and rows as CSV to path, or to stdout when path is None.
+    csv.writer writes a Python float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -410,11 +402,14 @@ def write_entropy_csv(
     write_csv(
         path,
         ENTROPY_CSV_HEADER,
-        ([r.instrument, r.variant, r.n, depth, alphabet[r.variant], _fmt(r.entropy)] for r in rows),
+        ([r.instrument, r.variant, r.n, depth, alphabet[r.variant], float(r.entropy)] for r in rows),
     )
 
 
 def _persist(result: StudyResult, config: StudyConfig) -> None:
+    """Write every output file under config.out_dir. Every float is written
+    as Python's repr of a Python float; a numpy scalar is never passed, since
+    under numpy 2 its repr is np.float64(...)."""
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -426,23 +421,18 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
 
     write_entropy_csv(out / "entropy.csv", result.rows, result.variants, config.depth)
     for variant, (grid, density) in result.kde_curves.items():
-        write_csv(
-            out / f"kde_{variant}.csv",
-            ["x", "density"],
-            ([_fmt(x), _fmt(d)] for x, d in zip(grid, density)),
-        )
+        # 512 rows of plain numbers: one string, not one csv.writer call per value
+        with open(out / f"kde_{variant}.csv", "w", newline="", encoding="utf-8") as fh:
+            fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
     if result.corr_matrix is not None:
         header = ["variant"] + result.corr_variants
-        body = [
-            [v] + [_fmt(x) for x in result.corr_matrix[i]]
-            for i, v in enumerate(result.corr_variants)
-        ]
+        body = [[v] + row for v, row in zip(result.corr_variants, result.corr_matrix.tolist())]
         write_csv(out / "corr.csv", header, body)
     _write_scatter(result, out)
     write_csv(
         out / "summary.csv",
         ["delta", "mean_entropy"],
-        ([_fmt(d), _fmt(m)] for d, m in result.summary),
+        ([float(d), float(m)] for d, m in result.summary),
     )
     logger.info("outputs written to %s", out)
 
@@ -464,5 +454,5 @@ def _write_scatter(result: StudyResult, out: Path) -> None:
     write_csv(
         out / f"scatter_{a}_{b}.csv",
         ["instrument", f"value_{a}", f"value_{b}"],
-        ([i, _fmt(va), _fmt(vb)] for i, va, vb in pairs),
+        ([i, float(va), float(vb)] for i, va, vb in pairs),
     )

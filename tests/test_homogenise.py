@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import tracemalloc
 
@@ -10,7 +12,7 @@ import pytest
 
 from voho import homogenise
 from voho.errors import DataError
-from voho.homogenise import SKELETON_CSV_HEADER, count_events, decompose, skeleton_to_symbols, write_skeleton_csv
+from voho.homogenise import SKELETON_CSV_HEADER, decompose, skeleton_to_symbols, write_skeleton_csv
 from voho.ingest import generate_synthetic_path
 
 from conftest import make_series
@@ -267,17 +269,30 @@ class TestEventBound:
         skel = decompose(np.array([0.0, 1e9, 1e9]), 1.0, crossing="single")
         assert skel.level_indices.tolist() == [1, 2]
 
-    @pytest.mark.parametrize("crossing", ["multi", "single"])
-    def test_count_events_is_the_skeleton_length(self, rng, crossing):
-        for delta in (0.05, 0.3, 2.0):
-            values = np.cumsum(rng.standard_normal(400))
-            assert count_events(values, delta, crossing=crossing) == len(decompose(values, delta, crossing=crossing))
 
-    def test_count_events_leaves_the_total_to_its_caller(self, monkeypatch):
-        monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
-        assert count_events(np.array([0.0, 3.0, 0.0, 3.0]), 1.0) == 9
-        with pytest.raises(DataError, match="at least 7 skeleton events"):
-            count_events(np.array([0.0, 7.0]), 1.0, instrument_id="FAR")
+class TestRunLengthForm:
+    def test_a_million_events_cost_no_event_array_until_read(self):
+        tracemalloc.start()
+        try:
+            skel = decompose(np.array([0.0, 1e6]), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert len(skel) == 1_000_000
+        symbols = skeleton_to_symbols(skel)
+        assert symbols.dtype == np.int64 and symbols.size == 1_000_000 and np.all(symbols == 1)
+        # t_0 + (x_0 + k * delta - x_0) / (x_1 - x_0) * (t_1 - t_0) for k = 1..10^6
+        assert np.array_equal(skel.times, np.arange(1, 1_000_001) / 1e6)
+
+    def test_event_arrays_are_read_only_and_do_not_follow_the_input(self):
+        values = np.array([0.0, 2.5, 1.0])
+        skel = decompose(values, 1.0)
+        values[1] = 0.0
+        assert skel.level_indices.tolist() == [1, 2, 1]
+        assert skel.times.tolist() == pytest.approx([0.4, 0.8, 2.0])
+        for arr in (skel.times, skel.level_indices, skel.directions, skel.source_indices, skel.path, skel.steps):
+            assert not arr.flags.writeable
 
 
 class TestSkeletonSymbols:
@@ -298,7 +313,40 @@ class TestSkeletonSymbols:
         assert np.all((flips + 1) % 5 == 0)  # sign can only change between blocks
 
 
+def reference_skeleton_csv(skeletons) -> bytes:
+    """The file as the row writer of earlier versions wrote it: csv.writer
+    with repr(float) for times and levels."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SKELETON_CSV_HEADER)
+    for skel in skeletons:
+        rows = zip(skel.times.tolist(), skel.levels().tolist(), skel.directions.tolist())
+        writer.writerows(
+            [skel.instrument_id, repr(float(skel.delta)), i, repr(t), repr(level), direction]
+            for i, (t, level, direction) in enumerate(rows, start=1)
+        )
+    return out.getvalue().encode("utf-8")
+
+
 class TestSkeletonCsv:
+    @pytest.mark.parametrize("slice_events", [homogenise.CSV_SLICE_EVENTS, 3])
+    def test_bytes_match_the_row_writer_with_ids_that_need_quoting(self, tmp_path, monkeypatch, rng, slice_events):
+        monkeypatch.setattr(homogenise, "CSV_SLICE_EVENTS", slice_events)
+        paths = [100.0 + np.cumsum(rng.normal(0.0, 0.7, size=40)) for _ in range(4)]
+        times = np.cumsum(rng.uniform(0.0, 3.0, size=40))
+        skeletons = [
+            decompose(paths[0], 0.25, times=times, instrument_id="WIG,20"),
+            decompose(paths[1], 0.1, instrument_id='say "hi"', crossing="single"),
+            decompose(paths[2], 1e-3, times=times, instrument_id="Żywiec ąę"),
+            decompose(np.array([1.0, 1.1]), 5.0, instrument_id="EMPTY"),
+            decompose(paths[3], 0.3, instrument_id=""),
+        ]
+        out = tmp_path / "skel.csv"
+        assert write_skeleton_csv(skeletons, out) == sum(map(len, skeletons))
+        assert out.read_bytes() == reference_skeleton_csv(skeletons)
+        assert b'"WIG,20",0.25,1,' in out.read_bytes()
+        assert b'"say ""hi""",0.1,1,' in out.read_bytes()
+
     def test_schema_and_indexing(self, tmp_path):
         skel = decompose(
             np.array([10.00, 10.30, 10.10, 9.70]), 0.25, instrument_id="AAA"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import threading
@@ -14,6 +15,7 @@ import pytest
 from voho.cli import main
 from voho.errors import AllInstrumentsFailedError
 from voho.pipeline import ENTROPY_CSV_HEADER, InputSpec, StudyConfig, SyntheticSpec, run_study, validate_config
+from voho.stats import entropy_by_instrument
 
 from conftest import write_tick_csv
 
@@ -56,11 +58,60 @@ def read_csv(path) -> list[list[str]]:
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def results(tmp_path_factory):
     root = tmp_path_factory.mktemp("study")
-    study(root / "default")
-    study(root / "reversed", variants=("orig4", "orig2"))
-    return root
+    return root, {
+        "default": study(root / "default"),
+        "reversed": study(root / "reversed", variants=("orig4", "orig2")),
+    }
+
+
+@pytest.fixture(scope="module")
+def outputs(results):
+    return results[0]
+
+
+def reference_files(result, depth: int) -> dict[str, bytes]:
+    """Every output file of a study as earlier versions wrote it: one
+    csv.writer per file, every float written as repr(float(x))."""
+
+    def csv_bytes(header, rows) -> bytes:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue().encode("utf-8")
+
+    def fmt(x) -> str:
+        return repr(float(x))
+
+    alphabet = {v.name: v.alphabet for v in result.variants}
+    files = {
+        "entropy.csv": csv_bytes(
+            ENTROPY_CSV_HEADER,
+            [[r.instrument, r.variant, r.n, depth, alphabet[r.variant], fmt(r.entropy)] for r in result.rows],
+        ),
+        "corr.csv": csv_bytes(
+            ["variant"] + result.corr_variants,
+            [[v] + [fmt(x) for x in result.corr_matrix[i]] for i, v in enumerate(result.corr_variants)],
+        ),
+        "summary.csv": csv_bytes(["delta", "mean_entropy"], [[fmt(d), fmt(m)] for d, m in result.summary]),
+    }
+    for variant, (grid, density) in result.kde_curves.items():
+        files[f"kde_{variant}.csv"] = csv_bytes(["x", "density"], [[fmt(x), fmt(d)] for x, d in zip(grid, density)])
+    finest = next(v.name for v in result.variants if v.delta is not None)
+    files[f"scatter_orig4_{finest}.csv"] = csv_bytes(
+        ["instrument", "value_orig4", f"value_{finest}"],
+        [[i, fmt(values["orig4"]), fmt(values[finest])] for i, values in entropy_by_instrument(result.rows).items()],
+    )
+    return files
+
+
+@pytest.mark.parametrize("order", ["default", "reversed"])
+def test_every_file_has_the_bytes_of_the_reference_writer(results, order):
+    root, by_order = results
+    written = {p.name: p.read_bytes() for p in (root / order).iterdir()}
+    assert written == reference_files(by_order[order], depth=20)
 
 
 def test_writes_the_documented_files_with_their_headers(outputs):
