@@ -17,6 +17,7 @@ from .errors import (
 from .homogenise import SkeletonSeries, decompose, skeleton_to_symbols, write_skeleton_csv
 from .ingest import (
     PriceSeries,
+    SyntheticSpec,
     filter_eligible,
     generate_synthetic_path,
     load_prices,
@@ -25,7 +26,6 @@ from .ingest import (
 from .pipeline import (
     InputSpec,
     StudyConfig,
-    SyntheticSpec,
     config_from_json,
     run_study,
     validate_config,

@@ -24,13 +24,13 @@ from .ingest import (
     DAILY_HEADER,
     GENERATOR_KINDS,
     TICK_HEADER,
+    SyntheticSpec,
     count_price_changes,
     filter_eligible,
     load_prices,
 )
 from .pipeline import (
     StudyConfig,
-    SyntheticSpec,
     compute_instrument_rows,
     config_from_json,
     decompose_series,

@@ -28,12 +28,17 @@ depth at a time: P_w = (P_e + prod(children)) / 2, with P_w = P_e at the
 depth bound. -(1/n) log2 of the root's P_w is the entropy-rate estimate in
 bits per symbol.
 
-Cost is O(n log n + depth * n) time: the sort, then at most n contexts
-per depth. Memory is O(n + tree nodes), and in practice O(n): the tree has
-up to n*depth + 1 nodes, but only one block of them is held at a time, and
-a block spans at most n + BLOCK_CELLS (depth, context) cells unless one
-depth alone needs more. No node is created for a context
-that does not occur, and no linear-domain probability is ever formed.
+The tree ends at depth L <= depth, the deepest depth where a context
+splits (0 if none does). Below L each context has one child with its own
+counts, and logaddexp2(x, x) - 1 == x for every estimate x <= -1, so the
+fold would give each context its own estimate there. Cost is
+O(n log n + L * n) time: the sort, then at most n contexts per depth.
+Memory is O(n + tree nodes), and in practice O(n): the tree has up to
+n*L + 1 nodes, but only one block of them is held at a time, and a block
+spans at most n + BLOCK_CELLS (depth, context) cells unless one depth alone
+needs more. The sort's history keys, n words each, are bounded by
+MAX_SORT_WORDS before any is built. No node is created for a context that
+does not occur, and no linear-domain probability is ever formed.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ DEFAULT_DEPTH = 20
 KEY_BITS = 64
 # cells (depths x rows) of one block of contexts beyond one per symbol
 BLOCK_CELLS = 65_536
+# uint64 words of history keys that one sort may build, n per key: 2**25
+# words are 256 MiB, and lexsort's sorted copies double that
+MAX_SORT_WORDS = 2**25
 
 
 def _history_keys(padded: np.ndarray, length: int, bits: int) -> np.ndarray:
@@ -115,31 +123,40 @@ def _sort_histories(symbols: np.ndarray, width: int, m: int) -> tuple[list[np.nd
 
 def _context_blocks(symbols: np.ndarray, depth: int, m: int):
     """Sort the histories, then return an iterator over the contexts of each
-    depth, deepest first, in blocks of consecutive depths. A block is
-    (depths, offsets, counts, parents): rows offsets[i]:offsets[i+1] are the
-    contexts of depth depths[i] in lexicographic order, counts[a] holds each
-    row's count of symbol a, and parents each row's row at the depth above
-    (0 at depth 0). A block's mask has a row per depth, one more for the
-    depth above, and a column per context of its deepest depth; it holds at
-    most n + BLOCK_CELLS cells unless one depth alone needs more."""
+    depth up to the tree's end, deepest first, in blocks of consecutive
+    depths. A block is (depths, offsets, counts, parents): rows
+    offsets[i]:offsets[i+1] are the contexts of depth depths[i] in
+    lexicographic order, counts[a] holds each row's count of symbol a, and
+    parents each row's row at the depth above (0 at depth 0). A block's mask
+    has a row per depth, one more for the depth above, and a column per
+    context of its deepest depth; it holds at most n + BLOCK_CELLS cells
+    unless one depth alone needs more. ValueError, before any key is built,
+    when the keys would exceed MAX_SORT_WORDS words."""
     n = symbols.size
     width = min(depth, n - 1)  # past that depth every history is padding
+    words = n * max(1, -(-width // (KEY_BITS // (m.bit_length() - 1))))
+    if words > MAX_SORT_WORDS:
+        raise ValueError(
+            f"depth {depth} over {n} symbols sorts {words} words of history keys, "
+            f"more than the limit of {MAX_SORT_WORDS}"
+        )
     running, births = _sort_histories(symbols, width, m)
-    rows_at = np.cumsum(np.bincount(births, minlength=width + 2))  # rows at depth min(d, width)
+    end = int(np.max(births, where=births <= width, initial=0))  # the deepest split
+    rows_at = np.cumsum(np.bincount(births))  # rows at each depth up to width
     bounds = []
-    hi = depth + 1
+    hi = end + 1
     while hi > 0:
-        lo = max(0, hi - max(1, (n + BLOCK_CELLS) // rows_at[min(hi - 1, width)] - 1))
+        lo = max(0, hi - max(1, (n + BLOCK_CELLS) // rows_at[hi - 1] - 1))
         bounds.append((lo, hi))
         hi = lo
-    return (_block(lo, hi, width, births, running, rows_at) for lo, hi in bounds)
+    return (_block(lo, hi, births, running, rows_at) for lo, hi in bounds)
 
 
-def _block(lo: int, hi: int, width: int, births: np.ndarray, running: list[np.ndarray], rows_at: np.ndarray):
+def _block(lo: int, hi: int, births: np.ndarray, running: list[np.ndarray], rows_at: np.ndarray):
     """The block of depths lo..hi-1, whose contexts begin at some of the
     sorted positions where the contexts of depth hi-1 begin."""
     n = births.size
-    depths = np.minimum(np.arange(lo - 1, hi), width)  # and the depth above, for the parents
+    depths = np.arange(lo - 1, hi)  # and the depth above, for the parents
     rows = rows_at[depths[1:]]
     starts = np.flatnonzero(births <= depths[-1]).astype(running[0].dtype)  # in the counters' type
     # cell (i, j): sorted position starts[j] begins a context at depth depths[i]

@@ -368,22 +368,11 @@ def log_returns(series: PriceSeries, drop_zero: bool = False) -> np.ndarray:
     return np.log(prices[1:] / prices[:-1])
 
 
-def generate_synthetic_path(
-    kind: str,
-    n: int,
-    seed: int,
-    *,
-    instrument_id: str = "SYN",
-    frequency: str = "daily",
-    start: float = 1000.0,
-    sigma: float = 1.0,
-    delta: float = 0.5,
-    jump_multiple: int = 5,
-    jump_prob: float = 1.0,
-    vol_period: float = 250.0,
-    vol_swing: float = 0.5,
-) -> PriceSeries:
-    """Deterministic synthetic test path driven by a counter-based RNG.
+@dataclass
+class SyntheticSpec:
+    """Parameters for a synthetic dataset: `instruments` paths of one
+    generator kind, path i drawn from the counter-based stream keyed by
+    seed + i.
 
     brownian      arithmetic random walk, per-step st.dev. sigma (sigma=0
                   gives a constant path)
@@ -395,40 +384,62 @@ def generate_synthetic_path(
                   +-jump_multiple*delta with probability jump_prob,
                   signs i.i.d.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if start <= 0:
-        raise ValueError("start must be positive")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    steps = n - 1
-    if kind == "brownian":
-        if sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        increments = sigma * rng.standard_normal(steps)
-    elif kind == "time_changed":
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not 0.0 <= vol_swing < 1.0:
-            raise ValueError("vol_swing must be in [0, 1)")
-        if vol_period <= 0:
-            raise ValueError("vol_period must be positive")
-        instant_vol = sigma * (1.0 + vol_swing * np.sin(2.0 * np.pi * np.arange(steps) / vol_period))
+
+    kind: str = "brownian"
+    instruments: int = 10
+    n: int = 5000
+    seed: int = 0
+    frequency: str = "daily"
+    start: float = 1000.0
+    sigma: float = 1.0
+    delta: float = 0.5
+    jump_multiple: int = 5
+    jump_prob: float = 1.0
+    vol_period: float = 250.0
+    vol_swing: float = 0.5
+
+    def problems(self) -> list[str]:
+        """Every rule the parameters break; an empty list means every path
+        can be drawn. Assumes the declared field types."""
+        kind = self.kind
+        rules = [
+            (kind not in GENERATOR_KINDS, f"kind must be one of {GENERATOR_KINDS}"),
+            (self.instruments < 1, "instruments must be >= 1"),
+            (self.n < 2, "n must be >= 2"),
+            (self.frequency not in ("daily", "tick"), "frequency must be daily or tick"),
+            (self.start <= 0, "start must be positive"),
+            (kind == "brownian" and self.sigma < 0, "sigma must be >= 0"),
+            (kind == "time_changed" and self.sigma <= 0, "sigma must be positive"),
+            (kind == "time_changed" and not 0.0 <= self.vol_swing < 1.0, "vol_swing must be in [0, 1)"),
+            (kind == "time_changed" and self.vol_period <= 0, "vol_period must be positive"),
+            (kind == "jump" and not (self.jump_multiple % 1 == 0 and self.jump_multiple >= 2),
+             "jump_multiple must be an integer >= 2"),
+            (kind == "jump" and not 0.0 < self.jump_prob <= 1.0, "jump_prob must be in (0, 1]"),
+            (kind == "jump" and self.delta <= 0, "delta must be positive"),
+        ]
+        return [message for broken, message in rules if broken]
+
+
+def generate_synthetic_path(spec: SyntheticSpec, index: int = 0) -> PriceSeries:
+    """Path `index` of `spec`, named SYN{index:03d}: deterministic, drawn
+    from Philox keyed by spec.seed + index. Raises ValueError naming the
+    first of spec's problems, or when the path crosses zero."""
+    problems = spec.problems()
+    if problems:
+        raise ValueError(problems[0])
+    rng = np.random.Generator(np.random.Philox(key=spec.seed + index))
+    steps = spec.n - 1
+    if spec.kind == "brownian":
+        increments = spec.sigma * rng.standard_normal(steps)
+    elif spec.kind == "time_changed":
+        instant_vol = spec.sigma * (1.0 + spec.vol_swing * np.sin(2.0 * np.pi * np.arange(steps) / spec.vol_period))
         clock_increments = instant_vol**2
         increments = np.sqrt(clock_increments) * rng.standard_normal(steps)
-    elif kind == "jump":
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        if int(jump_multiple) != jump_multiple or jump_multiple < 2:
-            raise ValueError("jump_multiple must be an integer >= 2")
-        if not 0.0 < jump_prob <= 1.0:
-            raise ValueError("jump_prob must be in (0, 1]")
+    else:  # jump
         signs = 2.0 * rng.integers(0, 2, size=steps) - 1.0
-        moved = rng.random(steps) < jump_prob
-        increments = signs * (float(jump_multiple) * delta) * moved
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    prices = start + np.concatenate([[0.0], np.cumsum(increments)])
-    if prices.size and float(prices.min()) <= 0.0:
+        moved = rng.random(steps) < spec.jump_prob
+        increments = signs * (float(spec.jump_multiple) * spec.delta) * moved
+    prices = spec.start + np.concatenate([[0.0], np.cumsum(increments)])
+    if float(prices.min()) <= 0.0:
         raise ValueError("synthetic path crossed zero; raise `start` or lower the volatility")
-    times = np.arange(n, dtype=np.float64)
-    return PriceSeries(instrument_id, times, prices, frequency)
+    return PriceSeries(f"SYN{index:03d}", np.arange(spec.n, dtype=np.float64), prices, spec.frequency)

@@ -27,8 +27,8 @@ from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
 from .ingest import (
-    GENERATOR_KINDS,
     PriceSeries,
+    SyntheticSpec,
     filter_eligible,
     generate_synthetic_path,
     load_prices,
@@ -57,25 +57,6 @@ ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entrop
 class InputSpec:
     path: str | os.PathLike
     format: str  # "daily" or "tick"
-
-
-@dataclass
-class SyntheticSpec:
-    """Parameters for an in-config synthetic dataset (one generator kind,
-    `instruments` paths with derived seeds)."""
-
-    kind: str = "brownian"
-    instruments: int = 10
-    n: int = 5000
-    seed: int = 0
-    frequency: str = "daily"
-    start: float = 1000.0
-    sigma: float = 1.0
-    delta: float = 0.5
-    jump_multiple: int = 5
-    jump_prob: float = 1.0
-    vol_period: float = 250.0
-    vol_swing: float = 0.5
 
 
 @dataclass
@@ -201,64 +182,22 @@ def validate_config(config: StudyConfig) -> list[str]:
     for spec in config.inputs:
         if spec.format not in ("daily", "tick"):
             errors.append(f"input {spec.path!r}: format must be daily or tick")
-    syn = config.synthetic
-    if syn is not None:
-        if syn.kind not in GENERATOR_KINDS:
-            errors.append(f"synthetic kind must be one of {GENERATOR_KINDS}")
-        if syn.instruments < 1:
-            errors.append("synthetic instruments must be >= 1")
-        if syn.n < 2:
-            errors.append("synthetic n must be >= 2")
-        if syn.frequency not in ("daily", "tick"):
-            errors.append("synthetic frequency must be daily or tick")
-        if syn.start <= 0:
-            errors.append("synthetic start must be positive")
-        if syn.kind == "brownian" and syn.sigma < 0:
-            errors.append("synthetic sigma must be >= 0")
-        if syn.kind == "time_changed" and syn.sigma <= 0:
-            errors.append("synthetic sigma must be positive")
-        if syn.kind == "time_changed" and not 0.0 <= syn.vol_swing < 1.0:
-            errors.append("synthetic vol_swing must be in [0, 1)")
-        if syn.kind == "time_changed" and syn.vol_period <= 0:
-            errors.append("synthetic vol_period must be positive")
-        if syn.kind == "jump" and syn.jump_multiple < 2:
-            errors.append("synthetic jump_multiple must be an integer >= 2")
-        if syn.kind == "jump" and not 0.0 < syn.jump_prob <= 1.0:
-            errors.append("synthetic jump_prob must be in (0, 1]")
-        if syn.kind == "jump" and syn.delta <= 0:
-            errors.append("synthetic delta must be positive")
+    if config.synthetic is not None:
+        errors += [f"synthetic {problem}" for problem in config.synthetic.problems()]
     return errors
 
 
 def synthetic_series(spec: SyntheticSpec) -> list[PriceSeries]:
     """One deterministic path per instrument, seeds derived from spec.seed."""
-    return [
-        generate_synthetic_path(
-            spec.kind,
-            spec.n,
-            seed=spec.seed + i,
-            instrument_id=f"SYN{i:03d}",
-            frequency=spec.frequency,
-            start=spec.start,
-            sigma=spec.sigma,
-            delta=spec.delta,
-            jump_multiple=int(spec.jump_multiple),
-            jump_prob=spec.jump_prob,
-            vol_period=spec.vol_period,
-            vol_swing=spec.vol_swing,
-        )
-        for i in range(spec.instruments)
-    ]
+    return [generate_synthetic_path(spec, i) for i in range(spec.instruments)]
 
 
 def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: str) -> SkeletonSeries:
     """The skeleton of the prices or, for domain "logpath", of the log prices."""
-    return decompose(_path(series, domain), delta, times=series.times, crossing=crossing,
-                     instrument_id=series.instrument_id)
-
-
-def _path(series: PriceSeries, domain: str) -> np.ndarray:
-    return np.log(series.prices) if domain == "logpath" else series.prices
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
+    path = np.log(series.prices) if domain == "logpath" else series.prices
+    return decompose(path, delta, times=series.times, crossing=crossing, instrument_id=series.instrument_id)
 
 
 def compute_instrument_rows(

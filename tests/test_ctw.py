@@ -5,6 +5,7 @@ relabelling kernel that the sorted-history kernel replaced."""
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 from itertools import product
 
@@ -85,14 +86,14 @@ def relabel_log2_probability(symbols: np.ndarray, depth: int, m: int) -> float:
 
 def sorted_kernel_levels(symbols: np.ndarray, depth: int, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The blocks of the sorted-history kernel as the reference's per-depth
-    (counts, parents) pairs."""
+    (counts, parents) pairs, for the depths 0..L it builds, L <= depth."""
     levels = {}
     for depths, offsets, counts, parents in _context_blocks(symbols, depth, m):
         for i, d in enumerate(depths):
             rows = slice(offsets[i], offsets[i + 1])
             levels[d] = (np.stack([c[rows] for c in counts], axis=1), parents[rows])
-    assert sorted(levels) == list(range(depth + 1))
-    return [levels[d] for d in range(depth + 1)]
+    assert sorted(levels) == list(range(len(levels))) and len(levels) <= depth + 1
+    return [levels[d] for d in range(len(levels))]
 
 
 def differential_sequence(kind: str, n: int, m: int, seed: int) -> np.ndarray:
@@ -296,8 +297,9 @@ class TestTreeStructure:
     def test_node_budget_linear_in_length(self, rng):
         for seq, depth in ((rng.integers(0, 2, size=500), 8), (np.zeros(50, dtype=np.int64), 20)):
             levels = sorted_kernel_levels(seq, depth, 2)
-            contexts = {_padded_context(seq.tolist(), i, depth)[:d] for i in range(seq.size) for d in range(depth + 1)}
-            assert sum(counts.shape[0] for counts, _ in levels) == len(contexts) <= seq.size * depth + 1
+            end = len(levels) - 1  # the tree's end: contexts split no deeper
+            contexts = {_padded_context(seq.tolist(), i, depth)[:d] for i in range(seq.size) for d in range(end + 1)}
+            assert sum(counts.shape[0] for counts, _ in levels) == len(contexts) <= seq.size * end + 1
 
     def test_invalid_parameters(self):
         for depth in (-1, 2.5):
@@ -320,6 +322,14 @@ class TestAgainstRelabellingKernel:
         for d, ((want_counts, want_parents), (counts, parents)) in enumerate(zip(want, got)):
             assert np.array_equal(counts, want_counts), (seq.size, depth, m, d)
             assert np.array_equal(parents, want_parents), (seq.size, depth, m, d)
+        # the kernel ends at the deepest depth where a context splits:
+        # every deeper reference context is its parent's one child
+        end = len(got) - 1
+        assert end == 0 or got[end][0].shape[0] > got[end - 1][0].shape[0], (seq.size, depth, m)
+        for d in range(end + 1, depth + 1):
+            (above, _), (counts, parents) = want[d - 1], want[d]
+            assert np.array_equal(parents, np.arange(above.shape[0])), (seq.size, depth, m, d)
+            assert np.array_equal(counts, above), (seq.size, depth, m, d)
         assert _log2_mixture_probability(seq, depth, m) == relabel_log2_probability(seq, depth, m)
 
     @pytest.mark.parametrize("m", [2, 4])
@@ -357,6 +367,51 @@ class TestAgainstRelabellingKernel:
     def test_workload_like_sequences(self):
         for name, (m, _) in GOLDEN_LOG2_PROB.items():
             self.assert_same(golden_sequence(name), 20, m)
+
+
+class TestTreeEnd:
+    """The tree ends at the deepest depth where a context splits."""
+
+    def test_fold_identities_that_end_the_tree(self):
+        # a context with one child of its own counts mixes to
+        # logaddexp2(x, x) - 1 = (x + 1) - 1, which is x for every estimate
+        # x <= -1 of a magnitude below 2**52
+        words = splitmix64(4096, 17)
+        mantissas = 1.0 + (words >> np.uint64(11)).astype(np.float64) / 2.0**53
+        scaled = np.ldexp(mantissas, (words % np.uint64(52)).astype(np.int64))
+        x = -np.concatenate(([1.0, np.nextafter(1.0, 2.0), 2.0], scaled))
+        assert np.array_equal(np.logaddexp2(x, x), x + 1.0)
+        assert np.array_equal((x + 1.0) - 1.0, x)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_depth_far_beyond_length_is_depth_n_minus_1(self, m):
+        seq = differential_sequence("random", 3000, m, 7)
+        start = time.perf_counter()
+        huge = entropy_rate(seq, depth=10**8, alphabet_size=m)
+        elapsed = time.perf_counter() - start
+        assert huge.value == entropy_rate(seq, depth=seq.size - 1, alphabet_size=m).value
+        assert huge.depth == 10**8
+        assert elapsed < 1.0
+
+    def test_history_sort_is_bounded_before_it_starts(self):
+        # depth >= n sorts n - 1 symbols of history: 3125 keys of 200k words
+        seq = np.zeros(200_000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="depth 10000000 over 200000 symbols sorts 625000000 words"):
+                entropy_rate(seq, depth=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_sort_bound_counts_n_words_per_key(self, monkeypatch):
+        seq = differential_sequence("random", 600, 2, 5)  # depth 129: three keys of 64 symbols
+        monkeypatch.setattr(ctw, "MAX_SORT_WORDS", 3 * 600)
+        entropy_rate(seq, depth=129)
+        monkeypatch.setattr(ctw, "MAX_SORT_WORDS", 3 * 600 - 1)
+        with pytest.raises(ValueError, match="sorts 1800 words"):
+            entropy_rate(seq, depth=129)
 
 
 class TestMemory:

@@ -13,7 +13,7 @@ import pytest
 from voho import homogenise
 from voho.errors import DataError
 from voho.homogenise import SKELETON_CSV_HEADER, decompose, skeleton_to_symbols, write_skeleton_csv
-from voho.ingest import generate_synthetic_path
+from voho.ingest import SyntheticSpec, generate_synthetic_path
 
 from conftest import make_series
 
@@ -307,7 +307,7 @@ class TestSkeletonSymbols:
         assert len(skeleton_to_symbols(skel)) == 0
 
     def test_jump_path_gives_runs_of_five(self):
-        series = generate_synthetic_path("jump", 100, seed=2, delta=0.5, jump_multiple=5)
+        series = generate_synthetic_path(SyntheticSpec(kind="jump", n=100, seed=2, delta=0.5, jump_multiple=5))
         symbols = skeleton_to_symbols(decompose(series.prices, 0.5))
         flips = np.flatnonzero(np.diff(symbols) != 0)
         assert np.all((flips + 1) % 5 == 0)  # sign can only change between blocks

@@ -21,6 +21,7 @@ from voho.ingest import (
     DAILY_HEADER,
     TICK_HEADER,
     PriceSeries,
+    SyntheticSpec,
     _load_rows,
     filter_eligible,
     generate_synthetic_path,
@@ -435,36 +436,42 @@ class TestLogReturns:
 
 class TestSyntheticPaths:
     def test_same_seed_bit_identical(self):
-        a = generate_synthetic_path("brownian", 500, seed=42)
-        b = generate_synthetic_path("brownian", 500, seed=42)
+        a = generate_synthetic_path(SyntheticSpec(n=500, seed=42))
+        b = generate_synthetic_path(SyntheticSpec(n=500, seed=42))
         assert np.array_equal(a.prices, b.prices)
         assert np.array_equal(a.times, b.times)
-        c = generate_synthetic_path("brownian", 500, seed=43)
+        c = generate_synthetic_path(SyntheticSpec(n=500, seed=43))
         assert not np.array_equal(a.prices, c.prices)
 
+    def test_path_index_keys_the_stream_and_names_the_path(self):
+        first = generate_synthetic_path(SyntheticSpec(n=500, seed=42))
+        second = generate_synthetic_path(SyntheticSpec(n=500, seed=42), 1)
+        assert (first.instrument_id, second.instrument_id) == ("SYN000", "SYN001")
+        assert np.array_equal(second.prices, generate_synthetic_path(SyntheticSpec(n=500, seed=43)).prices)
+
     def test_zero_sigma_constant_path(self):
-        s = generate_synthetic_path("brownian", 100, seed=1, sigma=0.0, start=50.0)
+        s = generate_synthetic_path(SyntheticSpec(n=100, seed=1, sigma=0.0, start=50.0))
         assert np.all(s.prices == 50.0)
 
     def test_time_changed_same_seed_identical(self):
-        a = generate_synthetic_path("time_changed", 300, seed=9, sigma=0.5)
-        b = generate_synthetic_path("time_changed", 300, seed=9, sigma=0.5)
+        a = generate_synthetic_path(SyntheticSpec(kind="time_changed", n=300, seed=9, sigma=0.5))
+        b = generate_synthetic_path(SyntheticSpec(kind="time_changed", n=300, seed=9, sigma=0.5))
         assert np.array_equal(a.prices, b.prices)
 
     def test_jump_moves_are_exact_multiples(self):
-        s = generate_synthetic_path("jump", 200, seed=3, delta=0.5, jump_multiple=4)
+        s = generate_synthetic_path(SyntheticSpec(kind="jump", n=200, seed=3, delta=0.5, jump_multiple=4))
         steps = np.diff(s.prices)
         assert set(np.round(np.abs(steps) / 0.5).astype(int)) == {4}
 
     def test_jump_skeleton_runs_of_five(self):
-        s = generate_synthetic_path("jump", 400, seed=11, delta=0.5, jump_multiple=5)
+        s = generate_synthetic_path(SyntheticSpec(kind="jump", n=400, seed=11, delta=0.5, jump_multiple=5))
         skel = decompose(s.prices, 0.5)
         assert len(skel) == 399 * 5
         runs = np.diff(np.flatnonzero(np.diff(skel.directions.astype(int)) != 0))
         assert np.all(runs % 5 == 0)  # sign flips only at jump boundaries
 
     def test_jump_prob_produces_flats(self):
-        s = generate_synthetic_path("jump", 500, seed=5, delta=0.5, jump_prob=0.3)
+        s = generate_synthetic_path(SyntheticSpec(kind="jump", n=500, seed=5, delta=0.5, jump_prob=0.3))
         steps = np.diff(s.prices)
         assert np.any(steps == 0.0) and np.any(steps != 0.0)
 
@@ -482,13 +489,34 @@ class TestSyntheticPaths:
         ],
     )
     def test_invalid_params_rejected(self, kind, params):
-        with pytest.raises(ValueError):
-            generate_synthetic_path(kind, 100, seed=0, **params)
+        spec = SyntheticSpec(kind=kind, n=100, **params)
+        [problem] = spec.problems()
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            generate_synthetic_path(spec)
 
     def test_n_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            generate_synthetic_path("brownian", 1, seed=0)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            generate_synthetic_path(SyntheticSpec(n=1))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown generator"):
-            generate_synthetic_path("levy", 100, seed=0)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            generate_synthetic_path(SyntheticSpec(kind="levy", n=100))
+
+    def test_fractional_jump_multiple_rejected(self):
+        for multiple in (2.5, math.nan):
+            spec = SyntheticSpec(kind="jump", jump_multiple=multiple)
+            assert spec.problems() == ["jump_multiple must be an integer >= 2"]
+
+    def test_rules_of_other_kinds_do_not_apply(self):
+        assert SyntheticSpec(delta=0.0, jump_multiple=1, vol_swing=2.0).problems() == []
+        assert SyntheticSpec(kind="jump", sigma=0.0, vol_period=0.0).problems() == []
+
+    def test_first_problem_is_raised(self):
+        spec = SyntheticSpec(kind="jump", n=1, jump_prob=2.0)
+        assert spec.problems() == ["n must be >= 2", "jump_prob must be in (0, 1]"]
+        with pytest.raises(ValueError, match="^n must be >= 2$"):
+            generate_synthetic_path(spec)
+
+    def test_path_crossing_zero_rejected(self):
+        with pytest.raises(ValueError, match="crossed zero"):
+            generate_synthetic_path(SyntheticSpec(n=1000, start=1.0, sigma=5.0))

@@ -14,8 +14,18 @@ import pytest
 
 from voho.cli import main
 from voho.errors import AllInstrumentsFailedError
-from voho.pipeline import ENTROPY_CSV_HEADER, InputSpec, StudyConfig, SyntheticSpec, run_study, validate_config
+from voho.ingest import generate_synthetic_path
+from voho.pipeline import (
+    ENTROPY_CSV_HEADER,
+    InputSpec,
+    StudyConfig,
+    SyntheticSpec,
+    compute_instrument_rows,
+    run_study,
+    validate_config,
+)
 from voho.stats import entropy_by_instrument
+from voho.variants import Variant
 
 from conftest import write_tick_csv
 
@@ -170,6 +180,38 @@ def test_deltas_that_share_a_name_are_refused():
         "delta 1.0000001 and delta 1.0000002 share the variant name 'delta_1'",
         "delta 1.0000001 and delta 1.0000003 share the variant name 'delta_1'",
     ]
+
+
+def test_synthetic_problems_keep_their_wording_with_a_prefix():
+    time_changed = SyntheticSpec(
+        kind="time_changed", instruments=0, n=1, frequency="weekly", start=0.0, sigma=0.0, vol_swing=1.0,
+        vol_period=0.0,
+    )
+    assert validate_config(StudyConfig(synthetic=time_changed)) == [
+        "synthetic instruments must be >= 1",
+        "synthetic n must be >= 2",
+        "synthetic frequency must be daily or tick",
+        "synthetic start must be positive",
+        "synthetic sigma must be positive",
+        "synthetic vol_swing must be in [0, 1)",
+        "synthetic vol_period must be positive",
+    ]
+    jump = SyntheticSpec(kind="jump", jump_multiple=1, jump_prob=0.0, delta=0.0)
+    assert validate_config(StudyConfig(synthetic=jump)) == [
+        "synthetic jump_multiple must be an integer >= 2",
+        "synthetic jump_prob must be in (0, 1]",
+        "synthetic delta must be positive",
+    ]
+    assert validate_config(StudyConfig(synthetic=SyntheticSpec(sigma=-1.0))) == ["synthetic sigma must be >= 0"]
+    assert validate_config(StudyConfig(synthetic=SyntheticSpec(kind="levy", sigma=-1.0))) == [
+        "synthetic kind must be one of ('brownian', 'time_changed', 'jump')"
+    ]
+
+
+def test_an_unknown_domain_is_refused_not_read_as_prices():
+    series = generate_synthetic_path(SyntheticSpec(n=200))
+    with pytest.raises(ValueError, match=r"unknown domain 'Logpath'; expected one of \('price', 'logpath'\)"):
+        compute_instrument_rows(series, variants=[Variant.skeleton(0.5)], depth=3, domain="Logpath")
 
 
 def walk(instrument: str, seed: int, steps: int = 60):
