@@ -22,6 +22,7 @@ from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .homogenise import write_skeleton_csv
 from .ingest import (
     DAILY_HEADER,
+    FORMATS,
     GENERATOR_KINDS,
     TICK_HEADER,
     SyntheticSpec,
@@ -30,6 +31,7 @@ from .ingest import (
     load_prices,
 )
 from .pipeline import (
+    DOMAINS,
     StudyConfig,
     compute_instrument_rows,
     config_from_json,
@@ -73,29 +75,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate and summarise a price file")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", required=True, choices=["daily", "tick"])
-    p.add_argument("--min-daily", type=int, default=1000)
-    p.add_argument("--min-tick-changes", type=int, default=2500)
+    p.add_argument("--format", required=True, choices=FORMATS)
+    p.add_argument("--min-daily", type=int, default=StudyConfig.min_daily)
+    p.add_argument("--min-tick-changes", type=int, default=StudyConfig.min_tick_changes)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("decompose", help="export the skeleton of every instrument in a file")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", required=True, choices=["daily", "tick"])
+    p.add_argument("--format", required=True, choices=FORMATS)
     p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--domain", default="price", choices=["price", "logpath"])
+    p.add_argument("--domain", default="price", choices=DOMAINS)
     p.add_argument("--single-crossing", dest="crossing", action="store_const", const="single", default="multi")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("entropy", help="entropy rates for chosen variants of a price file")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", required=True, choices=["daily", "tick"])
+    p.add_argument("--format", required=True, choices=FORMATS)
     p.add_argument("--variants", default="orig2,orig4",
                    help="comma list of orig2, orig4 and delta_<step>; a skeleton variant is named "
                         "delta_<step> with the step to six significant digits, and two entries "
                         "that name the same variant are refused")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--domain", default="price", choices=["price", "logpath"])
+    p.add_argument("--domain", default="price", choices=DOMAINS)
     p.add_argument("--single-crossing", dest="crossing", action="store_const", const="single", default="multi")
     p.add_argument("--min-skeleton-events", type=int, default=1)
     p.add_argument("--out", help="write CSV here instead of stdout")
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", type=_parse_deltas)
     p.add_argument("--depth", type=int)
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory override")
-    p.add_argument("--domain", choices=["price", "logpath"])
+    p.add_argument("--domain", choices=DOMAINS)
     p.add_argument("--single-crossing", dest="crossing", action="store_const", const="single")
     p.add_argument("--min-daily", type=int)
     p.add_argument("--min-tick-changes", type=int)
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit a synthetic dataset in daily or tick CSV schema")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", dest="frequency", default="daily", choices=["daily", "tick"])
+    p.add_argument("--format", dest="frequency", default="daily", choices=FORMATS)
     p.add_argument("--kind", default="brownian", choices=list(GENERATOR_KINDS))
     for f in fields(SyntheticSpec):  # one flag per numeric field, with its type and default
         if f.name not in ("kind", "frequency"):

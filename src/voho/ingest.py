@@ -36,6 +36,7 @@ logger = logging.getLogger(__name__)
 
 DAILY_HEADER = ["instrument", "date", "open", "high", "low", "close", "volume"]
 TICK_HEADER = ["instrument", "timestamp", "price", "volume"]
+FORMATS = ("daily", "tick")
 
 GENERATOR_KINDS = ("brownian", "time_changed", "jump")
 
@@ -60,14 +61,14 @@ class PriceSeries:
     instrument_id: str
     times: np.ndarray
     prices: np.ndarray
-    kind: str  # "daily" or "tick"
+    kind: str  # one of FORMATS
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=np.float64)
         prices = np.ascontiguousarray(self.prices, dtype=np.float64)
         if times.ndim != 1 or prices.ndim != 1 or times.size != prices.size:
             raise ValueError("times and prices must be 1-d arrays of equal length")
-        if self.kind not in ("daily", "tick"):
+        if self.kind not in FORMATS:
             raise ValueError(f"unknown frequency kind {self.kind!r}")
         if not np.all(np.isfinite(times)):
             raise ValueError(f"{self.instrument_id}: non-finite timestamp")
@@ -96,7 +97,7 @@ def _parse_yyyymmdd(field: str) -> date:
 
 
 def _schema(format: str) -> list[str]:
-    if format not in ("daily", "tick"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     return DAILY_HEADER if format == "daily" else TICK_HEADER
 
@@ -350,17 +351,16 @@ def filter_eligible(
     return kept
 
 
-def log_returns(series: PriceSeries, drop_zero: bool = False) -> np.ndarray:
+def log_returns(series: PriceSeries) -> np.ndarray:
     """The array of r_t = ln(p_t / p_{t-1}).
 
-    With drop_zero (required for tick data) observations whose price equals
-    the previous one are removed before differencing, so every emitted
-    return is nonzero.
+    For tick data, observations whose price equals the previous one are
+    removed before differencing, so every emitted return is nonzero.
     """
     if len(series) < 2:
         raise ValueError(f"{series.instrument_id}: need at least 2 observations")
     prices = series.prices
-    if drop_zero:
+    if series.kind == "tick":
         keep = np.empty(prices.size, dtype=bool)
         keep[0] = True
         keep[1:] = np.diff(prices) != 0.0
@@ -406,7 +406,7 @@ class SyntheticSpec:
             (kind not in GENERATOR_KINDS, f"kind must be one of {GENERATOR_KINDS}"),
             (self.instruments < 1, "instruments must be >= 1"),
             (self.n < 2, "n must be >= 2"),
-            (self.frequency not in ("daily", "tick"), "frequency must be daily or tick"),
+            (self.frequency not in FORMATS, "frequency must be daily or tick"),
             (self.start <= 0, "start must be positive"),
             (kind == "brownian" and self.sigma < 0, "sigma must be >= 0"),
             (kind == "time_changed" and self.sigma <= 0, "sigma must be positive"),
@@ -416,6 +416,13 @@ class SyntheticSpec:
              "jump_multiple must be an integer >= 2"),
             (kind == "jump" and not 0.0 < self.jump_prob <= 1.0, "jump_prob must be in (0, 1]"),
             (kind == "jump" and self.delta <= 0, "delta must be positive"),
+            (self.seed < 0, "seed must be >= 0"),
+            # path i is drawn from Philox keyed by seed + i, and keys are below 2**128
+            (self.seed + self.instruments > 2**128, "seed + instruments must be <= 2**128"),
+        ]
+        rules += [
+            (not math.isfinite(getattr(self, name)), f"{name} must be finite")
+            for name in ("start", "sigma", "delta", "jump_prob", "vol_period", "vol_swing")
         ]
         return [message for broken, message in rules if broken]
 

@@ -27,6 +27,7 @@ from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
 from .ingest import (
+    FORMATS,
     PriceSeries,
     SyntheticSpec,
     filter_eligible,
@@ -35,14 +36,7 @@ from .ingest import (
     log_returns,
 )
 from .quantise import quantile_bins
-from .stats import (
-    StudyResult,
-    StudyRow,
-    correlation_matrix,
-    delta_summary,
-    entropy_by_instrument,
-    kernel_density,
-)
+from .stats import StudyResult, StudyRow, aggregate
 from .variants import ORIGINAL_VARIANTS, Variant, name_clashes, study_variants
 
 logger = logging.getLogger(__name__)
@@ -56,7 +50,7 @@ ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entrop
 @dataclass
 class InputSpec:
     path: str | os.PathLike
-    format: str  # "daily" or "tick"
+    format: str  # one of FORMATS
 
 
 @dataclass
@@ -180,7 +174,7 @@ def validate_config(config: StudyConfig) -> list[str]:
     if config.crossing not in CROSSING_MODES:
         errors.append(f"crossing must be one of {CROSSING_MODES}")
     for spec in config.inputs:
-        if spec.format not in ("daily", "tick"):
+        if spec.format not in FORMATS:
             errors.append(f"input {spec.path!r}: format must be daily or tick")
     if config.synthetic is not None:
         errors += [f"synthetic {problem}" for problem in config.synthetic.problems()]
@@ -214,7 +208,7 @@ def compute_instrument_rows(
     events. Log returns are taken only when an original variant is asked for.
     Each sequence is a plain symbol array, scored with its variant's alphabet."""
     if any(v.delta is None for v in variants):
-        returns = log_returns(series, drop_zero=series.kind == "tick")
+        returns = log_returns(series)
     rows: list[StudyRow] = []
     dropped: list[str] = []
     for variant in variants:
@@ -296,32 +290,9 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
             f"all {len(eligible)} eligible instrument(s) failed; first error: {failures[0]}"
         )
 
-    result = StudyResult(rows=rows, variants=variants)
-    _aggregate(result)
+    result = aggregate(rows, variants)
     _persist(result, config)
     return result
-
-
-def _aggregate(result: StudyResult) -> None:
-    values: dict[str, list[float]] = {}
-    for row in result.rows:
-        values.setdefault(row.variant, []).append(row.entropy)
-    for variant in result.variants:
-        entries = values.get(variant.name, [])
-        if len(entries) < 2:
-            continue
-        try:
-            result.kde_curves[variant.name] = kernel_density(entries)
-        except ValueError as exc:
-            logger.warning("kde skipped for %s: %s", variant.name, exc)
-    present = [v.name for v in result.variants if v.name in values]
-    if len(present) >= 2:
-        try:
-            result.corr_matrix = correlation_matrix(result.rows, present)[0]
-            result.corr_variants = present
-        except ValueError as exc:
-            logger.warning("correlation matrix skipped: %s", exc)
-    result.summary = delta_summary(result.rows, result.variants)
 
 
 def write_csv(path: str | os.PathLike | None, header: list[str], rows) -> None:
@@ -367,31 +338,16 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
         header = ["variant"] + result.corr_variants
         body = [[v] + row for v, row in zip(result.corr_variants, result.corr_matrix.tolist())]
         write_csv(out / "corr.csv", header, body)
-    _write_scatter(result, out)
+    if result.scatter is not None:
+        a, b, pairs = result.scatter
+        write_csv(
+            out / f"scatter_{a}_{b}.csv",
+            ["instrument", f"value_{a}", f"value_{b}"],
+            ([i, float(va), float(vb)] for i, va, vb in pairs),
+        )
     write_csv(
         out / "summary.csv",
         ["delta", "mean_entropy"],
         ([float(d), float(m)] for d, m in result.summary),
     )
     logger.info("outputs written to %s", out)
-
-
-def _write_scatter(result: StudyResult, out: Path) -> None:
-    """orig4 against the smallest-delta skeleton variant, where both exist."""
-    # deltas are strictly increasing, so the first skeleton variant is the finest
-    finest = next((v for v in result.variants if v.delta is not None), None)
-    if finest is None or "orig4" not in (v.name for v in result.variants):
-        return
-    a, b = "orig4", finest.name
-    pairs = [
-        (instrument, values[a], values[b])
-        for instrument, values in entropy_by_instrument(result.rows).items()
-        if a in values and b in values
-    ]
-    if not pairs:
-        return
-    write_csv(
-        out / f"scatter_{a}_{b}.csv",
-        ["instrument", f"value_{a}", f"value_{b}"],
-        ([i, float(va), float(vb)] for i, va, vb in pairs),
-    )

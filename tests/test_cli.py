@@ -98,8 +98,20 @@ def test_bad_entropy_variant_is_a_config_error(tmp_path, capsys, variants, messa
         (["synth", "--n", "1", "--out", "{tmp}/synth.csv"], "synthetic n must be >= 2"),
         (["ingest", "--input", "{tmp}/absent.csv", "--format", "tick", "--min-tick-changes", "1"],
          "min_tick_changes must be >= 2"),
+        (["synth", "--seed", "-1", "--out", "{tmp}/synth.csv"], "synthetic seed must be >= 0"),
+        (["synth", "--seed", str(2**128 - 1), "--instruments", "2", "--out", "{tmp}/synth.csv"],
+         "synthetic seed + instruments must be <= 2**128"),
+        (["synth", "--sigma", "nan", "--out", "{tmp}/synth.csv"], "synthetic sigma must be finite"),
+        (["synth", "--start", "nan", "--out", "{tmp}/synth.csv"], "synthetic start must be finite"),
+        (["synth", "--start", "inf", "--out", "{tmp}/synth.csv"], "synthetic start must be finite"),
+        (["synth", "--kind", "jump", "--delta", "nan", "--out", "{tmp}/synth.csv"], "synthetic delta must be finite"),
+        (["synth", "--kind", "time_changed", "--vol-period", "nan", "--out", "{tmp}/synth.csv"],
+         "synthetic vol_period must be finite"),
     ],
-    ids=["decompose-delta", "entropy-depth", "synth-n", "ingest-min-tick-changes"],
+    ids=[
+        "decompose-delta", "entropy-depth", "synth-n", "ingest-min-tick-changes", "synth-seed", "synth-seed-key",
+        "synth-sigma-nan", "synth-start-nan", "synth-start-inf", "synth-delta-nan", "synth-vol-period-nan",
+    ],
 )
 def test_bad_numeric_argument_is_a_config_error_before_any_input_is_read(tmp_path, capsys, args, message):
     # the input does not exist: reading it first would end in a data error

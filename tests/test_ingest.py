@@ -406,7 +406,7 @@ class TestFilterEligible:
 
 class TestLogReturns:
     def test_constant_pair_gives_zero(self):
-        r = log_returns(make_series([100.0, 100.0]), drop_zero=False)
+        r = log_returns(make_series([100.0, 100.0]))
         assert r.tolist() == [0.0]
 
     def test_single_step_formula(self):
@@ -415,7 +415,7 @@ class TestLogReturns:
         assert r[0] == pytest.approx(math.log(1.05), abs=1e-15)
 
     def test_drop_zero_removes_flat_observation(self):
-        r = log_returns(make_series([100.0, 100.0, 105.0]), drop_zero=True)
+        r = log_returns(make_series([100.0, 100.0, 105.0], kind="tick"))
         assert r.tolist() == pytest.approx([math.log(1.05)])
 
     def test_too_short_rejected(self):
@@ -423,13 +423,13 @@ class TestLogReturns:
             log_returns(make_series([100.0]))
 
     def test_constant_series_drop_zero_empty(self):
-        r = log_returns(make_series([100.0, 100.0, 100.0]), drop_zero=True)
+        r = log_returns(make_series([100.0, 100.0, 100.0], kind="tick"))
         assert len(r) == 0 and r.dtype == np.float64
 
     def test_cumsum_reproduces_log_price(self, rng):
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=500)))
         series = make_series(prices)
-        r = log_returns(series, drop_zero=False)
+        r = log_returns(series)
         rebuilt = np.log(prices[0]) + np.cumsum(r)
         assert np.allclose(rebuilt, np.log(prices[1:]), rtol=1e-12, atol=0)
 

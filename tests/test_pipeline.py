@@ -251,6 +251,23 @@ def test_a_failing_instrument_is_logged_and_the_others_are_written(tmp_path, cap
     assert "instrument B failed: need at least 4 values, got 2" in caplog.messages
 
 
+@pytest.mark.parametrize("instruments", [["A"], ["A", "B"]], ids=["one-instrument", "equal-estimates"])
+def test_aggregates_without_spread_are_skipped_and_logged(tmp_path, caplog, instruments):
+    # the same prices under every id give equal estimates for every variant
+    config = tick_config(tmp_path, [row for i in instruments for row in walk(i, 1)])
+    with caplog.at_level(logging.WARNING):
+        run_study(config)
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == ["entropy.csv", "scatter_orig4_delta_0.5.csv", "summary.csv"]
+    if len(instruments) == 1:
+        assert caplog.messages == ["correlation matrix skipped: fewer than 2 instruments have every variant"]
+    else:
+        kde = caplog.messages[:-1]
+        assert [m.split(": ")[0] for m in kde] == [f"kde skipped for {v}" for v in VARIANTS]
+        assert all(": degenerate spread" in m for m in kde)
+        assert caplog.messages[-1] == "correlation matrix skipped: zero variance"
+
+
 def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path, capsys):
     config = tick_config(tmp_path, two_changes("B") + three_changes("D"))
     message = "all 2 eligible instrument(s) failed; first error: need at least 4 values, got 2"

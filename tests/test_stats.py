@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from voho.stats import (
     StudyRow,
+    aggregate,
     correlation_matrix,
     delta_summary,
     format_summary_table,
@@ -17,21 +19,15 @@ from voho.stats import (
     _percentile,
     silverman_bandwidth,
 )
-from voho.variants import Variant
+from voho.variants import Variant, study_variants
+
+
+def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """The trapezoid rule; np.trapezoid is numpy >= 2.0 only."""
+    return float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0)
 
 
 class TestKernelDensity:
-    def test_single_point_unit_bandwidth(self):
-        grid, density = kernel_density([0.0], grid=np.array([0.0]), bandwidth=1.0)
-        assert density[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
-
-    def test_integrates_to_one_on_wide_grid(self, rng):
-        values = rng.normal(0.3, 0.05, size=80)
-        h = silverman_bandwidth(values)
-        grid = np.linspace(values.min() - 5 * h, values.max() + 5 * h, 2001)
-        _, density = kernel_density(values, grid=grid)
-        assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
-
     def test_default_grid_shape_and_mass(self, rng):
         values = rng.normal(size=60)
         grid, density = kernel_density(values)
@@ -39,13 +35,13 @@ class TestKernelDensity:
         h = silverman_bandwidth(values)
         assert grid[0] == pytest.approx(values.min() - 3 * h)
         assert grid[-1] == pytest.approx(values.max() + 3 * h)
-        assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
+        assert trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_translation_equivariance(self, rng):
         values = rng.normal(size=40)
-        grid = np.linspace(-3.0, 3.0, 101)
-        _, base = kernel_density(values, grid=grid, bandwidth=0.4)
-        _, moved = kernel_density(values + 1.5, grid=grid + 1.5, bandwidth=0.4)
+        grid, base = kernel_density(values)
+        moved_grid, moved = kernel_density(values + 1.5)
+        assert np.allclose(moved_grid, grid + 1.5, rtol=0, atol=1e-12)
         assert np.allclose(base, moved, rtol=0, atol=1e-12)
 
     def test_density_non_negative(self, rng):
@@ -71,21 +67,17 @@ class TestKernelDensity:
             sd = float(np.std(values, ddof=1))
             assert silverman_bandwidth(values) == 0.9 * min(sd, (q75 - q25) / 1.34) * values.size ** (-0.2)
 
-    def test_identical_values_need_explicit_bandwidth(self):
-        with pytest.raises(ValueError, match="bandwidth"):
+    def test_identical_values_are_refused(self):
+        with pytest.raises(ValueError, match="degenerate spread"):
             kernel_density([2.0, 2.0, 2.0])
-        grid, density = kernel_density([2.0, 2.0, 2.0], bandwidth=0.5)
-        assert np.all(np.isfinite(density))
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="at least 2"):
             kernel_density([])
         with pytest.raises(ValueError, match="finite"):
             kernel_density([1.0, float("nan")])
         with pytest.raises(ValueError, match="at least 2"):
-            kernel_density([1.0])  # auto bandwidth needs spread
-        with pytest.raises(ValueError, match="positive"):
-            kernel_density([1.0, 2.0], bandwidth=0.0)
+            kernel_density([1.0])
 
 
 class TestPearson:
@@ -122,25 +114,15 @@ class TestPearson:
             pearson([1.0], [1.0])
 
 
-def rows_from(table: dict[str, dict[str, float]]) -> list[StudyRow]:
-    rows = []
-    for instrument, variants in table.items():
-        for variant, value in variants.items():
-            rows.append(StudyRow(instrument, variant, value, 100))
-    return rows
-
-
 class TestCorrelationMatrix:
     def test_identical_and_negated_variants(self):
         table = {
             f"I{i}": {"a": v, "b": v, "c": -v}
             for i, v in enumerate([0.1, 0.5, 0.9, 0.3])
         }
-        matrix, kept, dropped = correlation_matrix(rows_from(table), ["a", "b", "c"])
+        matrix = correlation_matrix(table, ["a", "b", "c"])
         assert matrix[0, 1] == pytest.approx(1.0, abs=1e-15)
         assert matrix[0, 2] == pytest.approx(-1.0, abs=1e-15)
-        assert kept == ["I0", "I1", "I2", "I3"]
-        assert dropped == []
 
     def test_matches_pairwise_calls(self, rng):
         names = [f"I{i}" for i in range(12)]
@@ -148,7 +130,7 @@ class TestCorrelationMatrix:
         table = {
             name: {v: float(series[v][i]) for v in series} for i, name in enumerate(names)
         }
-        matrix, kept, _ = correlation_matrix(rows_from(table), ["a", "b", "c"])
+        matrix = correlation_matrix(table, ["a", "b", "c"])
         for i, va in enumerate(("a", "b", "c")):
             for j, vb in enumerate(("a", "b", "c")):
                 if i == j:
@@ -158,29 +140,32 @@ class TestCorrelationMatrix:
 
     def test_symmetric_with_exact_unit_diagonal(self, rng):
         table = {f"I{i}": {"a": rng.normal(), "b": rng.normal()} for i in range(9)}
-        matrix, _, _ = correlation_matrix(rows_from(table))
+        matrix = correlation_matrix(table, ["a", "b"])
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 1.0)
         assert np.all(np.abs(matrix) <= 1.0)
 
-    def test_incomplete_instruments_dropped_and_reported(self):
-        table = {
+    def test_incomplete_instruments_dropped_and_reported(self, caplog):
+        complete = {
             "FULL1": {"a": 0.1, "b": 0.7},
-            "PART": {"a": 0.2},
             "FULL2": {"a": 0.9, "b": 0.2},
+            "FULL3": {"a": 0.4, "b": 0.5},
         }
-        matrix, kept, dropped = correlation_matrix(rows_from(table), ["a", "b"])
-        assert kept == ["FULL1", "FULL2"]
-        assert dropped == ["PART"]
+        table = {"PART": {"a": 0.2}, **complete, "NONE": {"b": 0.3}}
+        with caplog.at_level(logging.INFO, logger="voho.stats"):
+            matrix = correlation_matrix(table, ["a", "b"])
+        assert caplog.messages == ["correlation matrix: dropping 2 instrument(s) missing a variant: PART, NONE"]
+        assert np.array_equal(matrix, correlation_matrix(complete, ["a", "b"]))
+        assert matrix[0, 1] == pearson([0.1, 0.9, 0.4], [0.7, 0.2, 0.5])
 
     def test_fewer_than_two_common_instruments_rejected(self):
         table = {"ONLY": {"a": 0.1, "b": 0.2}, "PART": {"a": 0.3}}
         with pytest.raises(ValueError, match="fewer than 2"):
-            correlation_matrix(rows_from(table), ["a", "b"])
+            correlation_matrix(table, ["a", "b"])
 
     def test_fewer_than_two_variants_rejected(self):
         with pytest.raises(ValueError, match="2 variants"):
-            correlation_matrix(rows_from({"I": {"a": 0.5}}), ["a"])
+            correlation_matrix({"I": {"a": 0.5}}, ["a"])
 
 
 class TestDeltaSummary:
@@ -191,19 +176,14 @@ class TestDeltaSummary:
 
     def test_single_instrument_means_are_values(self):
         rows = [
+            StudyRow("I", "orig2", 0.99, 1000),
             StudyRow("I", "delta_0.05", 0.13, 500),
             StudyRow("I", "delta_1", 0.32, 40),
-            StudyRow("I", "orig2", 0.99, 1000),
         ]
-        variants = [Variant.parse(v) for v in ("orig2", "delta_1", "delta_0.05")]
-        assert delta_summary(rows, variants) == [(0.05, 0.13), (1.0, 0.32)]
+        assert aggregate(rows, study_variants(["orig2"], [0.05, 1.0])).summary == [(0.05, 0.13), (1.0, 0.32)]
 
     def test_mean_over_instruments(self):
-        rows = [
-            StudyRow("A", "delta_0.5", 0.2, 10),
-            StudyRow("B", "delta_0.5", 0.4, 10),
-        ]
-        assert delta_summary(rows, [Variant.skeleton(0.5)]) == [(0.5, pytest.approx(0.3))]
+        assert delta_summary({0.5: [0.2, 0.4]}) == [(0.5, pytest.approx(0.3))]
 
     def test_table_layout(self):
         text = format_summary_table([(0.05, 0.13), (1.0, 0.32)])
@@ -211,3 +191,18 @@ class TestDeltaSummary:
         assert lines[0].split() == ["delta", "mean_entropy"]
         assert lines[1].split() == ["0.05", "0.13"]
         assert lines[2].split() == ["1", "0.32"]
+
+
+class TestAggregate:
+    def test_variants_without_estimates_are_left_out(self):
+        rows = [
+            StudyRow(instrument, variant, value, 100)
+            for instrument, values in {"A": (0.9, 0.1, 0.5), "B": (1.0, 0.4, 0.6), "C": (0.7, 0.3, 0.9)}.items()
+            for variant, value in zip(("orig2", "orig4", "delta_1"), values)
+        ]
+        result = aggregate(rows, study_variants(["orig2", "orig4"], [0.5, 1.0]))
+        assert list(result.kde_curves) == ["orig2", "orig4", "delta_1"]
+        assert result.corr_variants == ["orig2", "orig4", "delta_1"]
+        assert result.corr_matrix[0, 2] == pearson([0.9, 1.0, 0.7], [0.5, 0.6, 0.9])
+        assert result.scatter is None  # the finest skeleton variant, delta_0.5, has no estimates
+        assert result.summary == [(1.0, pytest.approx(2.0 / 3.0))]
