@@ -1,10 +1,14 @@
 """Command-line interface: inspect data, decompose, estimate, run studies.
 
+`voho study` takes every setting from its JSON config; `--out`, the output
+directory, is the only override.
+
 Exit codes: 0 success, 1 invalid configuration (also a bad `--variants`
 entry: an unknown name, a delta that is not a positive finite number, or
 a name given twice; and a numeric flag that a study config would refuse,
 such as `--delta -1`, `--depth -1`, `--n 1` or `--min-daily 1`, checked
-before any input is read), 2 data error, 3 every instrument failed.
+before any input is read), 2 data error or a usage error (such as a flag
+the command does not have), 3 every instrument failed.
 """
 
 from __future__ import annotations
@@ -48,13 +52,6 @@ from .variants import parse_variants
 logger = logging.getLogger(__name__)
 
 SYNTH_EPOCH = date(2000, 1, 3).toordinal()  # day index 0 of synthetic daily files
-
-
-def _parse_deltas(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad delta list {text!r}") from None
 
 
 def _check(**values) -> None:
@@ -103,16 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("study", help="run the full comparative study from a JSON config")
+    p = sub.add_parser(
+        "study", help="run the study a JSON config describes; --out is its only override",
+        description="Run the study a JSON config describes. Every setting comes from the config; "
+                    "--out, the output directory, is the only override.",
+    )
     p.add_argument("--config", required=True)
-    p.add_argument("--deltas", type=_parse_deltas)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory override")
-    p.add_argument("--domain", choices=DOMAINS)
-    p.add_argument("--single-crossing", dest="crossing", action="store_const", const="single")
-    p.add_argument("--min-daily", type=int)
-    p.add_argument("--min-tick-changes", type=int)
-    p.add_argument("--min-skeleton-events", type=int)
+    p.add_argument("--out", help="write the output files here instead of the config's out_dir")
     p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("synth", help="emit a synthetic dataset in daily or tick CSV schema")
@@ -179,9 +173,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     config = config_from_json(args.config)
-    # each override flag stores into the config field of the same name
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(config)}
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    if args.out is not None:
+        config = replace(config, out_dir=args.out)
     result = run_study(config)
     print(f"{len(result.rows)} entropy estimate(s) -> {config.out_dir}")
     if result.summary:

@@ -65,10 +65,10 @@ class SkeletonSeries:
     The per-event arrays are derived from that form each time they are
     read, in O(events), and are not kept, so a list of skeletons stays
     O(samples): `directions` (+1 or -1), `level_indices` (the level index
-    after each event; its level is base_level + level_indices[i] * delta),
-    `source_indices` (the sample that produced each event) and `times`
-    (each event's interpolated time). The event index itself (1-based) is
-    the time-change estimate at that event.
+    after each event; its level is base_level + level_indices[i] * delta)
+    and `times` (each event's interpolated time); the sample that produced
+    each event is np.repeat(moved_at, np.abs(steps)). The event index
+    itself (1-based) is the time-change estimate at that event.
     """
 
     instrument_id: str
@@ -106,10 +106,6 @@ class SkeletonSeries:
     @property
     def level_indices(self) -> np.ndarray:
         return _read_only(np.cumsum(self._per_event(np.sign(self.steps))))
-
-    @property
-    def source_indices(self) -> np.ndarray:
-        return _read_only(self._per_event(self.moved_at))
 
     @property
     def times(self) -> np.ndarray:

@@ -319,7 +319,10 @@ def write_entropy_csv(
 def _persist(result: StudyResult, config: StudyConfig) -> None:
     """Write every output file under config.out_dir. Every float is written
     as Python's repr of a Python float; a numpy scalar is never passed, since
-    under numpy 2 its repr is np.float64(...)."""
+    under numpy 2 its repr is np.float64(...). The `kde_*.csv`,
+    `scatter_*.csv` and `corr.csv` files in out_dir that this study does not
+    write, left by an earlier run, are removed and each removal is logged;
+    no file of any other name is touched."""
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -330,21 +333,28 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
         raise DataError(f"output directory {out} is not writable: {exc}") from exc
 
     write_entropy_csv(out / "entropy.csv", result.rows, result.variants, config.depth)
+    written = {f"kde_{variant}.csv" for variant in result.kde_curves}
     for variant, (grid, density) in result.kde_curves.items():
         # 512 rows of plain numbers: one string, not one csv.writer call per value
         with open(out / f"kde_{variant}.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
     if result.corr_matrix is not None:
+        written.add("corr.csv")
         header = ["variant"] + result.corr_variants
         body = [[v] + row for v, row in zip(result.corr_variants, result.corr_matrix.tolist())]
         write_csv(out / "corr.csv", header, body)
     if result.scatter is not None:
         a, b, pairs = result.scatter
+        written.add(f"scatter_{a}_{b}.csv")
         write_csv(
             out / f"scatter_{a}_{b}.csv",
             ["instrument", f"value_{a}", f"value_{b}"],
             ([i, float(va), float(vb)] for i, va, vb in pairs),
         )
+    for stale in sorted({*out.glob("kde_*.csv"), *out.glob("scatter_*.csv"), *out.glob("corr.csv")}):
+        if stale.name not in written and stale.is_file():
+            stale.unlink()
+            logger.info("removed %s, which this study does not write", stale)
     write_csv(
         out / "summary.csv",
         ["delta", "mean_entropy"],

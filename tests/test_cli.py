@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,47 @@ def test_undecodable_config_is_a_config_error(tmp_path, capsys):
 def test_missing_config_file_stays_a_data_error(tmp_path, capsys):
     assert main(["study", "--config", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--deltas", "0.5,1"], ["--depth", "3"], ["--domain", "logpath"], ["--single-crossing"],
+        ["--min-daily", "100"], ["--min-tick-changes", "2"], ["--min-skeleton-events", "1"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_a_study_setting_given_as_a_flag_is_a_usage_error_before_the_config_is_read(tmp_path, capsys, flag):
+    # the config does not exist: reading it first would end in a data error
+    with pytest.raises(SystemExit) as exited:
+        main(["study", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"), *flag])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_study_out_writes_the_files_of_the_config_with_that_out_dir(tmp_path, capsys):
+    config = {
+        "synthetic": {"instruments": 3, "n": 300, "seed": 4},
+        "deltas": [0.5, 1.0],
+        "depth": 6,
+        "min_daily": 100,
+        "min_skeleton_events": 10,
+    }
+    as_flag, in_config = tmp_path / "as_flag.json", tmp_path / "in_config.json"
+    as_flag.write_text(json.dumps({**config, "out_dir": str(tmp_path / "unused")}), encoding="utf-8")
+    in_config.write_text(json.dumps({**config, "out_dir": str(tmp_path / "b")}), encoding="utf-8")
+    assert main(["study", "--config", str(as_flag), "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.startswith(f"12 entropy estimate(s) -> {tmp_path / 'a'}\n")
+    assert main(["study", "--config", str(in_config)]) == 0
+    assert not (tmp_path / "unused").exists()
+    written = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    assert sorted(written) == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "scatter_orig4_delta_0.5.csv" in written
+    for name, data in written.items():
+        assert data == (tmp_path / "b" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

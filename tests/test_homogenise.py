@@ -18,6 +18,11 @@ from voho.ingest import SyntheticSpec, generate_synthetic_path
 from conftest import make_series
 
 
+def source_indices(skeleton):
+    """The sample that produced each event."""
+    return np.repeat(skeleton.moved_at, np.abs(skeleton.steps))
+
+
 def residuals_by_sample(values, skeleton):
     """|X(t_j) - current level| after each sample, reconstructed from the
     per-event source sample indices (independent of the sweep internals)."""
@@ -25,7 +30,7 @@ def residuals_by_sample(values, skeleton):
     out = []
     position = 0
     dirs = skeleton.directions.astype(int)
-    src = skeleton.source_indices
+    src = source_indices(skeleton)
     for j in range(1, len(values)):
         while position < len(src) and src[position] == j:
             k += dirs[position]
@@ -69,7 +74,7 @@ def assert_matches_loop(values, delta, times, crossing):
     assert skel.times.tolist() == want_times
     assert skel.level_indices.tolist() == want_levels
     assert skel.directions.tolist() == want_dirs
-    assert skel.source_indices.tolist() == want_src
+    assert source_indices(skel).tolist() == want_src
     return skel
 
 
@@ -101,7 +106,7 @@ class TestDecomposeExamples:
         skel = decompose(np.array([0.0, 2.5]), 1.0, times=np.array([0.0, 1.0]))
         assert skel.level_indices.tolist() == [1, 2]
         assert skel.times.tolist() == pytest.approx([0.4, 0.8])
-        assert skel.source_indices.tolist() == [1, 1]
+        assert source_indices(skel).tolist() == [1, 1]
 
     def test_single_crossing_mode_caps_at_one_event_per_sample(self):
         multi = decompose(np.array([0.0, 2.5]), 1.0)
@@ -115,7 +120,7 @@ class TestDecomposeExamples:
         # path has gone flat; catch-up events land on the sample timestamp
         single = decompose(np.array([0.0, 2.5, 2.5, 2.5]), 1.0, crossing="single")
         assert single.level_indices.tolist() == [1, 2]
-        assert single.source_indices.tolist() == [1, 2]
+        assert source_indices(single).tolist() == [1, 2]
         assert single.times.tolist() == [0.4, 2.0]
 
     def test_zero_width_time_interval_event_at_shared_timestamp(self):
@@ -167,7 +172,7 @@ class TestDecomposeProperties:
         times = np.cumsum(rng.uniform(0.1, 2.0, size=60))
         values = 50.0 + np.cumsum(rng.normal(0.0, 1.0, size=60))
         skel = decompose(values, 0.75, times=times)
-        for t_event, j in zip(skel.times, skel.source_indices):
+        for t_event, j in zip(skel.times, source_indices(skel)):
             assert times[j - 1] <= t_event <= times[j]
 
     def test_refinement_matches_total_move(self, rng):
@@ -223,14 +228,14 @@ class TestDecomposeAgainstLoop:
             if crossing == "multi":
                 u = (values - values[0]) / delta
                 levels = np.zeros(n, dtype=np.int64)
-                np.add.at(levels, skel.source_indices, skel.directions.astype(np.int64))
+                np.add.at(levels, source_indices(skel), skel.directions.astype(np.int64))
                 assert np.all(np.abs(u - np.cumsum(levels)) < 1.0)
 
     def test_five_row_tick_prices(self):
         values = np.array([100.006, 100.007, 100.008, 100.011, 100.012])
         skel = assert_matches_loop(values, 0.001, np.arange(5.0), "multi")
         assert skel.level_indices.tolist() == [1, 2, 3, 4, 5, 6]
-        assert skel.source_indices.tolist() == [1, 3, 3, 3, 4, 4]
+        assert source_indices(skel).tolist() == [1, 3, 3, 3, 4, 4]
 
 
 class TestEventBound:
@@ -291,7 +296,7 @@ class TestRunLengthForm:
         values[1] = 0.0
         assert skel.level_indices.tolist() == [1, 2, 1]
         assert skel.times.tolist() == pytest.approx([0.4, 0.8, 2.0])
-        for arr in (skel.times, skel.level_indices, skel.directions, skel.source_indices, skel.path, skel.steps):
+        for arr in (skel.times, skel.level_indices, skel.directions, skel.path, skel.steps):
             assert not arr.flags.writeable
 
 

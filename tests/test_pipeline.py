@@ -7,7 +7,7 @@ import io
 import json
 import logging
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -164,6 +164,31 @@ def test_threads_argument_starts_no_thread_and_writes_the_same_bytes(outputs, tm
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (outputs / "default" / name).read_bytes(), name
+
+
+def test_a_rerun_into_the_same_directory_leaves_only_its_own_files(tmp_path, caplog):
+    out = tmp_path / "out"
+    study(out)
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert {"kde_orig2.csv", "kde_orig4.csv", "kde_delta_0.5.csv", "corr.csv"} <= {p.name for p in out.iterdir()}
+    config = StudyConfig(
+        synthetic=SyntheticSpec(kind="brownian", instruments=3, n=800, seed=5),
+        deltas=[1.0],
+        variants=[],
+        min_daily=100,
+        min_skeleton_events=10,
+        out_dir=out,
+    )
+    with caplog.at_level(logging.INFO, logger="voho.pipeline"):
+        run_study(config)
+    run_study(replace(config, out_dir=tmp_path / "fresh"))
+    fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    assert sorted(fresh) == ["entropy.csv", "kde_delta_1.csv", "summary.csv"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {**fresh, "notes.txt": b"kept\n"}
+    stale = ["corr.csv", "kde_delta_0.5.csv", "kde_orig2.csv", "kde_orig4.csv", "scatter_orig4_delta_0.5.csv"]
+    assert [m for m in caplog.messages if m.startswith("removed ")] == [
+        f"removed {out / name}, which this study does not write" for name in stale
+    ]
 
 
 def test_output_order_does_not_follow_the_order_variants_are_listed_in(outputs):
