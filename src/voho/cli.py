@@ -1,14 +1,22 @@
-"""Command-line interface: inspect data, decompose, estimate, run studies.
+"""Command-line interface: run studies, preview and synthesise their data,
+and explore one price file.
 
-`voho study` takes every setting from its JSON config; `--out`, the output
-directory, is the only override.
+Three commands read a study's JSON config and take every data setting from
+it: `voho study` runs the study (`--out`, the output directory, is its only
+override), `voho ingest` lists the instruments that study loads and marks
+the ones its `min_daily` and `min_tick_changes` keep, and `voho synth`
+writes the instruments of its `synthetic` block as a CSV in the schema of
+that block's `frequency`. Two commands explore one file with flags:
+`voho decompose` exports skeletons at one delta and `voho entropy` scores
+chosen variants.
 
-Exit codes: 0 success, 1 invalid configuration (also a bad `--variants`
-entry: an unknown name, a delta that is not a positive finite number, or
-a name given twice; and a numeric flag that a study config would refuse,
-such as `--delta -1`, `--depth -1`, `--n 1` or `--min-daily 1`, checked
-before any input is read), 2 data error or a usage error (such as a flag
-the command does not have), 3 every instrument failed.
+Exit codes: 0 success, 1 invalid configuration (also a config without a
+`synthetic` block given to `synth`, a bad `--variants` entry: an unknown
+name, a delta that is not a positive finite number, or a name given twice;
+and a numeric flag that a study config would refuse, such as `--delta -1`
+or `--depth -1`, checked before any input is read), 2 data error or a
+usage error (such as a flag the command does not have), 3 every instrument
+failed.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -24,22 +32,14 @@ from . import homogenise
 from .ctw import DEFAULT_DEPTH
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .homogenise import write_skeleton_csv
-from .ingest import (
-    DAILY_HEADER,
-    FORMATS,
-    GENERATOR_KINDS,
-    TICK_HEADER,
-    SyntheticSpec,
-    count_price_changes,
-    filter_eligible,
-    load_prices,
-)
+from .ingest import DAILY_HEADER, FORMATS, TICK_HEADER, count_price_changes, filter_eligible, load_prices
 from .pipeline import (
     DOMAINS,
     StudyConfig,
     compute_instrument_rows,
     config_from_json,
     decompose_series,
+    gather_series,
     run_study,
     synthetic_series,
     validate_config,
@@ -54,12 +54,13 @@ logger = logging.getLogger(__name__)
 SYNTH_EPOCH = date(2000, 1, 3).toordinal()  # day index 0 of synthetic daily files
 
 
-def _check(**values) -> None:
-    """Refuse command-line values that validate_config refuses in a study
-    config with the same fields."""
-    errors = validate_config(StudyConfig(**values))
+def _validated(config: StudyConfig) -> StudyConfig:
+    """`config`, or ConfigError with every value validate_config refuses;
+    flag values are checked as a study config with the same fields."""
+    errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,11 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="info", choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate and summarise a price file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", required=True, choices=FORMATS)
-    p.add_argument("--min-daily", type=int, default=StudyConfig.min_daily)
-    p.add_argument("--min-tick-changes", type=int, default=StudyConfig.min_tick_changes)
+    p = sub.add_parser(
+        "ingest", help="list the instruments a study config loads and which of them are eligible",
+        description="List every instrument a study of the JSON config loads (its inputs in order, then "
+                    "its synthetic paths) and mark the ones its min_daily and min_tick_changes keep.",
+    )
+    p.add_argument("--config", required=True, help="a study's JSON config")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("decompose", help="export the skeleton of every instrument in a file")
@@ -109,23 +111,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the output files here instead of the config's out_dir")
     p.set_defaults(func=_cmd_study)
 
-    p = sub.add_parser("synth", help="emit a synthetic dataset in daily or tick CSV schema")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", dest="frequency", default="daily", choices=FORMATS)
-    p.add_argument("--kind", default="brownian", choices=list(GENERATOR_KINDS))
-    for f in fields(SyntheticSpec):  # one flag per numeric field, with its type and default
-        if f.name not in ("kind", "frequency"):
-            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
+    p = sub.add_parser(
+        "synth", help="write the synthetic instruments of a study config as a CSV",
+        description="Write the instruments of the JSON config's synthetic block as a CSV in the daily "
+                    "or tick schema its frequency names; a config without that block is refused.",
+    )
+    p.add_argument("--config", required=True, help="a study's JSON config")
+    p.add_argument("--out", required=True, help="the CSV file to write")
     p.set_defaults(func=_cmd_synth)
     return parser
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    _check(min_daily=args.min_daily, min_tick_changes=args.min_tick_changes)
-    series = load_prices(args.input, args.format)
+    config = _validated(config_from_json(args.config))
+    series = gather_series(config)
     eligible = {
         s.instrument_id
-        for s in filter_eligible(series, args.min_daily, args.min_tick_changes)
+        for s in filter_eligible(series, config.min_daily, config.min_tick_changes)
     }
     print(f"{'instrument':<14}{'kind':<7}{'rows':>8}{'changes':>9}  eligible")
     for s in series:
@@ -137,7 +139,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    _check(deltas=[args.delta])
+    _validated(StudyConfig(deltas=[args.delta]))
     series = load_prices(args.input, args.format)
     if not series:
         raise DataError(f"{args.input}: no instruments")
@@ -157,7 +159,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     variants = parse_variants(v.strip() for v in args.variants.split(",") if v.strip())
-    _check(depth=args.depth, min_skeleton_events=args.min_skeleton_events)
+    _validated(StudyConfig(depth=args.depth, min_skeleton_events=args.min_skeleton_events))
     series = load_prices(args.input, args.format)
     if not series:
         raise DataError(f"{args.input}: no instruments")
@@ -183,8 +185,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
-    _check(synthetic=spec)
+    spec = _validated(config_from_json(args.config)).synthetic
+    if spec is None:
+        raise ConfigError([f"{args.config}: no synthetic block to write"])
     series = synthetic_series(spec)
     daily = spec.frequency == "daily"
     rows = (

@@ -19,6 +19,12 @@ construction. crossing="single" caps the level at one step per sample;
 such a lagging level has no closed form, so it is one Python pass over the
 samples.
 
+Prices are decimals on a tick grid, so a sample that sits on a level has a
+whole u in decimal arithmetic, but the float quotient may miss it by a few
+units in the last place: 100.3 - 100.0 over 0.1 is 2.9999999999999716.
+Before the crossings are decided, a u_j within 4 * spacing(max|x|) / delta
+of an integer is taken as that integer (see _skeleton_levels).
+
 A skeleton is kept in run-length form: the samples after which the level
 moved and the signed number of steps it moved there. Decomposing costs
 O(samples) and gives the event count; the per-event arrays (times, levels,
@@ -110,13 +116,18 @@ class SkeletonSeries:
     @property
     def times(self) -> np.ndarray:
         """Each event timed on the line through its samples j-1 and j, or
-        at t_j where x_j == x_{j-1} (a single-mode catch-up)."""
+        at t_j where x_j == x_{j-1} (a single-mode catch-up). The fraction
+        of the interval is clipped to [0, 1], so each event stays inside its
+        interval: a lagging single-mode level may lie outside the segment,
+        and a level reached once u_j is taken as a whole number may lie a
+        few units in the last place beyond x_j."""
         x, t, j = self.path, self.sample_times, self.moved_at
         dx = x[j] - x[j - 1]
         flat = dx == 0.0
         dx[flat] = 1.0
         t_prev, x_prev, dx, dt = (self._per_event(a) for a in (t[j - 1], x[j - 1], dx, t[j] - t[j - 1]))
-        event_times = t_prev + (x[0] + self.level_indices * self.delta - x_prev) / dx * dt
+        fraction = np.clip((x[0] + self.level_indices * self.delta - x_prev) / dx, 0.0, 1.0)
+        event_times = t_prev + fraction * dt
         flat = self._per_event(flat)
         event_times[flat] = self._per_event(t[j])[flat]
         return _read_only(event_times)
@@ -138,14 +149,17 @@ def decompose(
     array sampled at `times` (0..n-1 when None). `instrument_id` only
     labels the result and its errors.
 
-    Crossings are decided on u = (x - x[0]) / delta. With crossing="multi"
+    Crossings are decided on u = (x - x[0]) / delta, each u_j within
+    4 * spacing(max|x|) / delta of an integer taken as that integer, so a
+    decimal price on a level counts as on it. With crossing="multi"
     the level after sample j is clamp(k_{j-1}, floor(u_j), ceil(u_j)),
     taken in closed form, and a sample emits one event per step the level
     moves. crossing="single" moves the level at most one step per sample,
     so it may lag the path and catch up over later samples. An event at
     level k from sample j is timed on the line through samples j-1 and j:
     t_{j-1} + (x[0] + k*delta - x_{j-1}) / (x_j - x_{j-1}) * (t_j - t_{j-1}),
-    or t_j where x_j == x_{j-1} (a single-mode catch-up).
+    or t_j where x_j == x_{j-1} (a single-mode catch-up); the fraction of
+    the interval is clipped to [0, 1].
 
     Cost: O(samples) numpy work in multi mode, plus one Python pass over
     the samples in single mode; reading an event array of the result costs
@@ -188,9 +202,28 @@ def _checked_path(values: np.ndarray, delta: float, crossing: str) -> np.ndarray
 
 
 def _skeleton_levels(values: np.ndarray, delta: float, crossing: str, instrument_id: str) -> np.ndarray:
-    """The level index after each sample; the first is 0."""
-    with np.errstate(over="ignore"):  # an inf is clipped (single) or over the bound (multi)
+    """The level index after each sample; the first is 0.
+
+    u_j is taken as the nearest integer when it lies within
+    4 * spacing(M) / delta of it, M = max|x|. That is the float error bound
+    of u_j for prices of one sign read from decimals X_j, with delta read
+    from the decimal D. Write s = spacing(M), so M < 2**53 * s:
+      - each x_j is X_j rounded, off by at most s / 2;
+      - x_j - x_0 is at most M in size, so its rounding adds at most s / 2,
+        and the numerator is off by at most 1.5 * s;
+      - delta = D * (1 + e) and the division rounds by (1 + e'), with
+        |e|, |e'| <= 2**-53, which adds at most (M / D) * 2**-52, under
+        2 * s / D.
+    So the float u_j is within 3.5 * s / D < 4 * s / delta of the decimal
+    (X_j - X_0) / D, and a whole decimal u_j is restored exactly. A u_j
+    that is not whole in decimals moves only when its prices lie within
+    about 4 * s of a level, closer than the floats resolve."""
+    # an inf u is clipped (single) or over the bound (multi), and never near
+    # a whole number: its distance to rint(u) is nan
+    with np.errstate(over="ignore", invalid="ignore"):
         u = (values - values[0]) / delta
+        whole = np.rint(u)
+        np.copyto(u, whole, where=np.abs(u - whole) <= 4.0 * np.spacing(np.max(np.abs(values))) / delta)
     if crossing == "single":
         # the level moves at most one step per sample, so |k| < n and
         # clipping u to [-n, n] changes no comparison with it

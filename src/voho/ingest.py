@@ -430,23 +430,28 @@ class SyntheticSpec:
 def generate_synthetic_path(spec: SyntheticSpec, index: int = 0) -> PriceSeries:
     """Path `index` of `spec`, named SYN{index:03d}: deterministic, drawn
     from Philox keyed by spec.seed + index. Raises ValueError naming the
-    first of spec's problems, or when the path crosses zero."""
+    first of spec's problems, or when the path overflows the float range or
+    crosses zero."""
     problems = spec.problems()
     if problems:
         raise ValueError(problems[0])
     rng = np.random.Generator(np.random.Philox(key=spec.seed + index))
     steps = spec.n - 1
-    if spec.kind == "brownian":
-        increments = spec.sigma * rng.standard_normal(steps)
-    elif spec.kind == "time_changed":
-        instant_vol = spec.sigma * (1.0 + spec.vol_swing * np.sin(2.0 * np.pi * np.arange(steps) / spec.vol_period))
-        clock_increments = instant_vol**2
-        increments = np.sqrt(clock_increments) * rng.standard_normal(steps)
-    else:  # jump
-        signs = 2.0 * rng.integers(0, 2, size=steps) - 1.0
-        moved = rng.random(steps) < spec.jump_prob
-        increments = signs * (float(spec.jump_multiple) * spec.delta) * moved
-    prices = spec.start + np.concatenate([[0.0], np.cumsum(increments)])
+    # an overflow becomes an inf (or a nan, inf * 0), refused below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "brownian":
+            increments = spec.sigma * rng.standard_normal(steps)
+        elif spec.kind == "time_changed":
+            instant_vol = spec.sigma * (1.0 + spec.vol_swing * np.sin(2.0 * np.pi * np.arange(steps) / spec.vol_period))
+            clock_increments = instant_vol**2
+            increments = np.sqrt(clock_increments) * rng.standard_normal(steps)
+        else:  # jump
+            signs = 2.0 * rng.integers(0, 2, size=steps) - 1.0
+            moved = rng.random(steps) < spec.jump_prob
+            increments = signs * (float(spec.jump_multiple) * spec.delta) * moved
+        prices = spec.start + np.concatenate([[0.0], np.cumsum(increments)])
+    if not np.all(np.isfinite(prices)):
+        raise ValueError("synthetic path overflowed the float range; lower `start` or the volatility")
     if float(prices.min()) <= 0.0:
         raise ValueError("synthetic path crossed zero; raise `start` or lower the volatility")
     return PriceSeries(f"SYN{index:03d}", np.arange(spec.n, dtype=np.float64), prices, spec.frequency)

@@ -225,7 +225,10 @@ def compute_instrument_rows(
     return rows, dropped
 
 
-def _gather_series(config: StudyConfig) -> list[PriceSeries]:
+def gather_series(config: StudyConfig) -> list[PriceSeries]:
+    """Every instrument a study of `config` loads: the series of each of its
+    inputs in order, then its synthetic paths. DataError when none is
+    produced or when two share an instrument id."""
     series: list[PriceSeries] = []
     for spec in config.inputs:
         loaded = load_prices(spec.path, spec.format)
@@ -238,6 +241,8 @@ def _gather_series(config: StudyConfig) -> list[PriceSeries]:
         if s.instrument_id in seen:
             raise DataError(f"duplicate instrument id {s.instrument_id!r} across inputs")
         seen.add(s.instrument_id)
+    if not series:
+        raise DataError("no input sources produced any instrument")
     return series
 
 
@@ -253,9 +258,7 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     if errors:
         raise ConfigError(errors)
 
-    series = _gather_series(config)
-    if not series:
-        raise DataError("no input sources produced any instrument")
+    series = gather_series(config)
     eligible = filter_eligible(series, config.min_daily, config.min_tick_changes)
     logger.info("%d of %d instrument(s) eligible", len(eligible), len(series))
     if not eligible:

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from voho import ctw
+from voho.homogenise import decompose, skeleton_to_symbols
+from voho.ingest import SyntheticSpec, generate_synthetic_path
 from voho.ctw import EntropyEstimate, _context_blocks, _log2_mixture_probability, certified_ceiling, entropy_rate
 
 from ctw_oracle import (
@@ -467,3 +469,128 @@ class TestEntropyRate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             entropy_rate([], depth=4)
+
+
+def jump_skeleton_symbols(jump_multiple: int, events: int) -> np.ndarray:
+    """The skeleton at 0.5 of a jump path that moves +-jump_multiple * 0.5
+    every step: blocks of jump_multiple equal symbols with i.i.d. fair signs,
+    so the source's entropy rate is 1 / jump_multiple bits per symbol."""
+    spec = SyntheticSpec(
+        kind="jump", n=events // jump_multiple + 1, jump_prob=1.0, jump_multiple=jump_multiple,
+        delta=0.5, start=1e6, seed=7,
+    )
+    symbols = skeleton_to_symbols(decompose(generate_synthetic_path(spec).prices, 0.5))
+    assert symbols.size == jump_multiple * (spec.n - 1)
+    return symbols
+
+
+# P(s[i] = 1 | s[i-1], s[i-2]), indexed 2 * s[i-1] + s[i-2]: the contexts
+# s[i-2] s[i-1] = 00, 10, 01, 11 give 0.9, 0.6, 0.3, 0.2
+MARKOV_P1 = np.array([0.9, 0.6, 0.3, 0.2])
+
+
+def markov_symbols(n: int) -> np.ndarray:
+    """An order-2 binary Markov chain from default_rng(3), started from the
+    past 00 that the estimator pads with."""
+    draws = np.random.default_rng(3).random(n).tolist()
+    p1 = MARKOV_P1.tolist()
+    out, context = [0] * n, 0
+    for i, u in enumerate(draws):
+        out[i] = int(u < p1[context])
+        context = 2 * out[i] + (context >> 1)
+    return np.array(out, dtype=np.int64)
+
+
+def markov_entropy_rate() -> float:
+    """sum over contexts of pi(context) * h(P(1 | context)), pi the
+    stationary law of the chain on contexts (s[i-1], s[i-2])."""
+    transitions = np.zeros((4, 4))
+    for context, p in enumerate(MARKOV_P1):
+        older = context >> 1  # s[i-1] becomes s[i-2]
+        transitions[context, 2 + older] = p
+        transitions[context, older] = 1.0 - p
+    values, vectors = np.linalg.eig(transitions.T)
+    pi = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+    pi /= pi.sum()
+    h = -MARKOV_P1 * np.log2(MARKOV_P1) - (1 - MARKOV_P1) * np.log2(1 - MARKOV_P1)
+    return float(pi @ h)
+
+
+def redundancy_bound_bits(symbols: np.ndarray, order: int, p1: np.ndarray | None, depth: int = 20) -> float:
+    """The redundancy theorem of Willems, Shtarkov and Tjalkens (1995) for
+    binary CTW at `depth`, against the complete tree S of every context of
+    `order` <= depth symbols (the zero-padded past, as the estimator reads
+    it): the code length -log2 P_w is at most
+
+        the code length under S with P(1 | s) = p1[s]
+        (with the maximum-likelihood p1 when p1 is None)
+        + Gamma_D(S) = |S| - 1 + |{s in S: l(s) < D}|
+        + sum over s in S of gamma(n_s), gamma(0) = 0 and
+          gamma(k) = log2(k) / 2 + 1 for k >= 1,
+
+    the last from the add-half estimate's bound against any parameter."""
+    n = symbols.size
+    padded = np.concatenate((np.zeros(order, np.int64), symbols))
+    context = np.zeros(n, np.int64)
+    for back in range(1, order + 1):  # s[i-1] the most significant bit
+        context = 2 * context + padded[order - back: order - back + n]
+    counts = np.bincount(2 * context + symbols, minlength=2 ** (order + 1)).reshape(-1, 2).astype(float)
+    totals = counts.sum(axis=1)
+    if p1 is None:
+        p1 = np.divide(counts[:, 1], totals, out=np.zeros_like(totals), where=totals > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2(0), and 0 * -inf where nothing was counted
+        terms = counts * np.stack((np.log2(1.0 - p1), np.log2(p1)), axis=1)
+    source_bits = -float(np.sum(terms, where=counts > 0))
+    leaves = 2**order
+    gamma_tree = leaves - 1 + (leaves if order < depth else 0)
+    gamma_counts = float(np.sum(np.where(totals > 0, np.log2(np.maximum(totals, 1.0)) / 2 + 1, 0.0)))
+    return source_bits + gamma_tree + gamma_counts
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("jump_multiple", [2, 3, 5])
+    def test_jump_skeleton_converges_to_one_over_the_multiple_from_above(self, jump_multiple):
+        rate = 1.0 / jump_multiple
+        estimates = [entropy_rate(jump_skeleton_symbols(jump_multiple, events)).value for events in (2000, 10000)]
+        assert rate < estimates[1] < estimates[0]
+        # depth 20 cannot always tell a block's end (a run may span several
+        # blocks), so the excess over 1/J shrinks slowly: measured 0.017,
+        # 0.025 and 0.048 bits per symbol at 10k events for J = 2, 3, 5;
+        # margin 0.06 bits per symbol
+        assert estimates[1] - rate < 0.06
+
+    def test_order_two_markov_chain_converges_to_its_rate(self):
+        rate = markov_entropy_rate()
+        assert rate == pytest.approx(0.82690, abs=5e-6)
+        symbols = markov_symbols(100_000)
+        estimates = []
+        for n in (1000, 10_000, 100_000):
+            estimate = entropy_rate(symbols[:n]).value
+            estimates.append(estimate)
+            # margin: 4 standard deviations of the source's code length per
+            # symbol (sigma < 0.6 bit, 0.54 simulated) below the rate, and
+            # as much plus the redundancy bound per symbol above it, with
+            # Gamma_D(S) = 7 bits and sum gamma(n_s) <= 4 * gamma(n / 4)
+            noise = 4 * 0.6 / math.sqrt(n)
+            redundancy = (7 + 4 * (math.log2(n / 4) / 2 + 1)) / n
+            assert rate - noise < estimate < rate + noise + redundancy, n
+        assert estimates == sorted(estimates, reverse=True)  # 0.8490, 0.8340, 0.8282
+
+    @pytest.mark.parametrize(
+        "symbols, order, p1",
+        [
+            *((markov_symbols(n), 2, MARKOV_P1) for n in (10, 1000, 10_000, 100_000)),
+            *((jump_skeleton_symbols(j, events), j, None) for j in (2, 3, 5) for events in (2000, 10000)),
+            (np.zeros(500, dtype=np.int64), 0, None),
+            (np.arange(300) % 2, 1, None),
+        ],
+        ids=[
+            *(f"markov-{n}" for n in (10, 1000, 10_000, 100_000)),
+            *(f"jump{j}-{events}" for j in (2, 3, 5) for events in (2000, 10000)),
+            "constant", "alternating",
+        ],
+    )
+    def test_code_length_is_within_the_redundancy_bound(self, symbols, order, p1):
+        # an exact bound on every sequence: no statistical slack
+        code_length = -_log2_mixture_probability(symbols, 20, 2)
+        assert code_length <= redundancy_bound_bits(symbols, order, p1)

@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,17 +41,22 @@ def residuals_by_sample(values, skeleton):
 
 
 def loop_decompose(values, delta, times, crossing="multi"):
-    """Reference: one pass over the samples on the grid u = (x - x0) / delta.
+    """Reference: one pass over the samples on the grid u = (x - x0) / delta,
+    with u computed exactly from the decimal form of each price and of
+    delta (their shortest repr), as the prices were written.
 
     The level follows the path to clamp(k, floor(u), ceil(u)), at most one
     step per sample in single mode, and each step is one event timed on
-    the sample's interpolation line (at t_j where the price did not move).
+    the sample's interpolation line, its fraction of the interval clipped
+    to [0, 1] (at t_j where the price did not move).
     Returns (times, level_indices, directions, source_indices)."""
     x, t = list(map(float, values)), list(map(float, times))
+    decimal = [Fraction(repr(v)) for v in x]
+    step_size = Fraction(repr(float(delta)))
     events = ([], [], [], [])
     k = 0
     for j in range(1, len(x)):
-        u = (x[j] - x[0]) / delta
+        u = (decimal[j] - decimal[0]) / step_size
         target = min(max(k, math.floor(u)), math.ceil(u))
         if crossing == "single":
             target = k + (target > k) - (target < k)
@@ -61,7 +67,8 @@ def loop_decompose(values, delta, times, crossing="multi"):
             if dx == 0.0:
                 events[0].append(t[j])
             else:
-                events[0].append(t[j - 1] + (x[0] + k * delta - x[j - 1]) / dx * (t[j] - t[j - 1]))
+                fraction = min(max((x[0] + k * delta - x[j - 1]) / dx, 0.0), 1.0)
+                events[0].append(t[j - 1] + fraction * (t[j] - t[j - 1]))
             events[1].append(k)
             events[2].append(step)
             events[3].append(j)
@@ -221,7 +228,7 @@ class TestDecomposeAgainstLoop:
         # comparison used to miscount
         for _ in range(300):
             n = int(rng.integers(2, 40))
-            delta = 0.001 * int(rng.integers(1, 20))
+            delta = round(0.001 * int(rng.integers(1, 20)), 3)  # 0.009, not 0.001 * 9 = 0.009000000000000001
             ticks = np.cumsum(np.concatenate([[0], rng.integers(-30, 31, size=n - 1)]))
             values = np.round(100.0 + ticks * 0.001, 3)
             skel = assert_matches_loop(values, delta, np.arange(n, dtype=float), crossing)
@@ -232,10 +239,30 @@ class TestDecomposeAgainstLoop:
                 assert np.all(np.abs(u - np.cumsum(levels)) < 1.0)
 
     def test_five_row_tick_prices(self):
+        # every price is on a level; in floats u is 1.0000000000047748,
+        # 1.9999999999953388, 4.9999999999954525 and 6.000000000000227,
+        # which without the snap to whole numbers put the events of levels
+        # 2 and 5 one sample late: sources [1, 3, 3, 3, 4, 4]
         values = np.array([100.006, 100.007, 100.008, 100.011, 100.012])
         skel = assert_matches_loop(values, 0.001, np.arange(5.0), "multi")
         assert skel.level_indices.tolist() == [1, 2, 3, 4, 5, 6]
-        assert source_indices(skel).tolist() == [1, 3, 3, 3, 4, 4]
+        assert source_indices(skel).tolist() == [1, 2, 3, 3, 3, 4]
+
+    @pytest.mark.parametrize("crossing", ["multi", "single"])
+    def test_a_decimal_price_on_a_level_reaches_it(self, crossing):
+        # (100.3 - 100.0) / 0.1 is 2.9999999999999716 in floats
+        skel = assert_matches_loop(np.array([100.0, 100.3, 100.3, 100.3]), 0.1, np.arange(4.0), crossing)
+        assert len(skel) == 3
+        assert len(decompose(np.array([100.0, 100.3]), 0.1)) == 3
+
+    def test_an_event_beyond_its_sample_in_floats_is_timed_at_the_sample(self):
+        # u is 0.9999999999999787, taken as 1, and level 1 is
+        # 10.05 + 0.05 = 10.100000000000001 > 10.1: its unclipped fraction
+        # of the interval is 1.0000000000000355
+        values, times = np.array([10.05, 10.1]), np.array([0.0, 10.0])
+        assert (values[0] + 0.05 - values[0]) / (values[1] - values[0]) > 1.0
+        skel = assert_matches_loop(values, 0.05, times, "multi")
+        assert skel.times.tolist() == [10.0]
 
 
 class TestEventBound:

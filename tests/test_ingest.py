@@ -520,3 +520,17 @@ class TestSyntheticPaths:
     def test_path_crossing_zero_rejected(self):
         with pytest.raises(ValueError, match="crossed zero"):
             generate_synthetic_path(SyntheticSpec(n=1000, start=1.0, sigma=5.0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(instruments=2, n=300, start=1e308, sigma=1e307),
+            SyntheticSpec(kind="time_changed", n=300, sigma=1e200),
+            SyntheticSpec(kind="jump", n=300, jump_prob=0.5, delta=1e308),
+        ],
+        ids=["brownian", "time_changed", "jump"],
+    )
+    def test_path_overflowing_the_float_range_is_named_not_warned(self, spec):
+        # numpy's overflow warning would be an error here (filterwarnings)
+        with pytest.raises(ValueError, match="^synthetic path overflowed the float range"):
+            generate_synthetic_path(spec)

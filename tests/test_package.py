@@ -7,6 +7,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,11 @@ print(",".join(m for m in ("concurrent.futures", "numpy.ma") if m in sys.modules
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "kde_orig2.csv").exists()  # the KDE ran
     assert done.stdout == "\n"
+
+
+@pytest.mark.parametrize("spec", [voho.StudyConfig, voho.InputSpec, voho.SyntheticSpec], ids=lambda c: c.__name__)
+def test_readme_documents_every_config_key(spec):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"`{spec.__name__}` keys" in readme
+    missing = [f.name for f in fields(spec) if f"| `{f.name}` |" not in readme]
+    assert missing == []
