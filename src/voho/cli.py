@@ -6,17 +6,14 @@ it: `voho study` runs the study (`--out`, the output directory, is its only
 override), `voho ingest` lists the instruments that study loads and marks
 the ones its `min_daily` and `min_tick_changes` keep, and `voho synth`
 writes the instruments of its `synthetic` block as a CSV in the schema of
-that block's `frequency`. Two commands explore one file with flags:
-`voho decompose` exports skeletons at one delta and `voho entropy` scores
-chosen variants.
+that block's `frequency`. One command explores one file with flags:
+`voho decompose` exports skeletons at one delta.
 
 Exit codes: 0 success, 1 invalid configuration (also a config without a
-`synthetic` block given to `synth`, a bad `--variants` entry: an unknown
-name, a delta that is not a positive finite number, or a name given twice;
-and a numeric flag that a study config would refuse, such as `--delta -1`
-or `--depth -1`, checked before any input is read), 2 data error or a
-usage error (such as a flag the command does not have), 3 every instrument
-failed.
+`synthetic` block given to `synth`, and a numeric flag that a study config
+would refuse, such as `--delta -1`, checked before any input is read), 2
+data error or a usage error (such as a flag or command voho does not have),
+3 every instrument failed.
 """
 
 from __future__ import annotations
@@ -29,14 +26,12 @@ from datetime import date
 from pathlib import Path
 
 from . import homogenise
-from .ctw import DEFAULT_DEPTH
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .homogenise import write_skeleton_csv
 from .ingest import DAILY_HEADER, FORMATS, TICK_HEADER, count_price_changes, filter_eligible, load_prices
 from .pipeline import (
     DOMAINS,
     StudyConfig,
-    compute_instrument_rows,
     config_from_json,
     decompose_series,
     gather_series,
@@ -44,10 +39,8 @@ from .pipeline import (
     synthetic_series,
     validate_config,
     write_csv,
-    write_entropy_csv,
 )
 from .stats import format_summary_table
-from .variants import parse_variants
 
 logger = logging.getLogger(__name__)
 
@@ -87,20 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--single-crossing", dest="crossing", action="store_const", const="single", default="multi")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("entropy", help="entropy rates for chosen variants of a price file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", required=True, choices=FORMATS)
-    p.add_argument("--variants", default="orig2,orig4",
-                   help="comma list of orig2, orig4 and delta_<step>; a skeleton variant is named "
-                        "delta_<step> with the step to six significant digits, and two entries "
-                        "that name the same variant are refused")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--domain", default="price", choices=DOMAINS)
-    p.add_argument("--single-crossing", dest="crossing", action="store_const", const="single", default="multi")
-    p.add_argument("--min-skeleton-events", type=int, default=1)
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser(
         "study", help="run the study a JSON config describes; --out is its only override",
@@ -154,22 +133,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         )
     events = write_skeleton_csv(skeletons, args.out)
     print(f"{events} event(s) for {len(series)} instrument(s) -> {args.out}")
-    return 0
-
-
-def _cmd_entropy(args: argparse.Namespace) -> int:
-    variants = parse_variants(v.strip() for v in args.variants.split(",") if v.strip())
-    _validated(StudyConfig(depth=args.depth, min_skeleton_events=args.min_skeleton_events))
-    series = load_prices(args.input, args.format)
-    if not series:
-        raise DataError(f"{args.input}: no instruments")
-    rows = []
-    for s in series:
-        rows += compute_instrument_rows(
-            s, variants=variants, depth=args.depth, domain=args.domain, crossing=args.crossing,
-            min_skeleton_events=args.min_skeleton_events,
-        )[0]
-    write_entropy_csv(args.out, rows, variants, args.depth)
     return 0
 
 

@@ -39,6 +39,8 @@ TICK_HEADER = ["instrument", "timestamp", "price", "volume"]
 FORMATS = ("daily", "tick")
 
 GENERATOR_KINDS = ("brownian", "time_changed", "jump")
+# samples over all paths of a SyntheticSpec, the value of homogenise.MAX_EVENTS
+MAX_SYNTHETIC_SAMPLES = 10_000_000
 
 # np.loadtxt strips U+001C..U+001F from numbers as whitespace, float()
 # refuses them, so only the row reader decides a file holding one
@@ -402,10 +404,17 @@ class SyntheticSpec:
         """Every rule the parameters break; an empty list means every path
         can be drawn. Assumes the declared field types."""
         kind = self.kind
+        try:
+            jump = float(self.jump_multiple) * self.delta
+        except OverflowError:  # an int too large for a float
+            jump = math.inf
         rules = [
             (kind not in GENERATOR_KINDS, f"kind must be one of {GENERATOR_KINDS}"),
             (self.instruments < 1, "instruments must be >= 1"),
             (self.n < 2, "n must be >= 2"),
+            # checked before any path allocates its n samples
+            (self.instruments > 0 and self.instruments * self.n > MAX_SYNTHETIC_SAMPLES,
+             f"instruments * n must be <= {MAX_SYNTHETIC_SAMPLES}"),
             (self.frequency not in FORMATS, "frequency must be daily or tick"),
             (self.start <= 0, "start must be positive"),
             (kind == "brownian" and self.sigma < 0, "sigma must be >= 0"),
@@ -416,6 +425,8 @@ class SyntheticSpec:
              "jump_multiple must be an integer >= 2"),
             (kind == "jump" and not 0.0 < self.jump_prob <= 1.0, "jump_prob must be in (0, 1]"),
             (kind == "jump" and self.delta <= 0, "delta must be positive"),
+            (kind == "jump" and math.isinf(jump) and math.isfinite(self.delta),
+             "jump_multiple * delta must be a finite float"),
             (self.seed < 0, "seed must be >= 0"),
             # path i is drawn from Philox keyed by seed + i, and keys are below 2**128
             (self.seed + self.instruments > 2**128, "seed + instruments must be <= 2**128"),

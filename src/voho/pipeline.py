@@ -9,14 +9,12 @@ another in input order; one that raises is logged and left out.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import logging
 import math
 import numbers
 import os
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -57,9 +55,10 @@ class InputSpec:
 class StudyConfig:
     """A study. `variants` names the originals to score (orig2, orig4);
     each of the strictly increasing `deltas` adds a skeleton variant named
-    `delta_{delta:g}`, the step to six significant digits. validate_config
-    refuses deltas that share a name (1.0000001 and 1.0000002 are both
-    `delta_1`), since every output file is keyed by it."""
+    `delta_{delta:g}`, the step to six significant digits. Either list may
+    be empty, not both. validate_config refuses deltas that share a name
+    (1.0000001 and 1.0000002 are both `delta_1`), since every output file
+    is keyed by it."""
 
     inputs: list[InputSpec] = field(default_factory=list)
     synthetic: SyntheticSpec | None = None
@@ -117,7 +116,13 @@ def _has_type(value, hint) -> bool:
     if hint is int:
         return isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if hint is float:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return False
+        try:
+            float(value)  # an int too large for a float raises OverflowError
+        except OverflowError:
+            return False
+        return True
     args = get_args(hint)
     if get_origin(hint) is list:
         return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
@@ -128,7 +133,8 @@ def _has_type(value, hint) -> bool:
 
 def _type_errors(spec, where: str) -> list[str]:
     """One message per field of a config dataclass whose value does not
-    have the declared type (an int is accepted where a float is declared)."""
+    have the declared type (an int is accepted where a float is declared,
+    if it converts to one)."""
     hints = get_type_hints(type(spec))
     return [
         f"{where}{f.name} must be of type {f.type}, got {getattr(spec, f.name)!r}"
@@ -149,15 +155,14 @@ def validate_config(config: StudyConfig) -> list[str]:
             errors += _type_errors(config.synthetic, "synthetic.")
     if errors:
         return errors
-    if not config.deltas:
-        errors.append("deltas must not be empty")
+    if not config.deltas and not config.variants:
+        errors.append("variants and deltas must not both be empty")
+    if any(not (math.isfinite(d) and d > 0) for d in config.deltas):
+        errors.append("every delta must be a positive finite number")
+    elif any(b <= a for a, b in zip(config.deltas, config.deltas[1:])):
+        errors.append("deltas must be strictly increasing")
     else:
-        if any(not (math.isfinite(d) and d > 0) for d in config.deltas):
-            errors.append("every delta must be a positive finite number")
-        elif any(b <= a for a, b in zip(config.deltas, config.deltas[1:])):
-            errors.append("deltas must be strictly increasing")
-        else:
-            errors += name_clashes((f"delta {d!r}", Variant.skeleton(d)) for d in config.deltas)
+        errors += name_clashes((f"delta {d!r}", Variant.skeleton(d)) for d in config.deltas)
     if config.depth < 0:
         errors.append("depth must be a non-negative integer")
     for v in config.variants:
@@ -298,25 +303,13 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     return result
 
 
-def write_csv(path: str | os.PathLike | None, header: list[str], rows) -> None:
-    """Write a header and rows as CSV to path, or to stdout when path is None.
-    csv.writer writes a Python float as its repr."""
-    with open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+def write_csv(path: str | os.PathLike, header: list[str], rows) -> None:
+    """Write a header and rows as CSV to path. csv.writer writes a Python
+    float as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_entropy_csv(
-    path: str | os.PathLike | None, rows: list[StudyRow], variants: list[Variant], depth: int
-) -> None:
-    """The entropy.csv layout, one line per row; to stdout when path is None."""
-    alphabet = {v.name: v.alphabet for v in variants}
-    write_csv(
-        path,
-        ENTROPY_CSV_HEADER,
-        ([r.instrument, r.variant, r.n, depth, alphabet[r.variant], float(r.entropy)] for r in rows),
-    )
 
 
 def _persist(result: StudyResult, config: StudyConfig) -> None:
@@ -335,7 +328,12 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
     except OSError as exc:
         raise DataError(f"output directory {out} is not writable: {exc}") from exc
 
-    write_entropy_csv(out / "entropy.csv", result.rows, result.variants, config.depth)
+    alphabet = {v.name: v.alphabet for v in result.variants}
+    write_csv(
+        out / "entropy.csv",
+        ENTROPY_CSV_HEADER,
+        ([r.instrument, r.variant, r.n, config.depth, alphabet[r.variant], float(r.entropy)] for r in result.rows),
+    )
     written = {f"kde_{variant}.csv" for variant in result.kde_curves}
     for variant, (grid, density) in result.kde_curves.items():
         # 512 rows of plain numbers: one string, not one csv.writer call per value

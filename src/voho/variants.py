@@ -9,15 +9,11 @@ refused.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import ConfigError
-
 ORIGINAL_ALPHABETS = {"orig2": 2, "orig4": 4}
 ORIGINAL_VARIANTS = tuple(ORIGINAL_ALPHABETS)
-_DELTA_PREFIX = "delta_"
 
 
 @dataclass(frozen=True)
@@ -31,24 +27,7 @@ class Variant:
 
     @classmethod
     def skeleton(cls, delta: float) -> Variant:
-        return cls(f"{_DELTA_PREFIX}{delta:g}", 2, delta)
-
-    @classmethod
-    def parse(cls, name: str) -> Variant:
-        """The variant a name denotes; ValueError for an unknown name or a
-        step that is not a positive finite number."""
-        if name in ORIGINAL_ALPHABETS:
-            return cls(name, ORIGINAL_ALPHABETS[name])
-        if name.startswith(_DELTA_PREFIX):
-            try:
-                delta = float(name[len(_DELTA_PREFIX):])
-            except ValueError:
-                pass
-            else:
-                if math.isfinite(delta) and delta > 0:
-                    return cls.skeleton(delta)
-                raise ValueError(f"variant {name!r}: delta must be a positive finite number")
-        raise ValueError(f"unknown variant {name!r}")
+        return cls(f"delta_{delta:g}", 2, delta)
 
 
 def study_variants(originals: Iterable[str], deltas: Iterable[float]) -> list[Variant]:
@@ -69,19 +48,3 @@ def name_clashes(sources: Iterable[tuple[str, Variant]]) -> list[str]:
             errors.append(f"{first[variant.name]} and {source} share the variant name {variant.name!r}")
         first.setdefault(variant.name, source)
     return errors
-
-
-def parse_variants(names: Iterable[str]) -> list[Variant]:
-    """The variants named, originals in the given order and then skeleton
-    variants by increasing delta. ConfigError lists every unknown name, bad
-    delta and name given twice."""
-    parsed, errors = [], []
-    for name in names:
-        try:
-            parsed.append((repr(name), Variant.parse(name)))
-        except ValueError as exc:
-            errors.append(str(exc))
-    errors += name_clashes(parsed)
-    if errors:
-        raise ConfigError(errors)
-    return sorted((v for _, v in parsed), key=lambda v: (v.delta is not None, v.delta or 0.0))

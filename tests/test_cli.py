@@ -1,7 +1,8 @@
-"""Command-line exit codes and messages for malformed configs and variants."""
+"""Command-line exit codes and messages for malformed configs, and what each command writes."""
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 
@@ -10,7 +11,10 @@ import pytest
 
 from voho import homogenise
 from voho.cli import main
-from voho.homogenise import decompose
+from voho.ctw import entropy_rate
+from voho.homogenise import decompose, skeleton_to_symbols
+from voho.ingest import load_prices, log_returns
+from voho.quantise import quantile_bins
 
 from conftest import daily_rows, write_daily_csv, write_tick_csv
 
@@ -32,10 +36,18 @@ from conftest import daily_rows, write_daily_csv, write_tick_csv
             '{"synthetic": {"n": 100}, "deltas": [0.5, 1.0000001, 1.0000002]}',
             ["delta 1.0000001 and delta 1.0000002 share the variant name 'delta_1'"],
         ),
+        (json.dumps({"deltas": [10**400]}), [f"deltas must be of type list[float], got [{10**400}]"]),
+        ('{"depth": -1}', ["depth must be a non-negative integer"]),
+        ('{"variants": ["orig3"]}', ["unknown variant 'orig3' (skeleton variants come from deltas)"]),
+        ('{"deltas": [0.0, 1.0]}', ["every delta must be a positive finite number"]),
+        ('{"deltas": [0.5, NaN, Infinity]}', ["every delta must be a positive finite number"]),
+        ('{"deltas": [0.5, 0.5]}', ["deltas must be strictly increasing"]),
+        ('{"deltas": [], "variants": []}', ["variants and deltas must not both be empty"]),
     ],
     ids=[
         "field-name", "field-type", "truncated", "not-object", "nested-not-object", "top-level-types",
-        "input-type", "deltas-sharing-a-name",
+        "input-type", "deltas-sharing-a-name", "delta-too-large-for-a-float", "negative-depth", "unknown-variant",
+        "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, text, messages):
@@ -105,42 +117,14 @@ def test_study_out_writes_the_files_of_the_config_with_that_out_dir(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "variants, message",
-    [
-        ("delta_-1", "variant 'delta_-1': delta must be a positive finite number"),
-        ("orig2,delta_0", "variant 'delta_0': delta must be a positive finite number"),
-        ("delta_nan", "variant 'delta_nan': delta must be a positive finite number"),
-        ("delta_inf", "variant 'delta_inf': delta must be a positive finite number"),
-        ("delta_0.5,delta_0.5", "'delta_0.5' and 'delta_0.5' share the variant name 'delta_0.5'"),
-        ("delta_0.50,orig4,delta_0.5", "'delta_0.50' and 'delta_0.5' share the variant name 'delta_0.5'"),
-        ("orig2,orig2", "'orig2' and 'orig2' share the variant name 'orig2'"),
-        ("orig3", "unknown variant 'orig3'"),
-        ("delta_x", "unknown variant 'delta_x'"),
-    ],
-    ids=["negative", "zero", "nan", "inf", "repeated", "same-name", "repeated-original", "unknown", "no-number"],
-)
-def test_bad_entropy_variant_is_a_config_error(tmp_path, capsys, variants, message):
-    data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), 100.0 + i % 3) for i in range(20)])
-    out = tmp_path / "entropy.csv"
-    code = main(["entropy", "--input", str(data), "--format", "tick", "--variants", variants, "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
     "args, message",
     [
         (
             ["decompose", "--input", "{tmp}/absent.csv", "--format", "tick", "--delta", "-1", "--out", "{tmp}/skel.csv"],
             "every delta must be a positive finite number",
         ),
-        (
-            ["entropy", "--input", "{tmp}/absent.csv", "--format", "tick", "--depth", "-1", "--out", "{tmp}/h.csv"],
-            "depth must be a non-negative integer",
-        ),
     ],
-    ids=["decompose-delta", "entropy-depth"],
+    ids=["decompose-delta"],
 )
 def test_bad_numeric_argument_is_a_config_error_before_any_input_is_read(tmp_path, capsys, args, message):
     # the input does not exist: reading it first would end in a data error
@@ -169,10 +153,19 @@ def write_config(path, config: dict):
         ("synth", {"synthetic": {"kind": "time_changed", "vol_period": float("nan")}},
          "synthetic vol_period must be finite"),
         ("synth", {}, "{tmp}/config.json: no synthetic block to write"),
+        ("synth", {"synthetic": {"start": 10**400}}, f"synthetic.start must be of type float, got {10**400}"),
+        ("synth", {"synthetic": {"sigma": 10**400}}, f"synthetic.sigma must be of type float, got {10**400}"),
+        ("synth", {"synthetic": {"kind": "jump", "jump_multiple": 10**400}},
+         "synthetic jump_multiple * delta must be a finite float"),
+        ("synth", {"synthetic": {"kind": "jump", "jump_multiple": 10**300, "delta": 1e10}},
+         "synthetic jump_multiple * delta must be a finite float"),
+        ("synth", {"synthetic": {"instruments": 1001, "n": 10_000}}, "synthetic instruments * n must be <= 10000000"),
     ],
     ids=[
         "synth-n", "ingest-min-tick-changes", "synth-seed", "synth-seed-key", "synth-sigma-nan", "synth-start-nan",
         "synth-start-inf", "synth-delta-nan", "synth-vol-period-nan", "synth-no-synthetic-block",
+        "synth-start-too-large-for-a-float", "synth-sigma-too-large-for-a-float",
+        "synth-jump-multiple-too-large-for-a-float", "synth-jump-too-large-for-a-float", "synth-samples-over-the-bound",
     ],
 )
 def test_bad_config_of_synth_and_ingest_is_a_config_error_before_any_input_is_read(
@@ -223,18 +216,59 @@ def test_synth_and_ingest_take_only_the_config(capsys, command, options):
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == options | {"--help"}
 
 
-def test_entropy_lists_originals_as_given_then_deltas_in_order(tmp_path, capsys):
-    data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), 100.0 + i % 3) for i in range(20)])
-    args = ["entropy", "--input", str(data), "--format", "tick", "--depth", "2"]
-    assert main(args + ["--variants", "delta_1,orig4,delta_0.5,orig2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "instrument,variant,n,depth,alphabet,entropy_bits_per_symbol"
-    assert [line.split(",")[1:5] for line in lines[1:]] == [
-        ["orig4", "19", "2", "4"],
-        ["orig2", "19", "2", "2"],
-        ["delta_0.5", "50", "2", "2"],
-        ["delta_1", "25", "2", "2"],
+def test_entropy_is_not_a_command(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["entropy", "--input", str(tmp_path / "absent.csv"), "--format", "tick", "--out", str(tmp_path / "h.csv")])
+    assert exited.value.code == 2
+    assert "error: argument command: invalid choice: 'entropy'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert "{ingest,decompose,study,synth}" in capsys.readouterr().out
+
+
+def test_a_study_of_one_tick_file_scores_each_instrument_as_its_layers_do(tmp_path, capsys):
+    # steps rounded to cents repeat prices, which log_returns drops from tick data
+    walk = np.random.default_rng(5).normal(0.0, 0.4, size=(3, 400)).round(2).cumsum(axis=1) + 100.0
+    data = write_tick_csv(
+        tmp_path / "ticks.csv", [(f"I{i}", float(t), p) for i in range(3) for t, p in enumerate(walk[i].tolist())]
+    )
+    config = write_config(tmp_path / "config.json", {
+        "inputs": [{"path": str(data), "format": "tick"}], "deltas": [0.5, 1.0], "depth": 8,
+        "min_daily": 2, "min_tick_changes": 2, "min_skeleton_events": 1, "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["study", "--config", str(config)]) == 0
+    want = []
+    for s in load_prices(data, "tick"):
+        returns = log_returns(s)
+        sequences = [("orig2", quantile_bins(returns, 2), 2), ("orig4", quantile_bins(returns, 4), 4)]
+        sequences += [
+            (f"delta_{d:g}", skeleton_to_symbols(decompose(s.prices, d, times=s.times)), 2) for d in (0.5, 1.0)
+        ]
+        want += [
+            [s.instrument_id, name, len(seq), 8, m, entropy_rate(seq, 8, alphabet_size=m).value]
+            for name, seq, m in sequences
+        ]
+    with open(tmp_path / "out" / "entropy.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["instrument", "variant", "n", "depth", "alphabet", "entropy_bits_per_symbol"]
+    assert [[i, v, int(n), int(d), int(m), float(h)] for i, v, n, d, m, h in rows] == want
+
+
+def test_a_study_without_deltas_scores_the_originals_alone(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", {
+        "synthetic": {"instruments": 3, "n": 300, "seed": 4}, "deltas": [], "depth": 6, "min_daily": 100,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["study", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "corr.csv", "entropy.csv", "kde_orig2.csv", "kde_orig4.csv", "summary.csv",
     ]
+    assert (out / "summary.csv").read_text(encoding="utf-8") == "delta,mean_entropy\n"
+    rows = (out / "entropy.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [[f"SYN{i:03d}", v] for i in range(3) for v in ("orig2", "orig4")]
 
 
 def ingest_tick_file(tmp_path, data) -> list[str]:

@@ -507,6 +507,24 @@ class TestSyntheticPaths:
             spec = SyntheticSpec(kind="jump", jump_multiple=multiple)
             assert spec.problems() == ["jump_multiple must be an integer >= 2"]
 
+    @pytest.mark.parametrize(
+        "multiple, delta", [(10**400, 0.5), (5, 1e308), (2**1023, 4.0)], ids=["int-too-large", "product", "both"]
+    )
+    def test_jump_too_large_for_a_float_rejected(self, multiple, delta):
+        spec = SyntheticSpec(kind="jump", jump_multiple=multiple, delta=delta)
+        assert spec.problems() == ["jump_multiple * delta must be a finite float"]
+        with pytest.raises(ValueError, match=r"^jump_multiple \* delta must be a finite float$"):
+            generate_synthetic_path(spec)
+
+    def test_samples_over_all_paths_are_bounded_before_any_is_drawn(self):
+        assert voho.ingest.MAX_SYNTHETIC_SAMPLES == 10_000_000
+        assert SyntheticSpec(instruments=4, n=2_500_000).problems() == []
+        for instruments, n in ((4, 2_500_001), (1, 10**400), (10**7, 2)):
+            spec = SyntheticSpec(instruments=instruments, n=n)
+            assert spec.problems() == ["instruments * n must be <= 10000000"]
+            with pytest.raises(ValueError, match=r"^instruments \* n must be <= 10000000$"):
+                generate_synthetic_path(spec)
+
     def test_rules_of_other_kinds_do_not_apply(self):
         assert SyntheticSpec(delta=0.0, jump_multiple=1, vol_swing=2.0).problems() == []
         assert SyntheticSpec(kind="jump", sigma=0.0, vol_period=0.0).problems() == []
@@ -526,7 +544,8 @@ class TestSyntheticPaths:
         [
             SyntheticSpec(instruments=2, n=300, start=1e308, sigma=1e307),
             SyntheticSpec(kind="time_changed", n=300, sigma=1e200),
-            SyntheticSpec(kind="jump", n=300, jump_prob=0.5, delta=1e308),
+            # each jump, 5e307, is finite; their sum is not
+            SyntheticSpec(kind="jump", n=300, jump_prob=0.5, delta=1e307),
         ],
         ids=["brownian", "time_changed", "jump"],
     )

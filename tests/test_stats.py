@@ -19,7 +19,7 @@ from voho.stats import (
     _percentile,
     silverman_bandwidth,
 )
-from voho.variants import Variant, study_variants
+from voho.variants import study_variants
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
@@ -169,11 +169,6 @@ class TestCorrelationMatrix:
 
 
 class TestDeltaSummary:
-    def test_variant_name_round_trip(self):
-        for delta in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
-            assert Variant.parse(Variant.skeleton(delta).name) == Variant.skeleton(delta)
-        assert Variant.parse("orig2") == Variant("orig2", 2, None)
-
     def test_single_instrument_means_are_values(self):
         rows = [
             StudyRow("I", "orig2", 0.99, 1000),
