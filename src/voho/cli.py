@@ -1,19 +1,18 @@
 """Command-line interface: run studies, preview and synthesise their data,
-and explore one price file.
+and export their skeletons.
 
-Three commands read a study's JSON config and take every data setting from
-it: `voho study` runs the study (`--out`, the output directory, is its only
-override), `voho ingest` lists the instruments that study loads and marks
-the ones its `min_daily` and `min_tick_changes` keep, and `voho synth`
+Every command reads a study's JSON config and takes every data setting
+from it: `voho study` runs the study (`--out`, the output directory, is its
+only override), `voho ingest` lists the instruments that study loads and
+marks the ones its `min_daily` and `min_tick_changes` keep, `voho synth`
 writes the instruments of its `synthetic` block as a CSV in the schema of
-that block's `frequency`. One command explores one file with flags:
-`voho decompose` exports skeletons at one delta.
+that block's `frequency`, and `voho decompose` exports the skeletons that
+study decomposes.
 
 Exit codes: 0 success, 1 invalid configuration (also a config without a
-`synthetic` block given to `synth`, and a numeric flag that a study config
-would refuse, such as `--delta -1`, checked before any input is read), 2
-data error or a usage error (such as a flag or command voho does not have),
-3 every instrument failed.
+`synthetic` block given to `synth` or without deltas given to `decompose`),
+checked before any input is read, 2 data error or a usage error (such as a
+flag or command voho does not have), 3 every instrument failed.
 """
 
 from __future__ import annotations
@@ -28,16 +27,14 @@ from pathlib import Path
 from . import homogenise
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .homogenise import write_skeleton_csv
-from .ingest import DAILY_HEADER, FORMATS, TICK_HEADER, count_price_changes, filter_eligible, load_prices
+from .ingest import DAILY_HEADER, TICK_HEADER, count_price_changes, filter_eligible
 from .pipeline import (
-    DOMAINS,
-    StudyConfig,
     config_from_json,
     decompose_series,
+    eligible_series,
     gather_series,
     run_study,
     synthetic_series,
-    validate_config,
     write_csv,
 )
 from .stats import format_summary_table
@@ -45,15 +42,6 @@ from .stats import format_summary_table
 logger = logging.getLogger(__name__)
 
 SYNTH_EPOCH = date(2000, 1, 3).toordinal()  # day index 0 of synthetic daily files
-
-
-def _validated(config: StudyConfig) -> StudyConfig:
-    """`config`, or ConfigError with every value validate_config refuses;
-    flag values are checked as a study config with the same fields."""
-    errors = validate_config(config)
-    if errors:
-        raise ConfigError(errors)
-    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,13 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="a study's JSON config")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("decompose", help="export the skeleton of every instrument in a file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", required=True, choices=FORMATS)
-    p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--domain", default="price", choices=DOMAINS)
-    p.add_argument("--single-crossing", dest="crossing", action="store_const", const="single", default="multi")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("decompose", help="export the skeletons a study of the JSON config decomposes as a CSV")
+    p.add_argument("--config", required=True, help="a study's JSON config")
+    p.add_argument("--out", required=True, help="the CSV file to write")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser(
@@ -102,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    config = _validated(config_from_json(args.config))
+    config = config_from_json(args.config)
     series = gather_series(config)
     eligible = {
         s.instrument_id
@@ -118,21 +102,25 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    _validated(StudyConfig(deltas=[args.delta]))
-    series = load_prices(args.input, args.format)
-    if not series:
-        raise DataError(f"{args.input}: no instruments")
-    # skeletons are O(samples) until written, so all are built before the
-    # command-wide MAX_EVENTS bound is checked and none is decomposed twice
-    skeletons = [decompose_series(s, args.delta, args.domain, args.crossing) for s in series]
-    total = sum(map(len, skeletons))
+    config = config_from_json(args.config)
+    if not config.deltas:
+        raise ConfigError([f"{args.config}: no deltas to decompose"])
+    series = eligible_series(config)
+
+    def skeletons():  # instrument by instrument, each at every delta by increasing delta
+        return (decompose_series(s, d, config.domain, config.crossing) for s in series for d in config.deltas)
+
+    # each skeleton copies its instrument's path, so holding them all would
+    # cost one path per delta: the first pass keeps only each event count,
+    # and the writer decomposes again, one skeleton at a time
+    total = sum(map(len, skeletons()))
     if total > homogenise.MAX_EVENTS:
         raise DataError(
-            f"{args.input}: delta={args.delta!r} gives {total} skeleton events over {len(series)} "
-            f"instrument(s), more than the limit of {homogenise.MAX_EVENTS}"
+            f"{args.config}: {total} skeleton events over {len(series)} instrument(s) and "
+            f"{len(config.deltas)} delta(s), more than the limit of {homogenise.MAX_EVENTS}"
         )
-    events = write_skeleton_csv(skeletons, args.out)
-    print(f"{events} event(s) for {len(series)} instrument(s) -> {args.out}")
+    events = write_skeleton_csv(skeletons(), args.out)
+    print(f"{events} event(s) for {len(series)} instrument(s) at {len(config.deltas)} delta(s) -> {args.out}")
     return 0
 
 
@@ -148,7 +136,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = _validated(config_from_json(args.config)).synthetic
+    spec = config_from_json(args.config).synthetic
     if spec is None:
         raise ConfigError([f"{args.config}: no synthetic block to write"])
     series = synthetic_series(spec)

@@ -88,13 +88,14 @@ def _from_json_object(raw, cls, where: str, errors: list[str]):
 
 
 def config_from_json(path: str | Path) -> StudyConfig:
-    """Load a StudyConfig from a JSON file. Malformed JSON, and keys that
-    are unknown, missing or hold something other than an object where one
-    is expected, raise ConfigError; validate_config checks the values."""
+    """Load a valid StudyConfig from a JSON file. Malformed JSON (also an
+    integer over the interpreter's digit limit), keys that are unknown,
+    missing or hold something other than an object where one is expected,
+    and every value validate_config refuses raise ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
         raise ConfigError([f"{path}: not valid JSON: {exc}"]) from None
     errors: list[str] = []
     if isinstance(raw, dict):
@@ -107,6 +108,7 @@ def config_from_json(path: str | Path) -> StudyConfig:
         if raw.get("synthetic") is not None:
             raw["synthetic"] = _from_json_object(raw["synthetic"], SyntheticSpec, f"{path}: synthetic", errors)
     config = _from_json_object(raw, StudyConfig, str(path), errors)
+    errors = errors or validate_config(config)
     if errors:
         raise ConfigError(errors)
     return config
@@ -157,12 +159,14 @@ def validate_config(config: StudyConfig) -> list[str]:
         return errors
     if not config.deltas and not config.variants:
         errors.append("variants and deltas must not both be empty")
+    named = [(f"variants[{i}]", v) for i, v in enumerate(config.variants)]
     if any(not (math.isfinite(d) and d > 0) for d in config.deltas):
         errors.append("every delta must be a positive finite number")
     elif any(b <= a for a, b in zip(config.deltas, config.deltas[1:])):
         errors.append("deltas must be strictly increasing")
     else:
-        errors += name_clashes((f"delta {d!r}", Variant.skeleton(d)) for d in config.deltas)
+        named += [(f"delta {d!r}", Variant.skeleton(d).name) for d in config.deltas]
+    errors += name_clashes(named)
     if config.depth < 0:
         errors.append("depth must be a non-negative integer")
     for v in config.variants:
@@ -251,6 +255,18 @@ def gather_series(config: StudyConfig) -> list[PriceSeries]:
     return series
 
 
+def eligible_series(config: StudyConfig) -> list[PriceSeries]:
+    """The instruments a study of `config` scores: those of gather_series
+    that its min_daily and min_tick_changes keep, in the same order.
+    DataError when none is kept."""
+    series = gather_series(config)
+    eligible = filter_eligible(series, config.min_daily, config.min_tick_changes)
+    logger.info("%d of %d instrument(s) eligible", len(eligible), len(series))
+    if not eligible:
+        raise DataError("no eligible instruments after length filters")
+    return eligible
+
+
 def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     """Execute the full pipeline and persist all outputs under out_dir. Rows
     follow the input order of instruments, then the order of study_variants.
@@ -263,11 +279,7 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     if errors:
         raise ConfigError(errors)
 
-    series = gather_series(config)
-    eligible = filter_eligible(series, config.min_daily, config.min_tick_changes)
-    logger.info("%d of %d instrument(s) eligible", len(eligible), len(series))
-    if not eligible:
-        raise DataError("no eligible instruments after length filters")
+    eligible = eligible_series(config)
     variants = study_variants(config.variants, config.deltas)
 
     rows: list[StudyRow] = []

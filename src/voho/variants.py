@@ -38,13 +38,13 @@ def study_variants(originals: Iterable[str], deltas: Iterable[float]) -> list[Va
     return chosen + [Variant.skeleton(delta) for delta in deltas]
 
 
-def name_clashes(sources: Iterable[tuple[str, Variant]]) -> list[str]:
-    """One message for each variant whose name an earlier one already has;
-    each variant comes paired with the way it was given."""
+def name_clashes(sources: Iterable[tuple[str, str]]) -> list[str]:
+    """One message for each variant name that an earlier one already has;
+    each name comes paired with the way it was given."""
     first: dict[str, str] = {}
     errors = []
-    for source, variant in sources:
-        if variant.name in first:
-            errors.append(f"{first[variant.name]} and {source} share the variant name {variant.name!r}")
-        first.setdefault(variant.name, source)
+    for source, name in sources:
+        if name in first:
+            errors.append(f"{first[name]} and {source} share the variant name {name!r}")
+        first.setdefault(name, source)
     return errors

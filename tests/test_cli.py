@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,11 +44,15 @@ from conftest import daily_rows, write_daily_csv, write_tick_csv
         ('{"deltas": [0.5, NaN, Infinity]}', ["every delta must be a positive finite number"]),
         ('{"deltas": [0.5, 0.5]}', ["deltas must be strictly increasing"]),
         ('{"deltas": [], "variants": []}', ["variants and deltas must not both be empty"]),
+        ('{"variants": ["orig2", "orig2"]}', ["variants[0] and variants[1] share the variant name 'orig2'"]),
+        # a config error with or without the interpreter's limit on integer digits
+        ('{"deltas": [' + "1" * 5000 + "]}", []),
     ],
     ids=[
         "field-name", "field-type", "truncated", "not-object", "nested-not-object", "top-level-types",
         "input-type", "deltas-sharing-a-name", "delta-too-large-for-a-float", "negative-depth", "unknown-variant",
-        "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score",
+        "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original",
+        "integer-over-the-digit-limit",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, text, messages):
@@ -116,23 +121,6 @@ def test_study_out_writes_the_files_of_the_config_with_that_out_dir(tmp_path, ca
         assert data == (tmp_path / "b" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (
-            ["decompose", "--input", "{tmp}/absent.csv", "--format", "tick", "--delta", "-1", "--out", "{tmp}/skel.csv"],
-            "every delta must be a positive finite number",
-        ),
-    ],
-    ids=["decompose-delta"],
-)
-def test_bad_numeric_argument_is_a_config_error_before_any_input_is_read(tmp_path, capsys, args, message):
-    # the input does not exist: reading it first would end in a data error
-    assert main([arg.format(tmp=tmp_path) for arg in args]) == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
 def write_config(path, config: dict):
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
@@ -160,12 +148,17 @@ def write_config(path, config: dict):
         ("synth", {"synthetic": {"kind": "jump", "jump_multiple": 10**300, "delta": 1e10}},
          "synthetic jump_multiple * delta must be a finite float"),
         ("synth", {"synthetic": {"instruments": 1001, "n": 10_000}}, "synthetic instruments * n must be <= 10000000"),
+        ("decompose", {"inputs": [{"path": "{tmp}/absent.csv", "format": "tick"}], "deltas": [-1]},
+         "every delta must be a positive finite number"),
+        ("decompose", {"inputs": [{"path": "{tmp}/absent.csv", "format": "tick"}], "deltas": []},
+         "{tmp}/config.json: no deltas to decompose"),
     ],
     ids=[
         "synth-n", "ingest-min-tick-changes", "synth-seed", "synth-seed-key", "synth-sigma-nan", "synth-start-nan",
         "synth-start-inf", "synth-delta-nan", "synth-vol-period-nan", "synth-no-synthetic-block",
         "synth-start-too-large-for-a-float", "synth-sigma-too-large-for-a-float",
         "synth-jump-multiple-too-large-for-a-float", "synth-jump-too-large-for-a-float", "synth-samples-over-the-bound",
+        "decompose-delta", "decompose-no-deltas",
     ],
 )
 def test_bad_config_of_synth_and_ingest_is_a_config_error_before_any_input_is_read(
@@ -175,7 +168,7 @@ def test_bad_config_of_synth_and_ingest_is_a_config_error_before_any_input_is_re
     text = json.dumps(config).replace("{tmp}", str(tmp_path))
     path = tmp_path / "config.json"
     path.write_text(text, encoding="utf-8")
-    args = [command, "--config", str(path)] + (["--out", str(tmp_path / "synth.csv")] if command == "synth" else [])
+    args = [command, "--config", str(path)] + (["--out", str(tmp_path / "out.csv")] if command != "ingest" else [])
     assert main(args) == 1
     assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
     assert list(tmp_path.iterdir()) == [path]
@@ -193,12 +186,17 @@ def test_bad_config_of_synth_and_ingest_is_a_config_error_before_any_input_is_re
         ("ingest", flag) for flag in (
             ["--input", "prices.csv"], ["--format", "tick"], ["--min-daily", "100"], ["--min-tick-changes", "2"],
         )
+    ] + [
+        ("decompose", flag) for flag in (
+            ["--input", "prices.csv"], ["--format", "tick"], ["--delta", "0.5"], ["--domain", "logpath"],
+            ["--single-crossing"],
+        )
     ],
     ids=lambda value: value if isinstance(value, str) else value[0],
 )
 def test_a_data_setting_of_synth_or_ingest_given_as_a_flag_is_a_usage_error(tmp_path, capsys, command, flag):
     # the config does not exist: reading it first would end in a data error
-    out = ["--out", str(tmp_path / "synth.csv")] if command == "synth" else []
+    out = ["--out", str(tmp_path / "out.csv")] if command != "ingest" else []
     with pytest.raises(SystemExit) as exited:
         main([command, "--config", str(tmp_path / "absent.json"), *out, *flag])
     assert exited.value.code == 2
@@ -208,7 +206,10 @@ def test_a_data_setting_of_synth_or_ingest_given_as_a_flag_is_a_usage_error(tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, options", [("synth", {"--config", "--out"}), ("ingest", {"--config"})])
+@pytest.mark.parametrize(
+    "command, options",
+    [("synth", {"--config", "--out"}), ("ingest", {"--config"}), ("decompose", {"--config", "--out"})],
+)
 def test_synth_and_ingest_take_only_the_config(capsys, command, options):
     with pytest.raises(SystemExit) as exited:
         main([command, "--help"])
@@ -291,12 +292,19 @@ def test_ingest_of_a_file_that_is_not_utf8_is_a_data_error_naming_its_line(tmp_p
     assert capsys.readouterr().err == f"data error: {data}:3: not UTF-8 text\n"
 
 
+def decompose_tick_file(tmp_path, data, out, **settings) -> int:
+    """voho decompose on a config of the one tick file that keeps every instrument."""
+    config = write_config(tmp_path / "decompose.json", {
+        "inputs": [{"path": str(data), "format": "tick"}], "min_daily": 2, "min_tick_changes": 2, **settings,
+    })
+    return main(["decompose", "--config", str(config), "--out", str(out)])
+
+
 def test_decompose_on_a_decimal_tick_grid(tmp_path, capsys):
     prices = [100.006, 100.007, 100.008, 100.011, 100.012]
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), p) for i, p in enumerate(prices)])
     out = tmp_path / "skel.csv"
-    code = main(["decompose", "--input", str(data), "--format", "tick", "--delta", "0.001", "--out", str(out)])
-    assert code == 0
+    assert decompose_tick_file(tmp_path, data, out, deltas=[0.001]) == 0
     assert capsys.readouterr().out.startswith("6 event(s) for 1 instrument(s)")
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["1", "2", "3", "4", "5", "6"]
@@ -304,43 +312,81 @@ def test_decompose_on_a_decimal_tick_grid(tmp_path, capsys):
 
 
 def test_decompose_over_the_event_bound_is_a_data_error(tmp_path, capsys):
-    data = write_tick_csv(tmp_path / "ticks.csv", [("A", 0.0, 1.0), ("A", 1.0, 2001.0)])
+    data = write_tick_csv(tmp_path / "ticks.csv", [("A", 0.0, 1.0), ("A", 1.0, 2001.0), ("A", 2.0, 1.0)])
     out = tmp_path / "skel.csv"
-    code = main(["decompose", "--input", str(data), "--format", "tick", "--delta", "0.0001", "--out", str(out)])
+    code = decompose_tick_file(tmp_path, data, out, deltas=[0.0001])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("data error: instrument 'A': delta=0.0001 gives at least 20000000 skeleton events")
     assert not out.exists()
 
 
-def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(homogenise, "MAX_EVENTS", 6)
-    rows = [(name, t, p) for name in ("A", "B") for t, p in ((0.0, 1.0), (1.0, 2.0))]  # 4 events each
-    args = ["decompose", "--format", "tick", "--delta", "0.25"]
-    for name in ("A", "B"):
-        alone = write_tick_csv(tmp_path / f"{name}.csv", [r for r in rows if r[0] == name])
-        assert main(args + ["--input", str(alone), "--out", str(tmp_path / f"{name}.skel.csv")]) == 0
-    capsys.readouterr()
-    out = tmp_path / "both.skel.csv"
-    both = write_tick_csv(tmp_path / "both.csv", rows)
-    assert main(args + ["--input", str(both), "--out", str(out)]) == 2
+@pytest.mark.parametrize(
+    "names, deltas, refused",
+    [(("A",), [0.25], None), (("A",), [0.5], None),
+     (("A", "B"), [0.25], "8 skeleton events over 2 instrument(s) and 1 delta(s)"),
+     (("A",), [0.25, 0.5], "6 skeleton events over 1 instrument(s) and 2 delta(s)")],
+    ids=["one-instrument", "one-coarse-delta", "both-instruments", "both-deltas"],
+)
+def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, capsys, monkeypatch, names, deltas, refused):
+    monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
+    # 4 events at 0.25 and 2 at 0.5 for each instrument
+    data = write_tick_csv(tmp_path / "ticks.csv", [(name, t, 1.0 + t / 2) for name in names for t in (0.0, 1.0, 2.0)])
+    out = tmp_path / "skel.csv"
+    code = decompose_tick_file(tmp_path, data, out, deltas=deltas)
+    if refused is None:
+        assert code == 0
+        assert out.exists()
+        return
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {both}: delta=0.25 gives 8 skeleton events over 2 instrument(s)")
-    assert "more than the limit of 6" in err
+    assert err.startswith(f"data error: {tmp_path / 'decompose.json'}: {refused}")
+    assert "more than the limit of 5" in err
     assert not out.exists()
     assert not list(tmp_path.glob("*.part"))
 
 
-def test_decompose_logpath_is_the_skeleton_of_log_prices(tmp_path):
+def test_decompose_logpath_is_the_skeleton_of_log_prices(tmp_path, capsys):
     prices = [100.0, 103.0, 98.0, 110.0]
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), p) for i, p in enumerate(prices)])
     out = tmp_path / "skel.csv"
-    args = ["decompose", "--input", str(data), "--format", "tick", "--delta", "0.01", "--out", str(out)]
-    assert main(args + ["--domain", "logpath"]) == 0
+    assert decompose_tick_file(tmp_path, data, out, deltas=[0.01], domain="logpath") == 0
     want = decompose(np.log(prices), 0.01, times=np.arange(4.0))
     rows = [r.split(",") for r in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert [float(r[4]) for r in rows] == want.levels().tolist()
     assert [float(r[3]) for r in rows] == want.times.tolist()
+
+
+@pytest.mark.parametrize(
+    "domain, crossing, deltas",
+    [("price", "multi", [0.5, 1.0]), ("logpath", "single", [0.005, 0.01])],
+    ids=["price-multi", "logpath-single"],
+)
+@pytest.mark.parametrize("source", ["files", "synthetic"])
+def test_decompose_exports_the_skeletons_the_study_scores(tmp_path, capsys, source, domain, crossing, deltas):
+    data = (
+        {"inputs": eligibility_inputs(tmp_path)} if source == "files"
+        else {"synthetic": {"instruments": 3, "n": 300, "seed": 2, "start": 100.0}}
+    )
+    config = write_config(tmp_path / "config.json", {
+        **data, "deltas": deltas, "depth": 4, "domain": domain, "crossing": crossing,
+        "min_daily": 100, "min_tick_changes": 100, "min_skeleton_events": 1, "out_dir": str(tmp_path / "out"),
+    })
+    out = tmp_path / "skel.csv"
+    assert main(["decompose", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["study", "--config", str(config)]) == 0
+    capsys.readouterr()
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["instrument", "delta", "i", "T_i", "level", "direction"]
+    exported = [(r[0], f"delta_{float(r[1]):g}") for r in rows]
+    with open(tmp_path / "out" / "entropy.csv", newline="", encoding="utf-8") as fh:
+        scored = {(r[0], r[1]): int(r[2]) for r in list(csv.reader(fh))[1:] if r[1].startswith("delta_")}
+    # SHORT and FLAT, in the files, are not eligible
+    eligible = ["LONG", "MOVING"] if source == "files" else ["SYN000", "SYN001", "SYN002"]
+    assert list(scored) == [(i, f"delta_{d:g}") for i in eligible for d in deltas]
+    assert dict(Counter(exported)) == scored
+    assert list(dict.fromkeys(exported)) == list(scored)  # instruments in order, each by increasing delta
 
 
 @pytest.mark.parametrize(

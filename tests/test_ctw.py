@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -516,35 +517,100 @@ def markov_entropy_rate() -> float:
     return float(pi @ h)
 
 
-def redundancy_bound_bits(symbols: np.ndarray, order: int, p1: np.ndarray | None, depth: int = 20) -> float:
+def add_half_regret_bits(k, m: int):
+    """An upper bound on log2(P_ML(c) / P_e(c)) for every count vector c of
+    m symbols with total k >= 1 (k may be an array): P_e is the add-half
+    estimate and P_ML(c) = prod (c_i / k)^c_i, the most any parameter gives.
+
+    m = 2: log2(k) / 2 + 1, the binary add-half bound of Willems, Shtarkov
+    and Tjalkens (1995).
+
+    m > 2: (m - 1) / 2 * log2(k + m / 2) + log2(sqrt(2 pi) / Gamma(m / 2)),
+    3/2 * log2(k + 2) + 1.326 at m = 4. The estimate is
+    P_e(c) = Gamma(m/2) / pi^(m/2) * prod Gamma(c_i + 1/2) / Gamma(k + m/2),
+    and two facts about the digamma function psi bound its Gamma factors:
+      - psi(y) > ln(y - 1/2) for y > 1/2, so g(x) = ln Gamma(x + 1/2) -
+        x ln x + x (0 ln 0 = 0) increases on x >= 0, from g(0) = ln sqrt(pi)
+        towards its Stirling limit ln sqrt(2 pi). Hence
+        sqrt(pi) x^x e^-x <= Gamma(x + 1/2) <= sqrt(2 pi) x^x e^-x;
+      - psi(y) < ln y, and ln Gamma(k + m/2) - ln Gamma(k + 1/2) is the
+        integral of psi over an interval of length (m - 1) / 2 that ends at
+        k + m/2, so it is below (m - 1) / 2 * ln(k + m/2).
+    So prod Gamma(c_i + 1/2) >= pi^(m/2) * prod c_i^c_i * e^-k and
+    Gamma(k + m/2) <= sqrt(2 pi) * k^k e^-k * (k + m/2)^((m-1)/2), which give
+    P_e(c) >= P_ML(c) * Gamma(m/2) / sqrt(2 pi) * (k + m/2)^(-(m-1)/2)."""
+    if m == 2:
+        return np.log2(k) / 2 + 1
+    return (m - 1) / 2 * np.log2(k + m / 2) + math.log2(math.sqrt(2 * math.pi) / math.gamma(m / 2))
+
+
+def redundancy_bound_bits(
+    symbols: np.ndarray, order: int, probs: np.ndarray | None, m: int = 2, depth: int = 20
+) -> float:
     """The redundancy theorem of Willems, Shtarkov and Tjalkens (1995) for
-    binary CTW at `depth`, against the complete tree S of every context of
-    `order` <= depth symbols (the zero-padded past, as the estimator reads
-    it): the code length -log2 P_w is at most
+    CTW on m symbols at `depth`, against the complete tree S of every
+    context of `order` <= depth symbols (the zero-padded past, as the
+    estimator reads it): the code length -log2 P_w is at most
 
-        the code length under S with P(1 | s) = p1[s]
-        (with the maximum-likelihood p1 when p1 is None)
-        + Gamma_D(S) = |S| - 1 + |{s in S: l(s) < D}|
-        + sum over s in S of gamma(n_s), gamma(0) = 0 and
-          gamma(k) = log2(k) / 2 + 1 for k >= 1,
-
-    the last from the add-half estimate's bound against any parameter."""
+        the code length under S with P(a | s) = probs[s, a]
+        (with the maximum-likelihood probabilities when probs is None;
+        row s reads the context s[i-1] ... s[i-order] as base-m digits,
+        s[i-1] the most significant)
+        + Gamma_D(S) = (|S| - 1) / (m - 1) + |{s in S: l(s) < D}|, minus
+          log2 of the prior ctw_oracle.prior_mary gives S
+        + sum over s in S with n_s >= 1 of add_half_regret_bits(n_s, m),
+          since P_e is at least P_ML / 2^regret and P_ML at least probs."""
     n = symbols.size
     padded = np.concatenate((np.zeros(order, np.int64), symbols))
     context = np.zeros(n, np.int64)
-    for back in range(1, order + 1):  # s[i-1] the most significant bit
-        context = 2 * context + padded[order - back: order - back + n]
-    counts = np.bincount(2 * context + symbols, minlength=2 ** (order + 1)).reshape(-1, 2).astype(float)
+    for back in range(1, order + 1):  # s[i-1] the most significant digit
+        context = m * context + padded[order - back: order - back + n]
+    counts = np.bincount(m * context + symbols, minlength=m ** (order + 1)).reshape(-1, m).astype(float)
     totals = counts.sum(axis=1)
-    if p1 is None:
-        p1 = np.divide(counts[:, 1], totals, out=np.zeros_like(totals), where=totals > 0)
+    if probs is None:
+        probs = counts / np.maximum(totals, 1.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log2(0), and 0 * -inf where nothing was counted
-        terms = counts * np.stack((np.log2(1.0 - p1), np.log2(p1)), axis=1)
-    source_bits = -float(np.sum(terms, where=counts > 0))
-    leaves = 2**order
-    gamma_tree = leaves - 1 + (leaves if order < depth else 0)
-    gamma_counts = float(np.sum(np.where(totals > 0, np.log2(np.maximum(totals, 1.0)) / 2 + 1, 0.0)))
+        source_bits = -float(np.sum(counts * np.log2(probs), where=counts > 0))
+    leaves = m**order
+    gamma_tree = (leaves - 1) // (m - 1) + (leaves if order < depth else 0)
+    gamma_counts = float(np.sum(np.where(totals > 0, add_half_regret_bits(np.maximum(totals, 1.0), m), 0.0)))
     return source_bits + gamma_tree + gamma_counts
+
+
+def binary(p1: np.ndarray) -> np.ndarray:
+    """Rows (P(0 | s), P(1 | s)) from P(1 | s)."""
+    return np.stack((1.0 - p1, p1), axis=1)
+
+
+# P(s[i] | s[i-1]): row s[i-1], column s[i]
+QUATERNARY_P = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.4, 0.4], [0.25, 0.25, 0.25, 0.25], [0.05, 0.05, 0.1, 0.8]])
+
+
+def quaternary_markov_symbols(n: int) -> np.ndarray:
+    """An order-1 chain on 4 symbols with transitions QUATERNARY_P, from
+    default_rng(4), started from the past 0 that the estimator pads with."""
+    cumulative = np.cumsum(QUATERNARY_P, axis=1).tolist()
+    out, previous = [0] * n, 0
+    for i, u in enumerate(np.random.default_rng(4).random(n).tolist()):
+        out[i] = previous = min(sum(u >= c for c in cumulative[previous]), 3)
+    return np.array(out, dtype=np.int64)
+
+
+# a rational below pi, so that a bound with pi in it is checked in rationals
+PI_BELOW = Fraction(333, 106)
+
+
+@pytest.mark.parametrize("m, largest", [(2, 40), (4, 12)])
+def test_add_half_regret_bound_holds_exactly_on_small_counts(m, largest):
+    for counts in product(range(largest + 1), repeat=m):
+        k = sum(counts)
+        if not 1 <= k <= largest:
+            continue
+        ratio = math.prod(Fraction(c, k) ** c for c in counts) / kt_prob_from_counts(counts)
+        # 2 ** (2 * add_half_regret_bits(k, m)), rounded down to a rational
+        squared = 4 * k if m == 2 else 2 * PI_BELOW * (k + 2) ** 3
+        assert ratio**2 <= squared, counts
+        assert 2 ** (2 * add_half_regret_bits(k, m)) == pytest.approx(float(squared), rel=1e-4)
 
 
 class TestKnownAnswers:
@@ -577,9 +643,9 @@ class TestKnownAnswers:
         assert estimates == sorted(estimates, reverse=True)  # 0.8490, 0.8340, 0.8282
 
     @pytest.mark.parametrize(
-        "symbols, order, p1",
+        "symbols, order, probs",
         [
-            *((markov_symbols(n), 2, MARKOV_P1) for n in (10, 1000, 10_000, 100_000)),
+            *((markov_symbols(n), 2, binary(MARKOV_P1)) for n in (10, 1000, 10_000, 100_000)),
             *((jump_skeleton_symbols(j, events), j, None) for j in (2, 3, 5) for events in (2000, 10000)),
             (np.zeros(500, dtype=np.int64), 0, None),
             (np.arange(300) % 2, 1, None),
@@ -590,7 +656,21 @@ class TestKnownAnswers:
             "constant", "alternating",
         ],
     )
-    def test_code_length_is_within_the_redundancy_bound(self, symbols, order, p1):
+    def test_code_length_is_within_the_redundancy_bound(self, symbols, order, probs):
         # an exact bound on every sequence: no statistical slack
         code_length = -_log2_mixture_probability(symbols, 20, 2)
-        assert code_length <= redundancy_bound_bits(symbols, order, p1)
+        assert code_length <= redundancy_bound_bits(symbols, order, probs)
+
+    @pytest.mark.parametrize(
+        "symbols, order, probs",
+        [
+            *((np.random.default_rng(8).integers(0, 4, n), 0, np.full((1, 4), 0.25)) for n in (1000, 10_000)),
+            *((quaternary_markov_symbols(n), 1, QUATERNARY_P) for n in (10, 1000, 10_000)),
+            (np.zeros(500, dtype=np.int64), 0, None),
+            (np.arange(400) % 4, 1, None),
+        ],
+        ids=["iid-1000", "iid-10000", "markov-10", "markov-1000", "markov-10000", "constant", "periodic"],
+    )
+    def test_quaternary_code_length_is_within_the_redundancy_bound(self, symbols, order, probs):
+        code_length = -_log2_mixture_probability(symbols, 20, 4)
+        assert code_length <= redundancy_bound_bits(symbols, order, probs, m=4)
