@@ -119,6 +119,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             f"{args.config}: {total} skeleton events over {len(series)} instrument(s) and "
             f"{len(config.deltas)} delta(s), more than the limit of {homogenise.MAX_EVENTS}"
         )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # after the bound: a refused export makes nothing
     events = write_skeleton_csv(skeletons(), args.out)
     print(f"{events} event(s) for {len(series)} instrument(s) at {len(config.deltas)} delta(s) -> {args.out}")
     return 0

@@ -1,10 +1,12 @@
 """End-to-end study orchestration: config, the per-instrument loop, persistence.
 
-A study loads (or synthesises) price series, keeps the eligible ones,
-computes the original discretised variants and one skeleton variant per
-step size for each instrument, estimates every variant's entropy rate,
-and writes the aggregate CSV outputs. Instruments are scored one after
-another in input order; one that raises is logged and left out.
+A study loads (or synthesises) price series, keeps the eligible ones and
+writes the aggregate CSV outputs. Each instrument is handled in two steps:
+instrument_sequences builds its symbol arrays, the quantile-binned returns
+of each original variant and the skeleton symbols of each step size kept
+under min_skeleton_events; run_study then scores each array with its
+variant's entropy rate. Instruments are handled one after another in input
+order; one that raises in either step is logged and contributes no rows.
 """
 
 from __future__ import annotations
@@ -203,35 +205,28 @@ def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: s
     return decompose(path, delta, times=series.times, crossing=crossing, instrument_id=series.instrument_id)
 
 
-def compute_instrument_rows(
-    series: PriceSeries,
-    *,
-    variants: list[Variant],
-    depth: int,
-    domain: str = "price",
-    crossing: str = "multi",
-    min_skeleton_events: int = 1,
-) -> tuple[list[StudyRow], list[str]]:
-    """Entropy rows for one instrument in the order of `variants`, plus the
-    skeleton variants dropped for having fewer than min_skeleton_events
-    events. Log returns are taken only when an original variant is asked for.
-    Each sequence is a plain symbol array, scored with its variant's alphabet."""
+def instrument_sequences(
+    series: PriceSeries, variants: list[Variant], domain: str, crossing: str, min_skeleton_events: int
+) -> tuple[list[tuple[Variant, np.ndarray]], list[tuple[str, int]]]:
+    """One instrument's symbol arrays: each kept variant of `variants`, in
+    order, with its sequence, plus the name and event count of each skeleton
+    variant dropped for having fewer than min_skeleton_events events. Log
+    returns are taken only when an original variant is asked for. Only the
+    symbol arrays are kept, not the skeletons they come from."""
     if any(v.delta is None for v in variants):
         returns = log_returns(series)
-    rows: list[StudyRow] = []
-    dropped: list[str] = []
+    kept: list[tuple[Variant, np.ndarray]] = []
+    dropped: list[tuple[str, int]] = []
     for variant in variants:
         if variant.delta is None:
-            seq = quantile_bins(returns, variant.alphabet)
+            kept.append((variant, quantile_bins(returns, variant.alphabet)))
+            continue
+        skeleton = decompose_series(series, variant.delta, domain, crossing)
+        if len(skeleton) < min_skeleton_events:
+            dropped.append((variant.name, len(skeleton)))
         else:
-            skeleton = decompose_series(series, variant.delta, domain, crossing)
-            if len(skeleton) < min_skeleton_events:
-                dropped.append(variant.name)
-                continue
-            seq = skeleton_to_symbols(skeleton)
-        estimate = entropy_rate(seq, depth, alphabet_size=variant.alphabet)
-        rows.append(StudyRow(series.instrument_id, variant.name, estimate.value, len(seq)))
-    return rows, dropped
+            kept.append((variant, skeleton_to_symbols(skeleton)))
+    return kept, dropped
 
 
 def gather_series(config: StudyConfig) -> list[PriceSeries]:
@@ -271,10 +266,12 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     """Execute the full pipeline and persist all outputs under out_dir. Rows
     follow the input order of instruments, then the order of study_variants.
 
-    Instruments are scored one after another in the calling thread; one that
-    raises is logged and left out, and AllInstrumentsFailedError is raised
-    only when every eligible instrument did. `threads` is accepted for
-    callers that still pass a worker count and is ignored."""
+    Instruments are handled one after another in the calling thread: the
+    symbol arrays of instrument_sequences, then one entropy_rate per array.
+    One that raises in either step is logged and left out with all its rows,
+    and AllInstrumentsFailedError is raised only when every eligible
+    instrument did. `threads` is accepted for callers that still pass a
+    worker count and is ignored."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
@@ -285,25 +282,24 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     rows: list[StudyRow] = []
     failures: list[str] = []
     for s in eligible:
-        try:
-            instrument_rows, dropped = compute_instrument_rows(
-                s,
-                variants=variants,
-                depth=config.depth,
-                domain=config.domain,
-                crossing=config.crossing,
-                min_skeleton_events=config.min_skeleton_events,
+        try:  # per-instrument isolation
+            sequences, dropped = instrument_sequences(
+                s, variants, config.domain, config.crossing, config.min_skeleton_events
             )
-        except Exception as exc:  # per-instrument isolation
+            scored = []
+            for variant, seq in sequences:
+                estimate = entropy_rate(seq, config.depth, alphabet_size=variant.alphabet)
+                scored.append(StudyRow(s.instrument_id, variant.name, estimate.value, len(seq)))
+        except Exception as exc:
             failures.append(str(exc))
             logger.warning("instrument %s failed: %s", s.instrument_id, exc)
             logger.debug("instrument %s traceback", s.instrument_id, exc_info=True)
             continue
-        rows.extend(instrument_rows)
-        for name in dropped:
+        rows.extend(scored)
+        for name, events in dropped:
             logger.info(
-                "instrument %s: variant %s dropped (< %d skeleton events)",
-                s.instrument_id, name, config.min_skeleton_events,
+                "instrument %s: variant %s dropped (%d < %d skeleton events)",
+                s.instrument_id, name, events, config.min_skeleton_events,
             )
     if len(failures) == len(eligible):
         raise AllInstrumentsFailedError(

@@ -303,7 +303,7 @@ def decompose_tick_file(tmp_path, data, out, **settings) -> int:
 def test_decompose_on_a_decimal_tick_grid(tmp_path, capsys):
     prices = [100.006, 100.007, 100.008, 100.011, 100.012]
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), p) for i, p in enumerate(prices)])
-    out = tmp_path / "skel.csv"
+    out = tmp_path / "nested" / "dir" / "skel.csv"  # the missing directories are made
     assert decompose_tick_file(tmp_path, data, out, deltas=[0.001]) == 0
     assert capsys.readouterr().out.startswith("6 event(s) for 1 instrument(s)")
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
@@ -332,7 +332,7 @@ def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, capsy
     monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
     # 4 events at 0.25 and 2 at 0.5 for each instrument
     data = write_tick_csv(tmp_path / "ticks.csv", [(name, t, 1.0 + t / 2) for name in names for t in (0.0, 1.0, 2.0)])
-    out = tmp_path / "skel.csv"
+    out = tmp_path / "nested" / "dir" / "skel.csv"
     code = decompose_tick_file(tmp_path, data, out, deltas=deltas)
     if refused is None:
         assert code == 0
@@ -342,8 +342,8 @@ def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {tmp_path / 'decompose.json'}: {refused}")
     assert "more than the limit of 5" in err
-    assert not out.exists()
-    assert not list(tmp_path.glob("*.part"))
+    assert not (tmp_path / "nested").exists()  # a refused export makes no directory either
+    assert not list(tmp_path.rglob("*.part"))
 
 
 def test_decompose_logpath_is_the_skeleton_of_log_prices(tmp_path, capsys):

@@ -613,6 +613,23 @@ def test_add_half_regret_bound_holds_exactly_on_small_counts(m, largest):
         assert 2 ** (2 * add_half_regret_bits(k, m)) == pytest.approx(float(squared), rel=1e-4)
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_certified_ceiling_covers_the_worst_code_length(m):
+    """n * certified_ceiling(m, n) bounds -log2 P_w of every sequence of n
+    symbols on m letters, for n = 1 .. 10^6:
+      - the root weights its own estimate with 1/2, so P_w >= P_e(root) / 2
+        (at the depth bound P_w = P_e), and -log2 P_w <= -log2 P_e(root) + 1;
+      - P_e(root) >= P_ML(c) / 2^add_half_regret_bits(n, m) for the root's
+        counts c, and P_ML(c) >= m^-n, the uniform law's probability, so
+        -log2 P_e(root) <= n log2 m + add_half_regret_bits(n, m).
+    The slack is 1 bit at m = 2 (up to rounding), and at m = 4 it is
+    smallest at n = 1, 0.2968 bits."""
+    n = np.arange(1, 10**6 + 1)
+    ceiling_bits = n * np.fromiter((certified_ceiling(m, k) for k in range(1, n.size + 1)), float, n.size)
+    worst_bits = n * math.log2(m) + add_half_regret_bits(n, m) + 1
+    assert (ceiling_bits - worst_bits).min() >= {2: 1.0 - 1e-9, 4: 0.2968}[m]
+
+
 class TestKnownAnswers:
     @pytest.mark.parametrize("jump_multiple", [2, 3, 5])
     def test_jump_skeleton_converges_to_one_over_the_multiple_from_above(self, jump_multiple):

@@ -12,6 +12,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from voho import ctw, pipeline
 from voho.cli import main
 from voho.errors import AllInstrumentsFailedError
 from voho.ingest import generate_synthetic_path
@@ -20,7 +21,7 @@ from voho.pipeline import (
     InputSpec,
     StudyConfig,
     SyntheticSpec,
-    compute_instrument_rows,
+    instrument_sequences,
     run_study,
     validate_config,
 )
@@ -236,7 +237,7 @@ def test_synthetic_problems_keep_their_wording_with_a_prefix():
 def test_an_unknown_domain_is_refused_not_read_as_prices():
     series = generate_synthetic_path(SyntheticSpec(n=200))
     with pytest.raises(ValueError, match=r"unknown domain 'Logpath'; expected one of \('price', 'logpath'\)"):
-        compute_instrument_rows(series, variants=[Variant.skeleton(0.5)], depth=3, domain="Logpath")
+        instrument_sequences(series, [Variant.skeleton(0.5)], "Logpath", "multi", 1)
 
 
 def walk(instrument: str, seed: int, steps: int = 60):
@@ -293,6 +294,33 @@ def test_aggregates_without_spread_are_skipped_and_logged(tmp_path, caplog, inst
         assert caplog.messages[-1] == "correlation matrix skipped: zero variance"
 
 
+def test_an_instrument_that_fails_while_scoring_leaves_none_of_its_rows(tmp_path, caplog, monkeypatch):
+    # A's 60 steps give 60 symbols for orig2, orig4 and delta_0.5, and 120
+    # for delta_0.25: its originals score, then delta_0.25 sorts 120 words
+    # of history keys, over the limit; B's 40 steps stay under it
+    monkeypatch.setattr(ctw, "MAX_SORT_WORDS", 100)
+    scored = []
+
+    def recording_entropy_rate(seq, depth, alphabet_size):
+        estimate = ctw.entropy_rate(seq, depth, alphabet_size=alphabet_size)
+        scored.append(len(seq))
+        return estimate
+
+    monkeypatch.setattr(pipeline, "entropy_rate", recording_entropy_rate)
+    config = replace(tick_config(tmp_path, walk("A", 1) + walk("B", 2, steps=40)), deltas=[0.25, 0.5])
+    with caplog.at_level(logging.WARNING, logger="voho.pipeline"):
+        run_study(config)
+    assert scored == [60, 60, 40, 40, 80, 40]  # A's two originals, then all of B
+    entropy = read_csv(tmp_path / "out" / "entropy.csv")[1:]
+    assert [(r[0], r[1], r[2]) for r in entropy] == [
+        ("B", "orig2", "40"), ("B", "orig4", "40"), ("B", "delta_0.25", "80"), ("B", "delta_0.5", "40")
+    ]
+    assert (
+        "instrument A failed: depth 3 over 120 symbols sorts 120 words of history keys, more than the limit of 100"
+        in caplog.messages
+    )
+
+
 def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path, capsys):
     config = tick_config(tmp_path, two_changes("B") + three_changes("D"))
     message = "all 2 eligible instrument(s) failed; first error: need at least 4 values, got 2"
@@ -307,7 +335,7 @@ def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path, capsys)
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
-def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path):
+def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path, caplog):
     config = StudyConfig(
         synthetic=SyntheticSpec(instruments=2, n=200),
         deltas=[1.0],
@@ -316,5 +344,10 @@ def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path):
         min_skeleton_events=10**6,
         out_dir=str(tmp_path),
     )
-    assert run_study(config).rows == []
+    with caplog.at_level(logging.INFO, logger="voho.pipeline"):
+        assert run_study(config).rows == []
     assert read_csv(tmp_path / "entropy.csv") == [ENTROPY_CSV_HEADER]
+    assert [m for m in caplog.messages if " dropped " in m] == [
+        "instrument SYN000: variant delta_1 dropped (85 < 1000000 skeleton events)",
+        "instrument SYN001: variant delta_1 dropped (109 < 1000000 skeleton events)",
+    ]
