@@ -38,7 +38,7 @@ DAILY_HEADER = ["instrument", "date", "open", "high", "low", "close", "volume"]
 TICK_HEADER = ["instrument", "timestamp", "price", "volume"]
 FORMATS = ("daily", "tick")
 
-GENERATOR_KINDS = ("brownian", "time_changed", "jump")
+GENERATOR_KINDS = ("brownian", "time_changed")
 # samples over all paths of a SyntheticSpec, the value of homogenise.MAX_EVENTS
 MAX_SYNTHETIC_SAMPLES = 10_000_000
 
@@ -49,7 +49,6 @@ _QUOTE_AND_CR = {b'"', b"\r"}
 _MARKS = _SEPARATOR_CONTROLS | _QUOTE_AND_CR
 # numpy decompresses a path by these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day ordinal of datetime64 day 0
 
 
 @dataclass(frozen=True)
@@ -255,26 +254,11 @@ def _table_series(table: np.ndarray, format: str) -> list[PriceSeries]:
 
 
 def _day_ordinals(fields: np.ndarray) -> np.ndarray:
-    """Day ordinals of YYYYMMDD fields written in ASCII digits; ValueError
-    for any other field or an invalid date."""
-    text = [field.strip() for field in fields.tolist()]
-    if any(len(t) != 8 for t in text):
-        raise ValueError("date is not YYYYMMDD")
-    digits = np.frombuffer("".join(text).encode("ascii"), dtype=np.uint8).reshape(-1, 8) - ord("0")
-    if digits.max() > 9:
-        raise ValueError("date is not YYYYMMDD")
-    ymd = digits.astype(np.int64)
-    year = ymd[:, :4] @ [1000, 100, 10, 1]
-    month = ymd[:, 4:6] @ [10, 1]
-    day = ymd[:, 6:] @ [10, 1]
-    days = ((year - 1970) * 12 + month - 1).astype("datetime64[M]").astype("datetime64[D]") + (day - 1)
-    # round trip: a month or day out of range lands in another month
-    months = days.astype("datetime64[M]")
-    back_month = months.astype(np.int64)
-    back = (back_month // 12 + 1970, back_month % 12 + 1, (days - months).astype(np.int64) + 1)
-    if np.any(year < 1) or not all(np.array_equal(a, b) for a, b in zip(back, (year, month, day))):
-        raise ValueError("invalid date")
-    return days.astype(np.int64) + _EPOCH_ORDINAL
+    """Day ordinals of YYYYMMDD fields by the row reader's rule, each
+    distinct field parsed once; ValueError for a field it refuses."""
+    text = fields.tolist()
+    ordinals = {field: _parse_yyyymmdd(field).toordinal() for field in set(text)}
+    return np.fromiter(map(ordinals.__getitem__, text), dtype=np.int64, count=len(text))
 
 
 def _load_rows(path: str | Path, format: str) -> list[PriceSeries]:
@@ -382,9 +366,6 @@ class SyntheticSpec:
                   integrated-volatility clock; the instantaneous volatility
                   oscillates around sigma with relative amplitude vol_swing
                   and period vol_period
-    jump          piecewise-constant path; each step jumps by
-                  +-jump_multiple*delta with probability jump_prob,
-                  signs i.i.d.
     """
 
     kind: str = "brownian"
@@ -394,9 +375,6 @@ class SyntheticSpec:
     frequency: str = "daily"
     start: float = 1000.0
     sigma: float = 1.0
-    delta: float = 0.5
-    jump_multiple: int = 5
-    jump_prob: float = 1.0
     vol_period: float = 250.0
     vol_swing: float = 0.5
 
@@ -404,10 +382,6 @@ class SyntheticSpec:
         """Every rule the parameters break; an empty list means every path
         can be drawn. Assumes the declared field types."""
         kind = self.kind
-        try:
-            jump = float(self.jump_multiple) * self.delta
-        except OverflowError:  # an int too large for a float
-            jump = math.inf
         rules = [
             (kind not in GENERATOR_KINDS, f"kind must be one of {GENERATOR_KINDS}"),
             (self.instruments < 1, "instruments must be >= 1"),
@@ -421,19 +395,13 @@ class SyntheticSpec:
             (kind == "time_changed" and self.sigma <= 0, "sigma must be positive"),
             (kind == "time_changed" and not 0.0 <= self.vol_swing < 1.0, "vol_swing must be in [0, 1)"),
             (kind == "time_changed" and self.vol_period <= 0, "vol_period must be positive"),
-            (kind == "jump" and not (self.jump_multiple % 1 == 0 and self.jump_multiple >= 2),
-             "jump_multiple must be an integer >= 2"),
-            (kind == "jump" and not 0.0 < self.jump_prob <= 1.0, "jump_prob must be in (0, 1]"),
-            (kind == "jump" and self.delta <= 0, "delta must be positive"),
-            (kind == "jump" and math.isinf(jump) and math.isfinite(self.delta),
-             "jump_multiple * delta must be a finite float"),
             (self.seed < 0, "seed must be >= 0"),
             # path i is drawn from Philox keyed by seed + i, and keys are below 2**128
             (self.seed + self.instruments > 2**128, "seed + instruments must be <= 2**128"),
         ]
         rules += [
             (not math.isfinite(getattr(self, name)), f"{name} must be finite")
-            for name in ("start", "sigma", "delta", "jump_prob", "vol_period", "vol_swing")
+            for name in ("start", "sigma", "vol_period", "vol_swing")
         ]
         return [message for broken, message in rules if broken]
 
@@ -448,18 +416,14 @@ def generate_synthetic_path(spec: SyntheticSpec, index: int = 0) -> PriceSeries:
         raise ValueError(problems[0])
     rng = np.random.Generator(np.random.Philox(key=spec.seed + index))
     steps = spec.n - 1
-    # an overflow becomes an inf (or a nan, inf * 0), refused below by name
+    # an overflow becomes an inf (or a nan, inf - inf), refused below by name
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "brownian":
             increments = spec.sigma * rng.standard_normal(steps)
-        elif spec.kind == "time_changed":
+        else:  # time_changed
             instant_vol = spec.sigma * (1.0 + spec.vol_swing * np.sin(2.0 * np.pi * np.arange(steps) / spec.vol_period))
             clock_increments = instant_vol**2
             increments = np.sqrt(clock_increments) * rng.standard_normal(steps)
-        else:  # jump
-            signs = 2.0 * rng.integers(0, 2, size=steps) - 1.0
-            moved = rng.random(steps) < spec.jump_prob
-            increments = signs * (float(spec.jump_multiple) * spec.delta) * moved
         prices = spec.start + np.concatenate([[0.0], np.cumsum(increments)])
     if not np.all(np.isfinite(prices)):
         raise ValueError("synthetic path overflowed the float range; lower `start` or the volatility")

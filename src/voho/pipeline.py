@@ -184,6 +184,8 @@ def validate_config(config: StudyConfig) -> list[str]:
         errors.append(f"domain must be one of {DOMAINS}")
     if config.crossing not in CROSSING_MODES:
         errors.append(f"crossing must be one of {CROSSING_MODES}")
+    if not os.fspath(config.out_dir):  # "" would write into the working directory
+        errors.append("out_dir must not be empty")
     for spec in config.inputs:
         if spec.format not in FORMATS:
             errors.append(f"input {spec.path!r}: format must be daily or tick")

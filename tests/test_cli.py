@@ -126,6 +126,16 @@ def write_config(path, config: dict):
     return path
 
 
+def test_study_out_empty_is_a_config_error_that_leaves_the_working_directory_alone(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path / "study.json", {"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100})
+    (tmp_path / "corr.csv").write_text("the user's own\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["study", "--config", str(config), "--out", ""]) == 1
+    assert capsys.readouterr().err == "config error: out_dir must not be empty\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corr.csv", "study.json"]
+    assert (tmp_path / "corr.csv").read_text(encoding="utf-8") == "the user's own\n"
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -137,16 +147,15 @@ def write_config(path, config: dict):
         ("synth", {"synthetic": {"sigma": float("nan")}}, "synthetic sigma must be finite"),
         ("synth", {"synthetic": {"start": float("nan")}}, "synthetic start must be finite"),
         ("synth", {"synthetic": {"start": float("inf")}}, "synthetic start must be finite"),
-        ("synth", {"synthetic": {"kind": "jump", "delta": float("nan")}}, "synthetic delta must be finite"),
         ("synth", {"synthetic": {"kind": "time_changed", "vol_period": float("nan")}},
          "synthetic vol_period must be finite"),
+        ("synth", {"synthetic": {"vol_swing": float("nan")}}, "synthetic vol_swing must be finite"),
         ("synth", {}, "{tmp}/config.json: no synthetic block to write"),
         ("synth", {"synthetic": {"start": 10**400}}, f"synthetic.start must be of type float, got {10**400}"),
         ("synth", {"synthetic": {"sigma": 10**400}}, f"synthetic.sigma must be of type float, got {10**400}"),
-        ("synth", {"synthetic": {"kind": "jump", "jump_multiple": 10**400}},
-         "synthetic jump_multiple * delta must be a finite float"),
-        ("synth", {"synthetic": {"kind": "jump", "jump_multiple": 10**300, "delta": 1e10}},
-         "synthetic jump_multiple * delta must be a finite float"),
+        ("synth", {"synthetic": {"kind": "jump"}}, "synthetic kind must be one of ('brownian', 'time_changed')"),
+        ("synth", {"synthetic": {"jump_multiple": 5}},
+         "{tmp}/config.json: synthetic: unknown config key 'jump_multiple'"),
         ("synth", {"synthetic": {"instruments": 1001, "n": 10_000}}, "synthetic instruments * n must be <= 10000000"),
         ("decompose", {"inputs": [{"path": "{tmp}/absent.csv", "format": "tick"}], "deltas": [-1]},
          "every delta must be a positive finite number"),
@@ -155,9 +164,10 @@ def write_config(path, config: dict):
     ],
     ids=[
         "synth-n", "ingest-min-tick-changes", "synth-seed", "synth-seed-key", "synth-sigma-nan", "synth-start-nan",
-        "synth-start-inf", "synth-delta-nan", "synth-vol-period-nan", "synth-no-synthetic-block",
+        "synth-start-inf", "synth-vol-period-nan", "synth-vol-swing-nan",
+        "synth-no-synthetic-block",
         "synth-start-too-large-for-a-float", "synth-sigma-too-large-for-a-float",
-        "synth-jump-multiple-too-large-for-a-float", "synth-jump-too-large-for-a-float", "synth-samples-over-the-bound",
+        "synth-retired-kind-jump", "synth-retired-key-jump-multiple", "synth-samples-over-the-bound",
         "decompose-delta", "decompose-no-deltas",
     ],
 )

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from voho import ctw
-from voho.homogenise import decompose, skeleton_to_symbols
-from voho.ingest import SyntheticSpec, generate_synthetic_path
 from voho.ctw import EntropyEstimate, _context_blocks, _log2_mixture_probability, certified_ceiling, entropy_rate
 
 from ctw_oracle import (
@@ -473,16 +471,11 @@ class TestEntropyRate:
 
 
 def jump_skeleton_symbols(jump_multiple: int, events: int) -> np.ndarray:
-    """The skeleton at 0.5 of a jump path that moves +-jump_multiple * 0.5
-    every step: blocks of jump_multiple equal symbols with i.i.d. fair signs,
-    so the source's entropy rate is 1 / jump_multiple bits per symbol."""
-    spec = SyntheticSpec(
-        kind="jump", n=events // jump_multiple + 1, jump_prob=1.0, jump_multiple=jump_multiple,
-        delta=0.5, start=1e6, seed=7,
-    )
-    symbols = skeleton_to_symbols(decompose(generate_synthetic_path(spec).prices, 0.5))
-    assert symbols.size == jump_multiple * (spec.n - 1)
-    return symbols
+    """The skeleton symbols of a path that jumps jump_multiple deltas up or
+    down every step: blocks of jump_multiple equal symbols with i.i.d. fair
+    signs, so the source's entropy rate is 1 / jump_multiple bits per symbol."""
+    signs = np.random.Generator(np.random.Philox(key=7)).integers(0, 2, size=events // jump_multiple)
+    return np.repeat(signs, jump_multiple)
 
 
 # P(s[i] = 1 | s[i-1], s[i-2]), indexed 2 * s[i-1] + s[i-2]: the contexts

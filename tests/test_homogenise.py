@@ -14,7 +14,6 @@ import pytest
 from voho import homogenise
 from voho.errors import DataError
 from voho.homogenise import SKELETON_CSV_HEADER, decompose, skeleton_to_symbols, write_skeleton_csv
-from voho.ingest import SyntheticSpec, generate_synthetic_path
 
 from conftest import make_series
 
@@ -339,8 +338,10 @@ class TestSkeletonSymbols:
         assert len(skeleton_to_symbols(skel)) == 0
 
     def test_jump_path_gives_runs_of_five(self):
-        series = generate_synthetic_path(SyntheticSpec(kind="jump", n=100, seed=2, delta=0.5, jump_multiple=5))
-        symbols = skeleton_to_symbols(decompose(series.prices, 0.5))
+        signs = 2.0 * np.random.default_rng(2).integers(0, 2, size=99) - 1.0
+        path = 1000.0 + np.concatenate([[0.0], np.cumsum(2.5 * signs)])  # jumps of five steps of 0.5
+        symbols = skeleton_to_symbols(decompose(path, 0.5))
+        assert symbols.size == 5 * 99
         flips = np.flatnonzero(np.diff(symbols) != 0)
         assert np.all((flips + 1) % 5 == 0)  # sign can only change between blocks
 

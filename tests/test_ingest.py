@@ -16,7 +16,6 @@ import pytest
 
 import voho.ingest
 from voho.errors import DataFormatError
-from voho.homogenise import decompose
 from voho.ingest import (
     DAILY_HEADER,
     TICK_HEADER,
@@ -257,6 +256,11 @@ class TestColumnarReader:
         (series,) = load_prices(path, format)
         assert (series.instrument_id, series.times.tolist(), series.prices.tolist()) == ("AAA", times, [10.0])
 
+    def test_date_in_non_ascii_digits_loads_as_by_row_reader(self, tmp_path, no_row_reader):
+        path = write_daily_csv(tmp_path / "d.csv", [("AAA", "٢٠١٠٠١٠٤", 10.0)])
+        (series,) = load_prices(path, "daily")
+        assert series.times.tolist() == [float(date(2010, 1, 4).toordinal())]
+
     def test_ids_whole_and_unparsed_columns_free(self, tmp_path, no_row_reader):
         long_id = "WARSAW_STOCK_EXCHANGE_INSTRUMENT"
         path = tmp_path / "d.csv"
@@ -458,22 +462,17 @@ class TestSyntheticPaths:
         b = generate_synthetic_path(SyntheticSpec(kind="time_changed", n=300, seed=9, sigma=0.5))
         assert np.array_equal(a.prices, b.prices)
 
-    def test_jump_moves_are_exact_multiples(self):
-        s = generate_synthetic_path(SyntheticSpec(kind="jump", n=200, seed=3, delta=0.5, jump_multiple=4))
-        steps = np.diff(s.prices)
-        assert set(np.round(np.abs(steps) / 0.5).astype(int)) == {4}
+    def test_time_changed_steps_are_unit_normals_scaled_by_the_instantaneous_volatility(self):
+        spec = SyntheticSpec(kind="time_changed", n=300, seed=9, sigma=0.5, vol_period=40.0, vol_swing=0.8)
+        steps = np.diff(generate_synthetic_path(spec).prices)
+        # a unit brownian path of the same seed draws the same normals
+        normals = np.diff(generate_synthetic_path(SyntheticSpec(n=300, seed=9, sigma=1.0)).prices)
+        instant_vol = 0.5 * (1.0 + 0.8 * np.sin(2.0 * np.pi * np.arange(299) / 40.0))
+        np.testing.assert_allclose(steps, instant_vol * normals, rtol=1e-9, atol=1e-9)
 
-    def test_jump_skeleton_runs_of_five(self):
-        s = generate_synthetic_path(SyntheticSpec(kind="jump", n=400, seed=11, delta=0.5, jump_multiple=5))
-        skel = decompose(s.prices, 0.5)
-        assert len(skel) == 399 * 5
-        runs = np.diff(np.flatnonzero(np.diff(skel.directions.astype(int)) != 0))
-        assert np.all(runs % 5 == 0)  # sign flips only at jump boundaries
-
-    def test_jump_prob_produces_flats(self):
-        s = generate_synthetic_path(SyntheticSpec(kind="jump", n=500, seed=5, delta=0.5, jump_prob=0.3))
-        steps = np.diff(s.prices)
-        assert np.any(steps == 0.0) and np.any(steps != 0.0)
+    def test_tick_frequency_is_carried_with_sample_index_times(self):
+        s = generate_synthetic_path(SyntheticSpec(n=50, frequency="tick"))
+        assert (s.kind, s.times.tolist()) == ("tick", list(range(50)))
 
     @pytest.mark.parametrize(
         "kind,params",
@@ -482,16 +481,23 @@ class TestSyntheticPaths:
             ("time_changed", {"sigma": 0.0}),
             ("time_changed", {"vol_swing": 1.0}),
             ("time_changed", {"vol_period": 0.0}),
-            ("jump", {"jump_multiple": 1}),
-            ("jump", {"jump_prob": 0.0}),
-            ("jump", {"delta": 0.0}),
             ("brownian", {"start": 0.0}),
+            ("time_changed", {"vol_swing": -0.1}),
+            ("brownian", {"frequency": "weekly"}),
+            ("brownian", {"instruments": 0}),
         ],
     )
     def test_invalid_params_rejected(self, kind, params):
         spec = SyntheticSpec(kind=kind, n=100, **params)
         [problem] = spec.problems()
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            generate_synthetic_path(spec)
+
+    @pytest.mark.parametrize("name", ["start", "sigma", "vol_period", "vol_swing"])
+    def test_an_infinite_parameter_is_refused_by_name(self, name):
+        spec = SyntheticSpec(n=100, **{name: math.inf})
+        assert spec.problems() == [f"{name} must be finite"]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             generate_synthetic_path(spec)
 
     def test_n_below_two_rejected(self):
@@ -501,20 +507,6 @@ class TestSyntheticPaths:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             generate_synthetic_path(SyntheticSpec(kind="levy", n=100))
-
-    def test_fractional_jump_multiple_rejected(self):
-        for multiple in (2.5, math.nan):
-            spec = SyntheticSpec(kind="jump", jump_multiple=multiple)
-            assert spec.problems() == ["jump_multiple must be an integer >= 2"]
-
-    @pytest.mark.parametrize(
-        "multiple, delta", [(10**400, 0.5), (5, 1e308), (2**1023, 4.0)], ids=["int-too-large", "product", "both"]
-    )
-    def test_jump_too_large_for_a_float_rejected(self, multiple, delta):
-        spec = SyntheticSpec(kind="jump", jump_multiple=multiple, delta=delta)
-        assert spec.problems() == ["jump_multiple * delta must be a finite float"]
-        with pytest.raises(ValueError, match=r"^jump_multiple \* delta must be a finite float$"):
-            generate_synthetic_path(spec)
 
     def test_samples_over_all_paths_are_bounded_before_any_is_drawn(self):
         assert voho.ingest.MAX_SYNTHETIC_SAMPLES == 10_000_000
@@ -526,12 +518,11 @@ class TestSyntheticPaths:
                 generate_synthetic_path(spec)
 
     def test_rules_of_other_kinds_do_not_apply(self):
-        assert SyntheticSpec(delta=0.0, jump_multiple=1, vol_swing=2.0).problems() == []
-        assert SyntheticSpec(kind="jump", sigma=0.0, vol_period=0.0).problems() == []
+        assert SyntheticSpec(vol_swing=2.0, vol_period=0.0).problems() == []
 
     def test_first_problem_is_raised(self):
-        spec = SyntheticSpec(kind="jump", n=1, jump_prob=2.0)
-        assert spec.problems() == ["n must be >= 2", "jump_prob must be in (0, 1]"]
+        spec = SyntheticSpec(n=1, sigma=-1.0)
+        assert spec.problems() == ["n must be >= 2", "sigma must be >= 0"]
         with pytest.raises(ValueError, match="^n must be >= 2$"):
             generate_synthetic_path(spec)
 
@@ -544,10 +535,8 @@ class TestSyntheticPaths:
         [
             SyntheticSpec(instruments=2, n=300, start=1e308, sigma=1e307),
             SyntheticSpec(kind="time_changed", n=300, sigma=1e200),
-            # each jump, 5e307, is finite; their sum is not
-            SyntheticSpec(kind="jump", n=300, jump_prob=0.5, delta=1e307),
         ],
-        ids=["brownian", "time_changed", "jump"],
+        ids=["brownian", "time_changed"],
     )
     def test_path_overflowing_the_float_range_is_named_not_warned(self, spec):
         # numpy's overflow warning would be an error here (filterwarnings)

@@ -208,6 +208,10 @@ def test_deltas_that_share_a_name_are_refused():
     ]
 
 
+def test_an_empty_out_dir_is_refused_not_read_as_the_working_directory():
+    assert validate_config(StudyConfig(out_dir="")) == ["out_dir must not be empty"]
+
+
 def test_synthetic_problems_keep_their_wording_with_a_prefix():
     time_changed = SyntheticSpec(
         kind="time_changed", instruments=0, n=1, frequency="weekly", start=0.0, sigma=0.0, vol_swing=1.0,
@@ -222,15 +226,9 @@ def test_synthetic_problems_keep_their_wording_with_a_prefix():
         "synthetic vol_swing must be in [0, 1)",
         "synthetic vol_period must be positive",
     ]
-    jump = SyntheticSpec(kind="jump", jump_multiple=1, jump_prob=0.0, delta=0.0)
-    assert validate_config(StudyConfig(synthetic=jump)) == [
-        "synthetic jump_multiple must be an integer >= 2",
-        "synthetic jump_prob must be in (0, 1]",
-        "synthetic delta must be positive",
-    ]
     assert validate_config(StudyConfig(synthetic=SyntheticSpec(sigma=-1.0))) == ["synthetic sigma must be >= 0"]
     assert validate_config(StudyConfig(synthetic=SyntheticSpec(kind="levy", sigma=-1.0))) == [
-        "synthetic kind must be one of ('brownian', 'time_changed', 'jump')"
+        "synthetic kind must be one of ('brownian', 'time_changed')"
     ]
 
 
