@@ -23,6 +23,7 @@ import itertools
 import logging
 import math
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
@@ -42,13 +43,17 @@ GENERATOR_KINDS = ("brownian", "time_changed")
 # samples over all paths of a SyntheticSpec, the value of homogenise.MAX_EVENTS
 MAX_SYNTHETIC_SAMPLES = 10_000_000
 
-# np.loadtxt strips U+001C..U+001F from numbers as whitespace, float()
-# refuses them, so only the row reader decides a file holding one
-_SEPARATOR_CONTROLS = {b"\x1c", b"\x1d", b"\x1e", b"\x1f"}
+# only the row reader decides a file holding one of these: np.loadtxt
+# strips U+001C..U+001F from numbers as whitespace where float() refuses
+# them, and reads NUL, which csv refuses before Python 3.11
+_CONTROLS = {b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f"}
 _QUOTE_AND_CR = {b'"', b"\r"}
-_MARKS = _SEPARATOR_CONTROLS | _QUOTE_AND_CR
+_MARKS = _CONTROLS | _QUOTE_AND_CR
 # numpy decompresses a path by these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# errors="surrogateescape" decodes each byte that is not UTF-8 to one of
+# these code points, which no UTF-8 text decodes to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ class PriceSeries:
 
 def _parse_yyyymmdd(field: str) -> date:
     text = field.strip()
-    if len(text) != 8 or not text.isdigit():
+    if len(text) != 8 or not text.isdecimal():
         raise ValueError(f"date {field!r} is not YYYYMMDD")
     return date(int(text[:4]), int(text[4:6]), int(text[6:8]))
 
@@ -107,7 +112,10 @@ def _read_header(fh, path: str | Path, expected: list[str]) -> int:
     """Check the header record of `fh`; the number of lines it spans, 0 for
     a file with no lines."""
     reader = csv.reader(fh)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:1: {exc}") from None
     if header is None:
         return 0
     if [h.strip().lower() for h in header] != expected:
@@ -139,17 +147,18 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
     which raises the `DataFormatError` naming the first bad line (or
     returns the series, for the few inputs that only the row reader
     accepts, such as numbers with underscores or non-ASCII digits).
-    Bytes that are not UTF-8 raise `path:line: not UTF-8 text` on either
-    route, naming the line of the first such byte.
+    A line holding a byte that is not UTF-8 is refused as
+    `path:line: not UTF-8 text` when it is read, so on every route the
+    error names the file's first bad line.
     """
     expected = _schema(format)
     marks = _marker_bytes(path)
-    if marks & _SEPARATOR_CONTROLS:
+    if marks & _CONTROLS:
         return _load_rows(path, format)
     # ids and dates as str objects, never cut to a fixed width
     parsed = {"instrument": "O", "date": "O", "timestamp": "f8", "price": "f8", "close": "f8"}
     dtype = np.dtype([(name, parsed.get(name, "U1")) for name in expected])
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = _utf8_lines(fh, path)
         header_lines = _read_header(lines, path, expected)
         if not header_lines:
@@ -167,7 +176,7 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
                 source, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
                 skiprows=skiprows, encoding="utf-8-sig",
             )
-        except ValueError:
+        except (ValueError, DataFormatError):  # a line not UTF-8, on the lines route
             return _load_rows(path, format)
     try:
         return _table_series(table, format)
@@ -176,7 +185,7 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
 
 
 def _marker_bytes(path: str | Path) -> set[bytes]:
-    """Which bytes of `_SEPARATOR_CONTROLS` and `_QUOTE_AND_CR` the file
+    """Which bytes of `_CONTROLS` and `_QUOTE_AND_CR` the file
     holds. In UTF-8 none of them is ever part of another character."""
     found = set()
     with open(path, "rb") as fh:
@@ -186,33 +195,13 @@ def _marker_bytes(path: str | Path) -> set[bytes]:
 
 
 def _utf8_lines(fh, path: str | Path) -> Iterator[str]:
-    """The lines of the text file `fh`. Where decoding fails, raises the
-    DataFormatError naming the line of the first byte that is not UTF-8:
-    the decoder works in chunks, so its own error names neither."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise DataFormatError(f"{path}:{_first_undecodable_line(path)}: not UTF-8 text") from None
-
-
-def _first_undecodable_line(path: str | Path) -> int:
-    """The number of the file's first line that does not decode as UTF-8.
-    bytes.splitlines splits on the same LF, CRLF and CR as the text
-    reader, and no newline byte is ever part of a multi-byte character, so
-    each line decodes on its own; the last part of a chunk is carried into
-    the next, since it may go on there."""
-    lineno = 0
-    tail = b""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            *lines, tail = (tail + chunk).splitlines(keepends=True)
-            for line in lines:
-                lineno += 1
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    return lineno
-    return lineno + 1  # the last line, which only the text decoder refused
+    """The lines of the text file `fh`, opened with errors="surrogateescape".
+    Raises the DataFormatError naming the first line that holds a byte that
+    is not UTF-8 when that line is reached, so errors come in file order."""
+    for lineno, line in enumerate(fh, 1):
+        if not line.isascii() and _ESCAPED_BYTE.search(line):
+            raise DataFormatError(f"{path}:{lineno}: not UTF-8 text")
+        yield line
 
 
 def _skip_blank_lines(fh) -> Iterator[str] | None:
@@ -265,50 +254,53 @@ def _load_rows(path: str | Path, format: str) -> list[PriceSeries]:
     """load_prices one row at a time: the reader of record for every error."""
     expected = _schema(format)
     groups: dict[str, tuple[list[float], list[float]]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = _utf8_lines(fh, path)
         header_lines = _read_header(lines, path, expected)
         if not header_lines:
             return []
         reader = csv.reader(lines)
         last = header_lines  # the last line read so far
-        for row in reader:
-            # errors name the first line of a record that spans several
-            lineno, last = last + 1, header_lines + reader.line_num
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"
-                )
-            instrument = row[0].strip()
-            if not instrument:
-                raise DataFormatError(f"{path}:{lineno}: empty instrument id")
-            try:
-                if format == "daily":
-                    ts = float(_parse_yyyymmdd(row[1]).toordinal())
-                    price = float(row[5])
-                else:
-                    ts = float(row[1])
-                    price = float(row[2])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(ts):
-                raise DataFormatError(f"{path}:{lineno}: non-finite timestamp {row[1]!r}")
-            if not math.isfinite(price) or price <= 0.0:
-                raise DataFormatError(f"{path}:{lineno}: non-positive price {price!r}")
-            times, prices = groups.setdefault(instrument, ([], []))
-            if times:
-                if format == "daily" and ts <= times[-1]:
+        try:
+            for row in reader:
+                # errors name the first line of a record that spans several
+                lineno, last = last + 1, header_lines + reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(expected):
                     raise DataFormatError(
-                        f"{path}:{lineno}: timestamps not strictly increasing for {instrument!r}"
+                        f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"
                     )
-                if format == "tick" and ts < times[-1]:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: timestamps decrease for {instrument!r}"
-                    )
-            times.append(ts)
-            prices.append(price)
+                instrument = row[0].strip()
+                if not instrument:
+                    raise DataFormatError(f"{path}:{lineno}: empty instrument id")
+                try:
+                    if format == "daily":
+                        ts = float(_parse_yyyymmdd(row[1]).toordinal())
+                        price = float(row[5])
+                    else:
+                        ts = float(row[1])
+                        price = float(row[2])
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+                if not math.isfinite(ts):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite timestamp {row[1]!r}")
+                if not math.isfinite(price) or price <= 0.0:
+                    raise DataFormatError(f"{path}:{lineno}: non-positive price {price!r}")
+                times, prices = groups.setdefault(instrument, ([], []))
+                if times:
+                    if format == "daily" and ts <= times[-1]:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: timestamps not strictly increasing for {instrument!r}"
+                        )
+                    if format == "tick" and ts < times[-1]:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: timestamps decrease for {instrument!r}"
+                        )
+                times.append(ts)
+                prices.append(price)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{last + 1}: {exc}") from None
     return [
         PriceSeries(instrument, np.asarray(t), np.asarray(p), format)
         for instrument, (t, p) in groups.items()

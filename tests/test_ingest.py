@@ -64,14 +64,16 @@ class TestLoadPrices:
         with pytest.raises(DataFormatError, match=r":3: non-positive price"):
             load_prices(path, "daily")
 
-    def test_malformed_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("day", ["not-a-date", "²0100105"])  # ² is a digit that int() refuses
+    def test_malformed_row_reports_line(self, tmp_path, day):
         path = tmp_path / "d.csv"
         path.write_text(
             "instrument,date,open,high,low,close,volume\n"
             "AAA,20100104,1,1,1,10,100\n"
-            "AAA,not-a-date,1,1,1,11,100\n"
+            f"AAA,{day},1,1,1,11,100\n",
+            encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match=r":3: "):
+        with pytest.raises(DataFormatError, match=f":3: date '{day}' is not YYYYMMDD$"):
             load_prices(path, "daily")
 
     @pytest.mark.parametrize(
@@ -79,6 +81,11 @@ class TestLoadPrices:
         [
             ('"A\nB",1,10,1\nX,2,-1,1\n', r":4: non-positive price"),
             ('X,1,10,"1\n\n2"\nX,2,11,1\nX,3,12\n', r":6: expected 4 fields"),
+            # csv's own refusal, for a field over its size limit
+            pytest.param(
+                '"A\nB",1,10,1\nX,2,-1,' + "x" * 200_000 + "\n", r":4: field larger than field limit \(131072\)$",
+                id="field-over-csv-limit",
+            ),
         ],
     )
     def test_error_after_a_record_over_several_lines_names_its_line(self, tmp_path, rows, error):
@@ -183,6 +190,13 @@ class TestColumnarReader:
         assert new == _outcome(_load_rows, path, "tick")
         assert new[0] == "ok" and len(sources) == 1 and not isinstance(sources[0], str)
 
+    @pytest.mark.parametrize("control", ["\x00", "\x1c"])
+    def test_files_holding_a_control_byte_are_read_by_the_row_reader(self, tmp_path, sources, control):
+        path = write_tick_csv(tmp_path / "t.csv", [("X", 1.0, 10.0), ("X", 2.0, 11.0)])
+        path.write_text(path.read_text() + f"X,3,12,{control}\n")
+        assert _outcome(load_prices, path, "tick") == _outcome(_load_rows, path, "tick")
+        assert sources == []
+
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_file_with_a_compressed_name_loads_as_csv(self, tmp_path, no_row_reader, suffix):
         rows = [("X", 1.0, 10.0), ("Y", 1.0, 20.0), ("X", 2.0, 11.0)]
@@ -212,18 +226,38 @@ class TestColumnarReader:
                 load(path, "tick")
 
     @pytest.mark.parametrize(
-        "data, line",
+        "rows, line",
         [
-            # a \r\n split across the 1 MiB chunks is one line end, not two
-            (b"x" * ((1 << 20) - 1) + b"\r\n" + b"y\xff\n", 2),
-            (b"a\nb\rc\r\n\xc3", 4),  # a character cut short by the end of the file
+            # a \r\n split across the text reader's 8192-byte reads is one
+            # line end, not two
+            (b"X,1,10," + b"x" * (8191 - 41) + b"\r\nX,2,11,1\xff\n", 3),
+            (b"X,1,10,1\rX,2,11,1\n\xc3", 4),  # a character cut short by the end of the file
         ],
         ids=["crlf-across-chunks", "last-line"],
     )
-    def test_first_undecodable_line(self, tmp_path, data, line):
+    def test_first_undecodable_line(self, tmp_path, rows, line):
         path = tmp_path / "t.csv"
-        path.write_bytes(data)
-        assert voho.ingest._first_undecodable_line(path) == line
+        path.write_bytes(b"instrument,timestamp,price,volume\n" + rows)
+        assert path.read_bytes().find(b"\r\n") in (-1, 8191)  # 8191: the last byte of the first read
+        for load in (load_prices, _load_rows):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+                load(path, "tick")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            b"A,1,-1,1\nA,2,3\xff,1\n",
+            b"A,1,-1,1\n" + b"A,1,2,1\n" * 2000 + b"A,2,3\xff,1\n",  # in another 8192-byte read
+            b'"A",1,-1,1\r\n"A",2,3\xff,1\r\n',  # read by np.loadtxt from its lines
+        ],
+        ids=["adjacent", "apart", "quoted-crlf"],
+    )
+    def test_a_bad_price_before_a_byte_that_is_not_utf8_is_named_first(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"instrument,timestamp,price,volume\n" + rows)
+        for load in (load_prices, _load_rows):
+            with pytest.raises(DataFormatError, match=r"t\.csv:2: non-positive price -1\.0$"):
+                load(path, "tick")
 
     def test_relative_path_that_parses_as_a_url_is_read_locally(self, tmp_path, monkeypatch, no_row_reader, sources):
         def offline(*args, **kwargs):
@@ -300,9 +334,10 @@ class TestColumnarReader:
         seen = {"ok": 0, "raise": 0}
         for _ in range(1200):
             format = rng.choice(["daily", "tick"])
-            path.write_bytes(_random_price_file(rng, format).encode("utf-8"))
+            path.write_bytes(_random_price_file(rng, format))
             new, old = _outcome(load_prices, path, format), _outcome(_load_rows, path, format)
             assert new == old, path.read_bytes()
+            assert old[0] == "ok" or old[1] is DataFormatError, (old, path.read_bytes())
             seen[old[0]] += 1
         assert min(seen.values()) > 300, seen
 
@@ -316,8 +351,9 @@ def _outcome(load, path, format):
     return ("ok", [(s.instrument_id, s.kind, s.times.tobytes(), s.prices.tobytes()) for s in series])
 
 
-def _random_price_file(rng: random.Random, format: str) -> str:
-    """A small daily or tick file; about half hold malformed rows."""
+def _random_price_file(rng: random.Random, format: str) -> bytes:
+    """A small daily or tick file; about half hold malformed rows, and a
+    tenth of those a byte that is not UTF-8."""
     clean = rng.random() < 0.45
     ids = rng.sample(_IDS if clean else _IDS + _BAD_IDS, rng.randint(1, 3))
     clock = {i: rng.randint(0, 50) for i in ids}
@@ -362,7 +398,11 @@ def _random_price_file(rng: random.Random, format: str) -> str:
     header = ",".join(DAILY_HEADER if format == "daily" else TICK_HEADER)
     end = rng.choice(["\n", "\r\n", "\r"])
     text = end.join([header, *lines]) + (end if rng.random() < 0.8 else "")
-    return ("\ufeff" if rng.random() < 0.2 else "") + text
+    data = (("\ufeff" if rng.random() < 0.2 else "") + text).encode("utf-8")
+    if not clean and rng.random() < 0.1:
+        i = rng.randrange(len(data) + 1)
+        data = data[:i] + b"\xff" + data[i:]
+    return data
 
 
 class TestPriceSeriesInvariants:
