@@ -6,11 +6,11 @@ CSV schemas:
 
 Only instrument, date or timestamp, and close or price are parsed; the other
 columns must be present and may hold any text. load_prices reads a file in
-one np.loadtxt pass and checks the columns as arrays. np.loadtxt is given
-the file's path, which its C reader pulls in chunks, unless numpy would
-read that path differently from the row reader: then it is given the
-file's lines. Any file that this read or a check refuses is read again by
-the row reader, which alone words errors, each as `path:line: reason`.
+one np.loadtxt pass over its path, which numpy's C reader pulls in chunks,
+and checks the columns as arrays. A file that numpy would read differently
+from the row reader goes to the row reader up front, and any file that this
+read or a check refuses is read again by it: the row reader alone words
+errors, each as `path:line: reason`.
 
 Daily dates are stored as proleptic-Gregorian day ordinals so that linear
 interpolation across weekends/holidays uses real day spacing.
@@ -19,7 +19,6 @@ interpolation across weekends/holidays uses real day spacing.
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 import math
 import os
@@ -47,8 +46,6 @@ MAX_SYNTHETIC_SAMPLES = 10_000_000
 # strips U+001C..U+001F from numbers as whitespace where float() refuses
 # them, and reads NUL, which csv refuses before Python 3.11
 _CONTROLS = {b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f"}
-_QUOTE_AND_CR = {b'"', b"\r"}
-_MARKS = _CONTROLS | _QUOTE_AND_CR
 # numpy decompresses a path by these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # errors="surrogateescape" decodes each byte that is not UTF-8 to one of
@@ -132,66 +129,74 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
 
     Only the instrument id, the time (`date` or `timestamp`) and the price
     (`close` or `price`) are parsed; the other columns must be present but
-    may hold any text. The rows are read in one `np.loadtxt` pass and
-    checked as arrays. That pass reads from one of two sources:
+    may hold any text, and a field holds at most `csv.field_size_limit()`
+    characters. The rows are read in one `np.loadtxt` pass over the file's
+    path and checked as arrays. The row reader reads instead a file that
+    numpy would read differently:
 
-    - the file's path, which numpy's C reader pulls in chunks, for most
-      files;
-    - the file's lines, as the row reader splits them, when numpy would
-      read the path differently: it decompresses a name ending in `.gz`,
-      `.bz2`, `.xz` or `.lzma`, its universal newlines turn a `\r` inside a
-      quoted field into `\n` (so a file holding both `"` and `\r`), and it
-      skips lines, not records, past a header that spans several lines.
+    - one holding NUL or a byte 0x1C..0x1F;
+    - one named as compressed (`.gz`, `.bz2`, `.xz` or `.lzma`), which
+      numpy would decompress;
+    - one with a line of more than `csv.field_size_limit()` bytes, which
+      numpy would not limit;
+    - one whose header spans several lines, as numpy skips lines, not
+      records.
 
-    When that read or any check fails, the file is read again row by row,
+    numpy opens a path with universal newlines, which turn a `\r` inside a
+    quoted field into `\n`; that changes a result only in an id, so an id
+    holding a line end is refused by the checks.
+
+    When the read or any check fails, the file is read again row by row,
     which raises the `DataFormatError` naming the first bad line (or
     returns the series, for the few inputs that only the row reader
     accepts, such as numbers with underscores or non-ASCII digits).
     A line holding a byte that is not UTF-8 is refused as
-    `path:line: not UTF-8 text` when it is read, so on every route the
-    error names the file's first bad line.
+    `path:line: not UTF-8 text`.
     """
     expected = _schema(format)
-    marks = _marker_bytes(path)
-    if marks & _CONTROLS:
+    if str(path).lower().endswith(_COMPRESSED_SUFFIXES) or _needs_row_reader(path):
         return _load_rows(path, format)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lines = _utf8_lines(fh, path)
+        if _read_header(lines, path, expected) > 1:
+            return _load_rows(path, format)
+        # np.loadtxt would warn of an input with no rows
+        if not any(line.rstrip("\r\n") for line in lines):
+            return []
     # ids and dates as str objects, never cut to a fixed width
     parsed = {"instrument": "O", "date": "O", "timestamp": "f8", "price": "f8", "close": "f8"}
     dtype = np.dtype([(name, parsed.get(name, "U1")) for name in expected])
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        lines = _utf8_lines(fh, path)
-        header_lines = _read_header(lines, path, expected)
-        if not header_lines:
-            return []
-        rows = _skip_blank_lines(lines)
-        if rows is None:
-            return []
-        if header_lines > 1 or _QUOTE_AND_CR <= marks or str(path).lower().endswith(_COMPRESSED_SUFFIXES):
-            source, skiprows = rows, 0
-        else:
-            # an absolute path is never taken for a URL
-            source, skiprows = os.path.abspath(path), 1
-        try:
-            table = np.loadtxt(
-                source, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
-                skiprows=skiprows, encoding="utf-8-sig",
-            )
-        except (ValueError, DataFormatError):  # a line not UTF-8, on the lines route
-            return _load_rows(path, format)
     try:
+        # an absolute path is never taken for a URL
+        table = np.loadtxt(
+            os.path.abspath(path), dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+            skiprows=1, encoding="utf-8-sig",
+        )
         return _table_series(table, format)
     except ValueError:
         return _load_rows(path, format)
 
 
-def _marker_bytes(path: str | Path) -> set[bytes]:
-    """Which bytes of `_CONTROLS` and `_QUOTE_AND_CR` the file
-    holds. In UTF-8 none of them is ever part of another character."""
-    found = set()
+def _needs_row_reader(path: str | Path) -> bool:
+    """Whether the file holds a byte of `_CONTROLS`, or a line of more than
+    `csv.field_size_limit()` bytes. In UTF-8 none of those bytes, nor a
+    line end, is ever part of another character."""
+    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
+        start = 0  # where the current line starts, relative to the chunk
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            found.update(mark for mark in _MARKS if mark in chunk)
-    return found
+            if any(control in chunk for control in _CONTROLS):
+                return True
+            # jump from each line start to the last line end within the
+            # limit, so a long file costs a few searches per limit's bytes
+            while len(chunk) - start > limit:
+                lo, hi = max(start, 0), start + limit + 1
+                end = max(chunk.rfind(b"\n", lo, hi), chunk.rfind(b"\r", lo, hi))
+                if end < 0:
+                    return True
+                start = end + 1
+            start -= len(chunk)
+    return False
 
 
 def _utf8_lines(fh, path: str | Path) -> Iterator[str]:
@@ -202,15 +207,6 @@ def _utf8_lines(fh, path: str | Path) -> Iterator[str]:
         if not line.isascii() and _ESCAPED_BYTE.search(line):
             raise DataFormatError(f"{path}:{lineno}: not UTF-8 text")
         yield line
-
-
-def _skip_blank_lines(fh) -> Iterator[str] | None:
-    """The lines of `fh` from its first non-blank one on, or None when only
-    blank lines are left (np.loadtxt would warn of an empty input)."""
-    for line in fh:
-        if line not in ("\n", "\r\n", "\r"):
-            return itertools.chain([line], fh)
-    return None
 
 
 def _table_series(table: np.ndarray, format: str) -> list[PriceSeries]:
@@ -230,8 +226,9 @@ def _table_series(table: np.ndarray, format: str) -> list[PriceSeries]:
     run_codes = []
     for instrument in ids[heads].tolist():
         instrument = instrument.strip()
-        if not instrument:
-            raise ValueError("empty instrument id")
+        # np.loadtxt reads a \r inside a quoted id as \n
+        if not instrument or "\n" in instrument or "\r" in instrument:
+            raise ValueError("instrument id empty or holding a line end")
         run_codes.append(codes.setdefault(instrument, len(codes)))
     row_codes = np.repeat(run_codes, np.diff(heads, append=ids.size))
     order = np.argsort(row_codes, kind="stable")
@@ -312,9 +309,7 @@ def count_price_changes(series: PriceSeries) -> int:
     return int(np.count_nonzero(np.diff(series.prices) != 0.0))
 
 
-def filter_eligible(
-    series: list[PriceSeries], min_daily: int = 1000, min_tick_changes: int = 2500
-) -> list[PriceSeries]:
+def filter_eligible(series: list[PriceSeries], min_daily: int, min_tick_changes: int) -> list[PriceSeries]:
     """Keep daily series with >= min_daily observations and tick series with
     >= min_tick_changes actual price changes (flat repeats do not count)."""
     if min_daily < 2 or min_tick_changes < 2:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gzip
 import math
 import os
@@ -129,8 +130,9 @@ class TestLoadPrices:
             load_prices(tmp_path / "whatever.csv", "hourly")
 
 
+# np.loadtxt reads each \r in a quoted id as \n; the last two strip to A
 _IDS = ["A", "B", " A ", "A ", '"X,Y"', '"a""b"', "ŻYWIEC", "INSTRUMENT_ID_LONGER_THAN_16",
-        '"A\nB"', '"A\r\nB"', '"A\rB"']
+        '"A\nB"', '"A\r\nB"', '"A\rB"', '"A\r"', '"\r\nA"']
 _BAD_IDS = ["", "  ", 'a"b', '"']
 _BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "1_000", "0x10", "", "abc", "٣", "0", "-1", '"1', "1 2"]
 _BAD_DATES = ["00000101", "20100230", "٢٠١٠٠١٠٤", "²0100104", "2010-01-04", "2010010", "201001044",
@@ -164,31 +166,53 @@ class TestColumnarReader:
         monkeypatch.setattr(np, "loadtxt", spy)
         return seen
 
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        """The path of every _load_rows call, in order."""
+        seen = []
+        load_rows = _load_rows
+
+        def spy(path, format):
+            seen.append(path)
+            return load_rows(path, format)
+
+        monkeypatch.setattr(voho.ingest, "_load_rows", spy)
+        return seen
+
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-    def test_unquoted_files_are_read_from_their_path(self, tmp_path, no_row_reader, sources, end):
+    # numpy reads a path with universal newlines: the quoted ids hold line
+    # ends that it reads as \n, each at an edge that strip() removes
+    @pytest.mark.parametrize("ids", [("X", "Y"), ('"X"', '"\r\nY\r"')], ids=["unquoted", "quoted"])
+    def test_files_are_read_from_their_path(self, tmp_path, no_row_reader, sources, end, ids):
+        x, y = ids
         path = tmp_path / "t.csv"
-        lines = ["instrument,timestamp,price,volume", "", "X,1,10,1", "Y,2,20,x y", "", "X,3,11,1"]
+        lines = ["instrument,timestamp,price,volume", "", f"{x},1,10,1", f"{y},2,20,x y", "", f"{x},3,11,1"]
         path.write_text(end.join(lines) + end, newline="")
         series = load_prices(path, "tick")
         assert sources == [os.path.abspath(path)]
         assert [(s.instrument_id, s.prices.tolist()) for s in series] == [("X", [10.0, 11.0]), ("Y", [20.0])]
 
     @pytest.mark.parametrize(
-        "text",
+        "text, read_by_numpy, loaded",
         [
-            'instrument,timestamp,price,volume\r\n"A\r\nB",1,10,1\r\nC,2,3,1\r\n',
-            'instrument,timestamp,price,volume\n"A\rB",1,10,1\n',
-            'instrument,timestamp,price,volume\r"X",1,10,1\r',
+            # numpy would read these ids with \n for \r, so it refuses them
+            ('instrument,timestamp,price,volume\r\n"A\r\nB",1,10,1\r\nC,2,3,1\r\n', True,
+             [("A\r\nB", [10.0]), ("C", [3.0])]),
+            ('instrument,timestamp,price,volume\n"A\rB",1,10,1\n', True, [("A\rB", [10.0])]),
             # numpy skips lines, not records, so it would read `\nB` here
-            'instrument,timestamp,price,"volume\n"\nB",1,10,1\n',
+            ('instrument,timestamp,price,"volume\n"\nB",1,10,1\n', False, [('B"', [10.0])]),
         ],
+        ids=["crlf-in-id", "cr-in-id", "header-over-two-lines"],
     )
-    def test_files_numpy_would_read_otherwise_are_read_from_their_lines(self, tmp_path, no_row_reader, sources, text):
+    def test_files_numpy_would_read_otherwise_are_read_by_the_row_reader(
+        self, tmp_path, sources, row_reads, text, read_by_numpy, loaded
+    ):
         path = tmp_path / "t.csv"
         path.write_text(text, newline="")
-        new = _outcome(load_prices, path, "tick")
-        assert new == _outcome(_load_rows, path, "tick")
-        assert new[0] == "ok" and len(sources) == 1 and not isinstance(sources[0], str)
+        series = load_prices(path, "tick")
+        assert row_reads == [path]
+        assert sources == ([os.path.abspath(path)] if read_by_numpy else [])
+        assert [(s.instrument_id, s.prices.tolist()) for s in series] == loaded
 
     @pytest.mark.parametrize("control", ["\x00", "\x1c"])
     def test_files_holding_a_control_byte_are_read_by_the_row_reader(self, tmp_path, sources, control):
@@ -197,13 +221,45 @@ class TestColumnarReader:
         assert _outcome(load_prices, path, "tick") == _outcome(_load_rows, path, "tick")
         assert sources == []
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("A,1,10," + "x" * 200_000 + "\n", 2),
+            # across the scan's first 1 MiB read, on \r ends, the last one missing
+            ("A,1,10,1\r" * 116_000 + "A,2,11," + "x" * 200_000, 116_002),
+            pytest.param(
+                'A,1,10,"' + "\n".join(["x" * 50_000] * 3) + '"\n', 2,
+                marks=pytest.mark.xfail(strict=True, reason="np.loadtxt limits no field, and no line is over the limit"),
+            ),
+        ],
+        ids=["one-line", "across-reads", "quoted-over-lines"],
+    )
+    def test_a_field_over_csvs_limit_is_refused_by_both_readers(self, tmp_path, rows, line):
+        path = tmp_path / "t.csv"
+        path.write_text("instrument,timestamp,price,volume\n" + rows, newline="")
+        message = f"^{re.escape(str(path))}:{line}: field larger than field limit \\(131072\\)$"
+        for load in (load_prices, _load_rows):
+            with pytest.raises(DataFormatError, match=message):
+                load(path, "tick")
+
+    @pytest.mark.parametrize("extra, read_by_numpy", [(0, True), (1, False)])
+    def test_a_line_over_csvs_limit_is_read_by_the_row_reader(self, tmp_path, sources, extra, read_by_numpy):
+        path = tmp_path / "t.csv"
+        line = "A,1,10," + "x" * (csv.field_size_limit() - 7 + extra)  # no field over the limit
+        path.write_text(f"instrument,timestamp,price,volume\n{line}\nA,2,11,1\n")
+        loaded = _outcome(load_prices, path, "tick")
+        assert loaded[0] == "ok" and loaded == _outcome(_load_rows, path, "tick")
+        assert sources == ([os.path.abspath(path)] if read_by_numpy else [])
+
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-    def test_plain_file_with_a_compressed_name_loads_as_csv(self, tmp_path, no_row_reader, suffix):
+    def test_plain_file_with_a_compressed_name_loads_as_csv(self, tmp_path, sources, row_reads, suffix):
         rows = [("X", 1.0, 10.0), ("Y", 1.0, 20.0), ("X", 2.0, 11.0)]
         plain = write_tick_csv(tmp_path / "t.csv", rows)
         named = write_tick_csv(tmp_path / f"t.csv{suffix}", rows)
         loaded = _outcome(load_prices, named, "tick")
         assert loaded[0] == "ok" and loaded == _outcome(load_prices, plain, "tick")
+        # numpy would decompress the named file, so the row reader reads it
+        assert row_reads == [named] and sources == [os.path.abspath(plain)]
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, end):
@@ -248,7 +304,7 @@ class TestColumnarReader:
         [
             b"A,1,-1,1\nA,2,3\xff,1\n",
             b"A,1,-1,1\n" + b"A,1,2,1\n" * 2000 + b"A,2,3\xff,1\n",  # in another 8192-byte read
-            b'"A",1,-1,1\r\n"A",2,3\xff,1\r\n',  # read by np.loadtxt from its lines
+            b'"A",1,-1,1\r\n"A",2,3\xff,1\r\n',  # quoted, on \r\n ends
         ],
         ids=["adjacent", "apart", "quoted-crlf"],
     )
@@ -420,15 +476,15 @@ class TestFilterEligible:
     def test_daily_999_excluded_1000_kept(self):
         short = make_series(np.linspace(10, 20, 999), instrument="S")
         long = make_series(np.linspace(10, 20, 1000), instrument="L")
-        kept = filter_eligible([short, long], min_daily=1000)
+        kept = filter_eligible([short, long], min_daily=1000, min_tick_changes=2500)
         assert [s.instrument_id for s in kept] == ["L"]
 
     def test_tick_counts_changes_not_rows(self):
         # 3000 rows but only 2400 actual price changes
         prices = np.concatenate([np.full(600, 10.0), 10.0 + 0.01 * np.arange(1, 2401)])
         ticky = make_series(prices, times=np.arange(3000.0), instrument="T", kind="tick")
-        assert filter_eligible([ticky], min_tick_changes=2500) == []
-        assert filter_eligible([ticky], min_tick_changes=2400) == [ticky]
+        assert filter_eligible([ticky], min_daily=1000, min_tick_changes=2500) == []
+        assert filter_eligible([ticky], min_daily=1000, min_tick_changes=2400) == [ticky]
 
     def test_two_point_series_included_at_min_2(self):
         s = make_series([10.0, 11.0])
@@ -436,7 +492,9 @@ class TestFilterEligible:
 
     def test_threshold_preconditions(self):
         with pytest.raises(ValueError):
-            filter_eligible([], min_daily=1)
+            filter_eligible([], min_daily=1, min_tick_changes=2500)
+        with pytest.raises(ValueError):
+            filter_eligible([], min_daily=1000, min_tick_changes=1)
 
     def test_idempotent_and_non_mutating(self):
         series = [make_series(np.linspace(10, 20, 50), instrument=f"I{i}") for i in range(3)]
