@@ -45,6 +45,8 @@ DEFAULT_DELTAS = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
 DOMAINS = ("price", "logpath")
 
 ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entropy_bits_per_symbol"]
+# the names, as glob patterns, of every file a study writes into out_dir
+OUTPUT_FILES = ("entropy.csv", "summary.csv", "corr.csv", "kde_*.csv", "scatter_*.csv")
 
 
 @dataclass
@@ -267,6 +269,9 @@ def eligible_series(config: StudyConfig) -> list[PriceSeries]:
 def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     """Execute the full pipeline and persist all outputs under out_dir. Rows
     follow the input order of instruments, then the order of study_variants.
+    Once the config is valid, before any input is read, each regular file
+    in out_dir named as in OUTPUT_FILES is removed, so a study that fails
+    leaves no earlier study's outputs; nothing else is touched or created.
 
     Instruments are handled one after another in the calling thread: the
     symbol arrays of instrument_sequences, then one entropy_rate per array.
@@ -277,6 +282,10 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
+    stale = [p for name in OUTPUT_FILES for p in Path(config.out_dir).glob(name) if p.is_file()]
+    for path in stale:
+        path.unlink()
+    logger.info("removed %d output file(s) of an earlier study from %s", len(stale), config.out_dir)
 
     eligible = eligible_series(config)
     variants = study_variants(config.variants, config.deltas)
@@ -325,10 +334,8 @@ def write_csv(path: str | os.PathLike, header: list[str], rows) -> None:
 def _persist(result: StudyResult, config: StudyConfig) -> None:
     """Write every output file under config.out_dir. Every float is written
     as Python's repr of a Python float; a numpy scalar is never passed, since
-    under numpy 2 its repr is np.float64(...). The `kde_*.csv`,
-    `scatter_*.csv` and `corr.csv` files in out_dir that this study does not
-    write, left by an earlier run, are removed and each removal is logged;
-    no file of any other name is touched."""
+    under numpy 2 its repr is np.float64(...). Only writes: run_study has
+    already removed an earlier study's outputs."""
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -344,28 +351,21 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
         ENTROPY_CSV_HEADER,
         ([r.instrument, r.variant, r.n, config.depth, alphabet[r.variant], float(r.entropy)] for r in result.rows),
     )
-    written = {f"kde_{variant}.csv" for variant in result.kde_curves}
     for variant, (grid, density) in result.kde_curves.items():
         # 512 rows of plain numbers: one string, not one csv.writer call per value
         with open(out / f"kde_{variant}.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
     if result.corr_matrix is not None:
-        written.add("corr.csv")
         header = ["variant"] + result.corr_variants
         body = [[v] + row for v, row in zip(result.corr_variants, result.corr_matrix.tolist())]
         write_csv(out / "corr.csv", header, body)
     if result.scatter is not None:
         a, b, pairs = result.scatter
-        written.add(f"scatter_{a}_{b}.csv")
         write_csv(
             out / f"scatter_{a}_{b}.csv",
             ["instrument", f"value_{a}", f"value_{b}"],
             ([i, float(va), float(vb)] for i, va, vb in pairs),
         )
-    for stale in sorted({*out.glob("kde_*.csv"), *out.glob("scatter_*.csv"), *out.glob("corr.csv")}):
-        if stale.name not in written and stale.is_file():
-            stale.unlink()
-            logger.info("removed %s, which this study does not write", stale)
     write_csv(
         out / "summary.csv",
         ["delta", "mean_entropy"],

@@ -14,7 +14,7 @@ import pytest
 
 from voho import ctw, pipeline
 from voho.cli import main
-from voho.errors import AllInstrumentsFailedError
+from voho.errors import AllInstrumentsFailedError, ConfigError, DataError
 from voho.ingest import generate_synthetic_path
 from voho.pipeline import (
     ENTROPY_CSV_HEADER,
@@ -186,9 +186,8 @@ def test_a_rerun_into_the_same_directory_leaves_only_its_own_files(tmp_path, cap
     fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
     assert sorted(fresh) == ["entropy.csv", "kde_delta_1.csv", "summary.csv"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {**fresh, "notes.txt": b"kept\n"}
-    stale = ["corr.csv", "kde_delta_0.5.csv", "kde_orig2.csv", "kde_orig4.csv", "scatter_orig4_delta_0.5.csv"]
     assert [m for m in caplog.messages if m.startswith("removed ")] == [
-        f"removed {out / name}, which this study does not write" for name in stale
+        f"removed 8 output file(s) of an earlier study from {out}"
     ]
 
 
@@ -331,6 +330,64 @@ def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path, capsys)
     path.write_text(json.dumps(asdict(config)), encoding="utf-8")
     assert main(["study", "--config", str(path)]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def filled(out):
+    """`out` after a study of every output kind, plus a file of the user's."""
+    study(out)
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    kinds = ["corr.csv", "entropy.csv", "kde_delta_0.5.csv", "scatter_orig4_delta_0.5.csv", "summary.csv"]
+    assert set(kinds) <= {p.name for p in out.iterdir()}
+    return sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("failing, code", [("no_eligible", 2), ("every_instrument_fails", 3)])
+def test_a_rerun_that_fails_after_validation_leaves_no_earlier_outputs(tmp_path, capsys, failing, code):
+    out = tmp_path / "out"
+    if failing == "no_eligible":
+        config = StudyConfig(synthetic=SyntheticSpec(instruments=3, n=800, seed=5), min_daily=801, out_dir=str(out))
+        error, message = DataError, "data error: no eligible instruments after length filters"
+    else:
+        config = replace(tick_config(tmp_path, two_changes("B") + three_changes("D")), out_dir=str(out))
+        error, message = AllInstrumentsFailedError, "error: all 2 eligible instrument(s) failed; first error:"
+    files = filled(out)
+    with pytest.raises(ConfigError):
+        run_study(replace(config, depth=-1))
+    assert sorted(p.name for p in out.iterdir()) == files
+    with pytest.raises(error):
+        run_study(config)
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    filled(out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+    assert main(["study", "--config", str(path)]) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_an_out_dir_under_a_regular_file_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "out"
+    config = StudyConfig(
+        synthetic=SyntheticSpec(instruments=2, n=200),
+        deltas=[1.0],
+        variants=[],
+        min_daily=100,
+        min_skeleton_events=1,
+        out_dir=str(out),
+    )
+    message = f"output directory {out} is not writable: [Errno 20] Not a directory: '{out}'"
+    with pytest.raises(DataError) as raised:
+        run_study(config)
+    assert str(raised.value) == message
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+    assert main(["study", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert (tmp_path / "file").read_bytes() == b""
 
 
 def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path, caplog):
