@@ -39,10 +39,6 @@ from .pipeline import (
 )
 from .stats import format_summary_table
 
-logger = logging.getLogger(__name__)
-
-SYNTH_EPOCH = date(2000, 1, 3).toordinal()  # day index 0 of synthetic daily files
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -143,7 +139,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     series = synthetic_series(spec)
     daily = spec.frequency == "daily"
     rows = (
-        [s.instrument_id, date.fromordinal(SYNTH_EPOCH + int(t)).strftime("%Y%m%d"), *[repr(p)] * 4, 0]
+        [s.instrument_id, date.fromordinal(int(t)).strftime("%Y%m%d"), *[repr(p)] * 4, 0]
         if daily
         else [s.instrument_id, repr(t), repr(p), 0]
         for s in series

@@ -39,6 +39,7 @@ TICK_HEADER = ["instrument", "timestamp", "price", "volume"]
 FORMATS = ("daily", "tick")
 
 GENERATOR_KINDS = ("brownian", "time_changed")
+SYNTH_EPOCH = date(2000, 1, 3).toordinal()  # the day ordinal of step 0 of a synthetic daily path
 # samples over all paths of a SyntheticSpec, the value of homogenise.MAX_EVENTS
 MAX_SYNTHETIC_SAMPLES = 10_000_000
 
@@ -395,9 +396,10 @@ class SyntheticSpec:
 
 def generate_synthetic_path(spec: SyntheticSpec, index: int = 0) -> PriceSeries:
     """Path `index` of `spec`, named SYN{index:03d}: deterministic, drawn
-    from Philox keyed by spec.seed + index. Raises ValueError naming the
-    first of spec's problems, or when the path overflows the float range or
-    crosses zero."""
+    from Philox keyed by spec.seed + index, and timed as load_prices times
+    its CSV: a daily path in day ordinals from SYNTH_EPOCH, a tick path in
+    seconds from 0. Raises ValueError naming the first of spec's problems,
+    or when the path overflows the float range or crosses zero."""
     problems = spec.problems()
     if problems:
         raise ValueError(problems[0])
@@ -405,15 +407,13 @@ def generate_synthetic_path(spec: SyntheticSpec, index: int = 0) -> PriceSeries:
     steps = spec.n - 1
     # an overflow becomes an inf (or a nan, inf - inf), refused below by name
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "brownian":
-            increments = spec.sigma * rng.standard_normal(steps)
-        else:  # time_changed
-            instant_vol = spec.sigma * (1.0 + spec.vol_swing * np.sin(2.0 * np.pi * np.arange(steps) / spec.vol_period))
-            clock_increments = instant_vol**2
-            increments = np.sqrt(clock_increments) * rng.standard_normal(steps)
-        prices = spec.start + np.concatenate([[0.0], np.cumsum(increments)])
+        vol = spec.sigma
+        if spec.kind == "time_changed":  # the instantaneous volatility of each step
+            vol = spec.sigma * (1.0 + spec.vol_swing * np.sin(2.0 * np.pi * np.arange(steps) / spec.vol_period))
+        prices = spec.start + np.concatenate([[0.0], np.cumsum(vol * rng.standard_normal(steps))])
     if not np.all(np.isfinite(prices)):
         raise ValueError("synthetic path overflowed the float range; lower `start` or the volatility")
     if float(prices.min()) <= 0.0:
         raise ValueError("synthetic path crossed zero; raise `start` or lower the volatility")
-    return PriceSeries(f"SYN{index:03d}", np.arange(spec.n, dtype=np.float64), prices, spec.frequency)
+    origin = SYNTH_EPOCH if spec.frequency == "daily" else 0
+    return PriceSeries(f"SYN{index:03d}", np.arange(origin, origin + spec.n, dtype=np.float64), prices, spec.frequency)

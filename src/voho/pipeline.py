@@ -60,9 +60,9 @@ class StudyConfig:
     """A study. `variants` names the originals to score (orig2, orig4);
     each of the strictly increasing `deltas` adds a skeleton variant named
     `delta_{delta:g}`, the step to six significant digits. Either list may
-    be empty, not both. validate_config refuses deltas that share a name
-    (1.0000001 and 1.0000002 are both `delta_1`), since every output file
-    is keyed by it."""
+    be empty, not both; the data come from `inputs`, `synthetic` or both.
+    validate_config refuses deltas that share a name (1.0000001 and
+    1.0000002 are both `delta_1`), since every output file is keyed by it."""
 
     inputs: list[InputSpec] = field(default_factory=list)
     synthetic: SyntheticSpec | None = None
@@ -163,6 +163,8 @@ def validate_config(config: StudyConfig) -> list[str]:
         return errors
     if not config.deltas and not config.variants:
         errors.append("variants and deltas must not both be empty")
+    if not config.inputs and config.synthetic is None:
+        errors.append("inputs and synthetic must not both be empty")
     named = [(f"variants[{i}]", v) for i, v in enumerate(config.variants)]
     if any(not (math.isfinite(d) and d > 0) for d in config.deltas):
         errors.append("every delta must be a positive finite number")
@@ -335,40 +337,37 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
     """Write every output file under config.out_dir. Every float is written
     as Python's repr of a Python float; a numpy scalar is never passed, since
     under numpy 2 its repr is np.float64(...). Only writes: run_study has
-    already removed an earlier study's outputs."""
+    already removed an earlier study's outputs. An OSError while making the
+    directory or writing a file is a DataError naming the directory."""
     out = Path(config.out_dir)
+    alphabet = {v.name: v.alphabet for v in result.variants}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
+        write_csv(
+            out / "entropy.csv",
+            ENTROPY_CSV_HEADER,
+            ([r.instrument, r.variant, r.n, config.depth, alphabet[r.variant], float(r.entropy)] for r in result.rows),
+        )
+        for variant, (grid, density) in result.kde_curves.items():
+            # 512 rows of plain numbers: one string, not one csv.writer call per value
+            with open(out / f"kde_{variant}.csv", "w", newline="", encoding="utf-8") as fh:
+                fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
+        if result.corr_matrix is not None:
+            header = ["variant"] + result.corr_variants
+            body = [[v] + row for v, row in zip(result.corr_variants, result.corr_matrix.tolist())]
+            write_csv(out / "corr.csv", header, body)
+        if result.scatter is not None:
+            a, b, pairs = result.scatter
+            write_csv(
+                out / f"scatter_{a}_{b}.csv",
+                ["instrument", f"value_{a}", f"value_{b}"],
+                ([i, float(va), float(vb)] for i, va, vb in pairs),
+            )
+        write_csv(
+            out / "summary.csv",
+            ["delta", "mean_entropy"],
+            ([float(d), float(m)] for d, m in result.summary),
+        )
     except OSError as exc:
         raise DataError(f"output directory {out} is not writable: {exc}") from exc
-
-    alphabet = {v.name: v.alphabet for v in result.variants}
-    write_csv(
-        out / "entropy.csv",
-        ENTROPY_CSV_HEADER,
-        ([r.instrument, r.variant, r.n, config.depth, alphabet[r.variant], float(r.entropy)] for r in result.rows),
-    )
-    for variant, (grid, density) in result.kde_curves.items():
-        # 512 rows of plain numbers: one string, not one csv.writer call per value
-        with open(out / f"kde_{variant}.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
-    if result.corr_matrix is not None:
-        header = ["variant"] + result.corr_variants
-        body = [[v] + row for v, row in zip(result.corr_variants, result.corr_matrix.tolist())]
-        write_csv(out / "corr.csv", header, body)
-    if result.scatter is not None:
-        a, b, pairs = result.scatter
-        write_csv(
-            out / f"scatter_{a}_{b}.csv",
-            ["instrument", f"value_{a}", f"value_{b}"],
-            ([i, float(va), float(vb)] for i, va, vb in pairs),
-        )
-    write_csv(
-        out / "summary.csv",
-        ["delta", "mean_entropy"],
-        ([float(d), float(m)] for d, m in result.summary),
-    )
     logger.info("outputs written to %s", out)

@@ -14,7 +14,8 @@ from voho import homogenise
 from voho.cli import main
 from voho.ctw import entropy_rate
 from voho.homogenise import decompose, skeleton_to_symbols
-from voho.ingest import load_prices, log_returns
+from voho.ingest import SyntheticSpec, load_prices, log_returns
+from voho.pipeline import synthetic_series
 from voho.quantise import quantile_bins
 
 from conftest import daily_rows, write_daily_csv, write_tick_csv
@@ -45,13 +46,20 @@ from conftest import daily_rows, write_daily_csv, write_tick_csv
         ('{"deltas": [0.5, 0.5]}', ["deltas must be strictly increasing"]),
         ('{"deltas": [], "variants": []}', ["variants and deltas must not both be empty"]),
         ('{"variants": ["orig2", "orig2"]}', ["variants[0] and variants[1] share the variant name 'orig2'"]),
+        ("{}", ["inputs and synthetic must not both be empty"]),
+        ('{"min_daily": 1}', ["min_daily must be >= 2"]),
+        ('{"min_skeleton_events": 0}', ["min_skeleton_events must be >= 1"]),
+        ('{"domain": "Logpath"}', ["domain must be one of ('price', 'logpath')"]),
+        ('{"crossing": "both"}', ["crossing must be one of ('multi', 'single')"]),
+        ('{"inputs": [{"path": "p.csv", "format": "hourly"}]}', ["input 'p.csv': format must be daily or tick"]),
         # a config error with or without the interpreter's limit on integer digits
         ('{"deltas": [' + "1" * 5000 + "]}", []),
     ],
     ids=[
         "field-name", "field-type", "truncated", "not-object", "nested-not-object", "top-level-types",
         "input-type", "deltas-sharing-a-name", "delta-too-large-for-a-float", "negative-depth", "unknown-variant",
-        "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original",
+        "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original", "no-data",
+        "min-daily", "min-skeleton-events", "unknown-domain", "unknown-crossing", "unknown-input-format",
         "integer-over-the-digit-limit",
     ],
 )
@@ -150,7 +158,8 @@ def test_study_out_empty_is_a_config_error_that_leaves_the_working_directory_alo
         ("synth", {"synthetic": {"kind": "time_changed", "vol_period": float("nan")}},
          "synthetic vol_period must be finite"),
         ("synth", {"synthetic": {"vol_swing": float("nan")}}, "synthetic vol_swing must be finite"),
-        ("synth", {}, "{tmp}/config.json: no synthetic block to write"),
+        ("synth", {"inputs": [{"path": "{tmp}/absent.csv", "format": "daily"}]},
+         "{tmp}/config.json: no synthetic block to write"),
         ("synth", {"synthetic": {"start": 10**400}}, f"synthetic.start must be of type float, got {10**400}"),
         ("synth", {"synthetic": {"sigma": 10**400}}, f"synthetic.sigma must be of type float, got {10**400}"),
         ("synth", {"synthetic": {"kind": "jump"}}, "synthetic kind must be one of ('brownian', 'time_changed')"),
@@ -399,28 +408,27 @@ def test_decompose_exports_the_skeletons_the_study_scores(tmp_path, capsys, sour
     assert list(dict.fromkeys(exported)) == list(scored)  # instruments in order, each by increasing delta
 
 
-@pytest.mark.parametrize(
-    "synthetic, filters",
-    [
-        ({"instruments": 3, "n": 300, "seed": 5}, {"min_daily": 100}),
-        ({"kind": "time_changed", "instruments": 2, "n": 400, "seed": 9, "frequency": "tick", "vol_period": 50.0},
-         {"min_tick_changes": 100}),
-    ],
-    ids=["daily", "tick"],
-)
-def test_a_study_of_the_synth_file_writes_the_bytes_of_the_synthetic_study(tmp_path, capsys, synthetic, filters):
-    study = {"deltas": [0.5, 1.0], "depth": 6, "min_skeleton_events": 10, **filters}
-    in_config = write_config(tmp_path / "synthetic.json", {**study, "synthetic": synthetic})
+@pytest.mark.parametrize("frequency", ["daily", "tick"])
+@pytest.mark.parametrize("kind", ["brownian", "time_changed"])
+def test_the_synth_file_loads_studies_and_decomposes_as_the_synthetic_block(tmp_path, capsys, kind, frequency):
+    synthetic = {"kind": kind, "instruments": 2, "n": 400, "seed": 9, "frequency": frequency, "vol_period": 50.0}
+    settings = {"deltas": [0.5, 1.0], "depth": 6, "min_skeleton_events": 10, "min_daily": 100, "min_tick_changes": 100}
+    in_config = write_config(tmp_path / "synthetic.json", {**settings, "synthetic": synthetic})
     data = tmp_path / "synth.csv"
     assert main(["synth", "--config", str(in_config), "--out", str(data)]) == 0
-    frequency = synthetic.get("frequency", "daily")
-    from_file = write_config(tmp_path / "file.json", {**study, "inputs": [{"path": str(data), "format": frequency}]})
-    assert main(["study", "--config", str(in_config), "--out", str(tmp_path / "a")]) == 0
-    assert main(["study", "--config", str(from_file), "--out", str(tmp_path / "b")]) == 0
+    from_file = write_config(tmp_path / "file.json", {**settings, "inputs": [{"path": str(data), "format": frequency}]})
+
+    def fields(series):
+        return [(s.instrument_id, s.kind, s.times.tolist(), s.prices.tolist()) for s in series]
+
+    assert fields(load_prices(data, frequency)) == fields(synthetic_series(SyntheticSpec(**synthetic)))
+    for config, out in ((in_config, tmp_path / "a"), (from_file, tmp_path / "b")):
+        assert main(["study", "--config", str(config), "--out", str(out / "study")]) == 0
+        assert main(["decompose", "--config", str(config), "--out", str(out / "skel.csv")]) == 0
     capsys.readouterr()
-    written = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
-    assert sorted(written) == sorted(p.name for p in (tmp_path / "b").iterdir())
-    assert "entropy.csv" in written and "summary.csv" in written
+    written = {p.relative_to(tmp_path / "a").as_posix(): p.read_bytes() for p in (tmp_path / "a").rglob("*.csv")}
+    assert sorted(written) == sorted(p.relative_to(tmp_path / "b").as_posix() for p in (tmp_path / "b").rglob("*.csv"))
+    assert {"study/entropy.csv", "study/summary.csv", "skel.csv"} <= set(written)
     for name, content in written.items():
         assert content == (tmp_path / "b" / name).read_bytes(), name
 

@@ -150,6 +150,10 @@ class TestDecomposeExamples:
             decompose(np.array([1.0]), 0.5)
         with pytest.raises(ValueError, match="crossing"):
             decompose(np.array([1.0, 2.0]), 0.5, crossing="both")
+        with pytest.raises(ValueError, match="^path contains non-finite values$"):
+            decompose(np.array([1.0, np.nan, 2.0]), 0.5)
+        with pytest.raises(ValueError, match="^times must match the path length$"):
+            decompose(np.array([1.0, 2.0]), 0.5, times=np.arange(3.0))
 
 
 class TestDecomposeProperties:

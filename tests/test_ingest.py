@@ -130,6 +130,7 @@ class TestLoadPrices:
             load_prices(tmp_path / "whatever.csv", "hourly")
 
 
+_TICK_HEADER_LINE = ",".join(TICK_HEADER) + "\n"
 # np.loadtxt reads each \r in a quoted id as \n; the last two strip to A
 _IDS = ["A", "B", " A ", "A ", '"X,Y"', '"a""b"', "ŻYWIEC", "INSTRUMENT_ID_LONGER_THAN_16",
         '"A\nB"', '"A\r\nB"', '"A\rB"', '"A\r"', '"\r\nA"']
@@ -222,21 +223,22 @@ class TestColumnarReader:
         assert sources == []
 
     @pytest.mark.parametrize(
-        "rows, line",
+        "text, line",
         [
-            ("A,1,10," + "x" * 200_000 + "\n", 2),
+            (_TICK_HEADER_LINE + "A,1,10," + "x" * 200_000 + "\n", 2),
             # across the scan's first 1 MiB read, on \r ends, the last one missing
-            ("A,1,10,1\r" * 116_000 + "A,2,11," + "x" * 200_000, 116_002),
+            (_TICK_HEADER_LINE + "A,1,10,1\r" * 116_000 + "A,2,11," + "x" * 200_000, 116_002),
+            ("instrument,timestamp,price,volume" + "x" * 200_000 + "\nA,1,10,1\n", 1),
             pytest.param(
-                'A,1,10,"' + "\n".join(["x" * 50_000] * 3) + '"\n', 2,
+                _TICK_HEADER_LINE + 'A,1,10,"' + "\n".join(["x" * 50_000] * 3) + '"\n', 2,
                 marks=pytest.mark.xfail(strict=True, reason="np.loadtxt limits no field, and no line is over the limit"),
             ),
         ],
-        ids=["one-line", "across-reads", "quoted-over-lines"],
+        ids=["one-line", "across-reads", "header", "quoted-over-lines"],
     )
-    def test_a_field_over_csvs_limit_is_refused_by_both_readers(self, tmp_path, rows, line):
+    def test_a_field_over_csvs_limit_is_refused_by_both_readers(self, tmp_path, text, line):
         path = tmp_path / "t.csv"
-        path.write_text("instrument,timestamp,price,volume\n" + rows, newline="")
+        path.write_text(text, newline="")
         message = f"^{re.escape(str(path))}:{line}: field larger than field limit \\(131072\\)$"
         for load in (load_prices, _load_rows):
             with pytest.raises(DataFormatError, match=message):
@@ -466,6 +468,16 @@ class TestPriceSeriesInvariants:
         with pytest.raises(ValueError, match="non-positive"):
             make_series([10.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "times, kind, message",
+        [([0.0, 1.0, 2.0], "daily", "times and prices must be 1-d arrays of equal length"),
+         ([0.0, 1.0], "weekly", "unknown frequency kind 'weekly'")],
+        ids=["unequal-lengths", "unknown-kind"],
+    )
+    def test_malformed_arrays_or_kind_rejected(self, times, kind, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PriceSeries("T", np.array(times), np.array([10.0, 11.0]), kind)
+
     def test_arrays_read_only(self):
         s = make_series([10.0, 11.0])
         with pytest.raises(ValueError):
@@ -560,13 +572,20 @@ class TestSyntheticPaths:
         b = generate_synthetic_path(SyntheticSpec(kind="time_changed", n=300, seed=9, sigma=0.5))
         assert np.array_equal(a.prices, b.prices)
 
-    def test_time_changed_steps_are_unit_normals_scaled_by_the_instantaneous_volatility(self):
-        spec = SyntheticSpec(kind="time_changed", n=300, seed=9, sigma=0.5, vol_period=40.0, vol_swing=0.8)
-        steps = np.diff(generate_synthetic_path(spec).prices)
-        # a unit brownian path of the same seed draws the same normals
-        normals = np.diff(generate_synthetic_path(SyntheticSpec(n=300, seed=9, sigma=1.0)).prices)
-        instant_vol = 0.5 * (1.0 + 0.8 * np.sin(2.0 * np.pi * np.arange(299) / 40.0))
-        np.testing.assert_allclose(steps, instant_vol * normals, rtol=1e-9, atol=1e-9)
+    @pytest.mark.parametrize("sigma, vol_swing, vol_period", [(0.5, 0.8, 40.0), (1.0, 0.5, 250.0)])
+    def test_time_changed_steps_are_unit_normals_scaled_by_the_instantaneous_volatility(
+        self, sigma, vol_swing, vol_period
+    ):
+        spec = SyntheticSpec(kind="time_changed", n=300, seed=9, sigma=sigma, vol_period=vol_period, vol_swing=vol_swing)
+        normals = np.random.Generator(np.random.Philox(key=9)).standard_normal(299)
+        instant_vol = sigma * (1.0 + vol_swing * np.sin(2.0 * np.pi * np.arange(299) / vol_period))
+        want = 1000.0 + np.concatenate([[0.0], np.cumsum(instant_vol * normals)])
+        assert np.array_equal(generate_synthetic_path(spec).prices, want)
+
+    def test_daily_frequency_is_dated_one_day_a_step_from_the_epoch(self):
+        s = generate_synthetic_path(SyntheticSpec(n=50))
+        assert date.fromordinal(voho.ingest.SYNTH_EPOCH) == date(2000, 1, 3)
+        assert (s.kind, s.times.tolist()) == ("daily", [voho.ingest.SYNTH_EPOCH + i for i in range(50)])
 
     def test_tick_frequency_is_carried_with_sample_index_times(self):
         s = generate_synthetic_path(SyntheticSpec(n=50, frequency="tick"))
@@ -624,15 +643,24 @@ class TestSyntheticPaths:
         with pytest.raises(ValueError, match="^n must be >= 2$"):
             generate_synthetic_path(spec)
 
-    def test_path_crossing_zero_rejected(self):
-        with pytest.raises(ValueError, match="crossed zero"):
-            generate_synthetic_path(SyntheticSpec(n=1000, start=1.0, sigma=5.0))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(n=1000, start=1.0, sigma=5.0),
+            # far inside the float range, where the volatility's square is not
+            SyntheticSpec(kind="time_changed", n=300, sigma=1e200),
+        ],
+        ids=["brownian", "time_changed"],
+    )
+    def test_path_crossing_zero_rejected(self, spec):
+        with pytest.raises(ValueError, match="^synthetic path crossed zero"):
+            generate_synthetic_path(spec)
 
     @pytest.mark.parametrize(
         "spec",
         [
             SyntheticSpec(instruments=2, n=300, start=1e308, sigma=1e307),
-            SyntheticSpec(kind="time_changed", n=300, sigma=1e200),
+            SyntheticSpec(kind="time_changed", n=300, start=1e308, sigma=1e307),
         ],
         ids=["brownian", "time_changed"],
     )

@@ -208,7 +208,7 @@ def test_deltas_that_share_a_name_are_refused():
 
 
 def test_an_empty_out_dir_is_refused_not_read_as_the_working_directory():
-    assert validate_config(StudyConfig(out_dir="")) == ["out_dir must not be empty"]
+    assert validate_config(StudyConfig(synthetic=SyntheticSpec(), out_dir="")) == ["out_dir must not be empty"]
 
 
 def test_synthetic_problems_keep_their_wording_with_a_prefix():
@@ -388,6 +388,33 @@ def test_an_out_dir_under_a_regular_file_is_a_data_error(tmp_path, capsys):
     assert main(["study", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert (tmp_path / "file").read_bytes() == b""
+
+
+def test_an_out_dir_that_refuses_the_first_write_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # root may write anywhere, so the refusal is made here, not asked of the file system
+    def refuse(path, header, rows):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(pipeline, "write_csv", refuse)
+    out = tmp_path / "out"
+    config = StudyConfig(
+        synthetic=SyntheticSpec(instruments=2, n=200),
+        deltas=[1.0],
+        variants=[],
+        min_daily=100,
+        min_skeleton_events=1,
+        out_dir=str(out),
+    )
+    message = f"output directory {out} is not writable: [Errno 13] Permission denied: '{out / 'entropy.csv'}'"
+    with pytest.raises(DataError) as raised:
+        run_study(config)
+    assert str(raised.value) == message
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+    assert main(["study", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path, caplog):
