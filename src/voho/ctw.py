@@ -10,16 +10,17 @@ past, are given the context of `depth` copies of symbol 0.
 
 An add-half estimate depends only on a context's final symbol counts, so
 the root's weighted probability is a fold over those counts; the sequence
-is never replayed symbol by symbol. Each position's history s[i-1],
-s[i-2], ..., s[i-depth] is packed into an unsigned key, s[i-1] the most
-significant digit of log2(m) bits and the missing past zeros, and the
-positions are sorted once: np.sort on one 64-bit key holding the history
-and then the symbol while they fit, np.lexsort on several keys otherwise.
-The contexts at depth d are the runs of sorted positions whose histories
-agree on their first d symbols, so a boundary between sorted neighbours is
-born at depth (symbols they share) + 1, read from the bit length of the XOR
-of their keys. From those birth depths the contexts of a block of
-consecutive depths are built at once, in the lexicographic order of
+is never replayed symbol by symbol. Each position's history s[i-1], s[i-2],
+..., s[i-depth] is packed into an unsigned key, s[i-1] the most significant
+digit of log2(m) bits and the missing past zeros, and the positions are
+sorted once: np.sort on one key of up to 52 bits holding the history and
+then the symbol while they fit, np.lexsort on several keys otherwise. The
+contexts at depth d are the runs of sorted positions whose histories agree
+on their first d symbols, so a boundary between sorted neighbours is born
+at depth (symbols they share) + 1, read from the bit length of the XOR of
+their keys: below 2**53 it converts to float64 exactly, and frexp's
+exponent is its bit length. From those birth depths the contexts of a block
+of consecutive depths are built at once, in the lexicographic order of
 (s[i-1], ..., s[i-d]): the rows of each depth, each row's symbol counts as
 differences of running counts over the sorted positions, each row's parent
 at the depth above, and each row's estimate, read from two cumulative log2
@@ -51,8 +52,9 @@ import numpy as np
 from .quantise import SUPPORTED_ALPHABETS
 
 DEFAULT_DEPTH = 20
-# bits of one sort key; a longer history and its symbol are sorted on several keys
-KEY_BITS = 64
+# bits of one sort key; a longer history and its symbol are sorted on several
+# keys. At 52 every key, and every XOR of two, is exact as a float64
+KEY_BITS = 52
 # cells (depths x rows) of one block of contexts beyond one per symbol
 BLOCK_CELLS = 65_536
 # uint64 words of history keys that one sort may build, n per key: 2**25
@@ -72,16 +74,6 @@ def _history_keys(padded: np.ndarray, length: int, bits: int) -> np.ndarray:
             return keys
         piece = (piece[size:] << np.uint64(size * bits)) | piece[: piece.size - size]
         size *= 2
-
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Bit length of each uint64 in x (0 for 0); x is overwritten. A
-    float64 holds 32 bits exactly, so each half of a word goes through frexp
-    on its own."""
-    high = np.frexp(x >> np.uint64(32))[1]
-    x &= np.uint64(0xFFFF_FFFF)
-    low = np.frexp(x)[1]
-    return np.where(high > 0, high + 32, low)
 
 
 def _sort_histories(symbols: np.ndarray, width: int, m: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -116,7 +108,7 @@ def _sort_histories(symbols: np.ndarray, width: int, m: int) -> tuple[list[np.nd
     running = [np.cumsum(np.concatenate(([False], ranked == a)), dtype=counter) for a in range(1, m)]
     del ranked
     for (first, last), key in reversed(list(zip(spans, keys))):  # the newest key that differs decides
-        differ = _bit_length(key[1:] ^ key[:-1])
+        differ = np.frexp((key[1:] ^ key[:-1]).astype(np.float64))[1]  # bit lengths, 0 for 0
         np.copyto(births[1:], last + 1 - (differ + bits - 1) // bits, where=differ > 0, casting="unsafe")
     return running, births
 

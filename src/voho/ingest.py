@@ -49,6 +49,8 @@ MAX_SYNTHETIC_SAMPLES = 10_000_000
 _CONTROLS = {b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f"}
 # numpy decompresses a path by these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# the quote scan keeps `"` and the line ends, \r read as \n
+_QUOTES_AND_ENDS = bytes.maketrans(b"\r", b"\n"), bytes(set(range(256)) - set(b'"\r\n'))
 # errors="surrogateescape" decodes each byte that is not UTF-8 to one of
 # these code points, which no UTF-8 text decodes to
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -140,12 +142,9 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
       numpy would decompress;
     - one with a line of more than `csv.field_size_limit()` bytes, which
       numpy would not limit;
-    - one whose header spans several lines, as numpy skips lines, not
-      records.
-
-    numpy opens a path with universal newlines, which turn a `\r` inside a
-    quoted field into `\n`; that changes a result only in an id, so an id
-    holding a line end is refused by the checks.
+    - one with a line holding an odd number of `"`, as a quoted field that
+      spans lines does, which numpy would neither limit nor read with its
+      line ends as they are.
 
     When the read or any check fails, the file is read again row by row,
     which raises the `DataFormatError` naming the first bad line (or
@@ -159,8 +158,7 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
         return _load_rows(path, format)
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = _utf8_lines(fh, path)
-        if _read_header(lines, path, expected) > 1:
-            return _load_rows(path, format)
+        _read_header(lines, path, expected)
         # np.loadtxt would warn of an input with no rows
         if not any(line.rstrip("\r\n") for line in lines):
             return []
@@ -179,15 +177,24 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
 
 
 def _needs_row_reader(path: str | Path) -> bool:
-    """Whether the file holds a byte of `_CONTROLS`, or a line of more than
-    `csv.field_size_limit()` bytes. In UTF-8 none of those bytes, nor a
-    line end, is ever part of another character."""
+    """Whether the file holds a byte of `_CONTROLS`, a line of more than
+    `csv.field_size_limit()` bytes, or a line holding an odd number of `"`.
+    A quoted field that spans lines leaves an odd count on the line where it
+    opens, unless a stray `"` sits earlier on that line. In UTF-8 none of
+    those bytes, nor a line end, is ever part of another character."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         start = 0  # where the current line starts, relative to the chunk
+        quotes = b""  # the `"` of the current line so far
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             if any(control in chunk for control in _CONTROLS):
                 return True
+            if quotes or b'"' in chunk:
+                done, _, quotes = (quotes + chunk.translate(*_QUOTES_AND_ENDS)).rpartition(b"\n")
+                # each line's quotes now sit together, so every line with an
+                # odd count leaves one `"` that no `""` pairs
+                if done.count(b'"') != 2 * done.count(b'""'):
+                    return True
             # jump from each line start to the last line end within the
             # limit, so a long file costs a few searches per limit's bytes
             while len(chunk) - start > limit:
@@ -197,7 +204,7 @@ def _needs_row_reader(path: str | Path) -> bool:
                     return True
                 start = end + 1
             start -= len(chunk)
-    return False
+    return len(quotes) % 2 == 1
 
 
 def _utf8_lines(fh, path: str | Path) -> Iterator[str]:
@@ -227,9 +234,8 @@ def _table_series(table: np.ndarray, format: str) -> list[PriceSeries]:
     run_codes = []
     for instrument in ids[heads].tolist():
         instrument = instrument.strip()
-        # np.loadtxt reads a \r inside a quoted id as \n
-        if not instrument or "\n" in instrument or "\r" in instrument:
-            raise ValueError("instrument id empty or holding a line end")
+        if not instrument:
+            raise ValueError("empty instrument id")
         run_codes.append(codes.setdefault(instrument, len(codes)))
     row_codes = np.repeat(run_codes, np.diff(heads, append=ids.size))
     order = np.argsort(row_codes, kind="stable")

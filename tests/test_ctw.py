@@ -342,7 +342,9 @@ class TestAgainstRelabellingKernel:
             depth = int(words[1] % np.uint64(71))
             self.assert_same(differential_sequence(kind, n, m, case), depth, m)
 
-    @pytest.mark.parametrize("m, depths", [(2, (62, 63, 64, 65, 70, 129)), (4, (30, 31, 32, 33, 40, 70))])
+    @pytest.mark.parametrize(
+        "m, depths", [(2, (50, 51, 52, 53, 62, 63, 64, 65, 70, 129)), (4, (24, 25, 26, 27, 30, 31, 32, 33, 40, 70))]
+    )
     def test_histories_longer_than_one_key(self, m, depths):
         for kind in DIFFERENTIAL_KINDS:
             seq = differential_sequence(kind, 600, m, 5)
@@ -395,11 +397,11 @@ class TestTreeEnd:
         assert elapsed < 1.0
 
     def test_history_sort_is_bounded_before_it_starts(self):
-        # depth >= n sorts n - 1 symbols of history: 3125 keys of 200k words
+        # depth >= n sorts n - 1 symbols of history: 3847 keys of 200k words
         seq = np.zeros(200_000, dtype=np.int64)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="depth 10000000 over 200000 symbols sorts 625000000 words"):
+            with pytest.raises(ValueError, match="depth 10000000 over 200000 symbols sorts 769400000 words"):
                 entropy_rate(seq, depth=10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -407,7 +409,7 @@ class TestTreeEnd:
         assert peak < 2**20
 
     def test_sort_bound_counts_n_words_per_key(self, monkeypatch):
-        seq = differential_sequence("random", 600, 2, 5)  # depth 129: three keys of 64 symbols
+        seq = differential_sequence("random", 600, 2, 5)  # depth 129: three keys of up to 52 symbols
         monkeypatch.setattr(ctw, "MAX_SORT_WORDS", 3 * 600)
         entropy_rate(seq, depth=129)
         monkeypatch.setattr(ctw, "MAX_SORT_WORDS", 3 * 600 - 1)

@@ -131,7 +131,7 @@ class TestLoadPrices:
 
 
 _TICK_HEADER_LINE = ",".join(TICK_HEADER) + "\n"
-# np.loadtxt reads each \r in a quoted id as \n; the last two strip to A
+# the last two strip to A
 _IDS = ["A", "B", " A ", "A ", '"X,Y"', '"a""b"', "ŻYWIEC", "INSTRUMENT_ID_LONGER_THAN_16",
         '"A\nB"', '"A\r\nB"', '"A\rB"', '"A\r"', '"\r\nA"']
 _BAD_IDS = ["", "  ", 'a"b', '"']
@@ -141,6 +141,14 @@ _BAD_DATES = ["00000101", "20100230", "٢٠١٠٠١٠٤", "²0100104", "2010-01-
 # padding that float() and np.loadtxt may strip differently
 _EDGES = [" ", "\t", "\u3000", "\xa0", "\x0b", "\x1c", "\x1f", "\x00", "\u200b", '"']
 _FREE = ["1", "", "x y", '"q,r"', '"two\nlines"', '"cr\rin"', "é", 'o"k']
+
+
+def _spanning_field(ends_at: int) -> str:
+    """A valid tick file whose line ending at byte `ends_at` opens a quoted
+    field that the next line closes."""
+    head = _TICK_HEADER_LINE + "A,1,10,1\n" * ((ends_at - 50) // 9)
+    opening = 'A,2,10,"'.ljust(ends_at - len(head), "x")
+    return head + opening + '\ny"\nA,3,11,1\n'
 
 
 class TestColumnarReader:
@@ -181,9 +189,7 @@ class TestColumnarReader:
         return seen
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-    # numpy reads a path with universal newlines: the quoted ids hold line
-    # ends that it reads as \n, each at an edge that strip() removes
-    @pytest.mark.parametrize("ids", [("X", "Y"), ('"X"', '"\r\nY\r"')], ids=["unquoted", "quoted"])
+    @pytest.mark.parametrize("ids", [("X", "Y"), ('"X"', '"Y"')], ids=["unquoted", "quoted"])
     def test_files_are_read_from_their_path(self, tmp_path, no_row_reader, sources, end, ids):
         x, y = ids
         path = tmp_path / "t.csv"
@@ -194,25 +200,27 @@ class TestColumnarReader:
         assert [(s.instrument_id, s.prices.tolist()) for s in series] == [("X", [10.0, 11.0]), ("Y", [20.0])]
 
     @pytest.mark.parametrize(
-        "text, read_by_numpy, loaded",
+        "text, loaded",
         [
-            # numpy would read these ids with \n for \r, so it refuses them
-            ('instrument,timestamp,price,volume\r\n"A\r\nB",1,10,1\r\nC,2,3,1\r\n', True,
+            # numpy would read these ids with \n for \r
+            ('instrument,timestamp,price,volume\r\n"A\r\nB",1,10,1\r\nC,2,3,1\r\n',
              [("A\r\nB", [10.0]), ("C", [3.0])]),
-            ('instrument,timestamp,price,volume\n"A\rB",1,10,1\n', True, [("A\rB", [10.0])]),
+            ('instrument,timestamp,price,volume\n"A\rB",1,10,1\n', [("A\rB", [10.0])]),
+            # line ends at the edges of an id, which strip() removes
+            ('instrument,timestamp,price,volume\r"X",1,10,1\r"\r\nY\r",2,20,x y\r',
+             [("X", [10.0]), ("Y", [20.0])]),
             # numpy skips lines, not records, so it would read `\nB` here
-            ('instrument,timestamp,price,"volume\n"\nB",1,10,1\n', False, [('B"', [10.0])]),
+            ('instrument,timestamp,price,"volume\n"\nB",1,10,1\n', [('B"', [10.0])]),
         ],
-        ids=["crlf-in-id", "cr-in-id", "header-over-two-lines"],
+        ids=["crlf-in-id", "cr-in-id", "ends-at-id-edges", "header-over-two-lines"],
     )
     def test_files_numpy_would_read_otherwise_are_read_by_the_row_reader(
-        self, tmp_path, sources, row_reads, text, read_by_numpy, loaded
+        self, tmp_path, sources, row_reads, text, loaded
     ):
         path = tmp_path / "t.csv"
         path.write_text(text, newline="")
         series = load_prices(path, "tick")
-        assert row_reads == [path]
-        assert sources == ([os.path.abspath(path)] if read_by_numpy else [])
+        assert row_reads == [path] and sources == []
         assert [(s.instrument_id, s.prices.tolist()) for s in series] == loaded
 
     @pytest.mark.parametrize("control", ["\x00", "\x1c"])
@@ -229,10 +237,7 @@ class TestColumnarReader:
             # across the scan's first 1 MiB read, on \r ends, the last one missing
             (_TICK_HEADER_LINE + "A,1,10,1\r" * 116_000 + "A,2,11," + "x" * 200_000, 116_002),
             ("instrument,timestamp,price,volume" + "x" * 200_000 + "\nA,1,10,1\n", 1),
-            pytest.param(
-                _TICK_HEADER_LINE + 'A,1,10,"' + "\n".join(["x" * 50_000] * 3) + '"\n', 2,
-                marks=pytest.mark.xfail(strict=True, reason="np.loadtxt limits no field, and no line is over the limit"),
-            ),
+            (_TICK_HEADER_LINE + 'A,1,10,"' + "\n".join(["x" * 50_000] * 3) + '"\n', 2),
         ],
         ids=["one-line", "across-reads", "header", "quoted-over-lines"],
     )
@@ -243,6 +248,28 @@ class TestColumnarReader:
         for load in (load_prices, _load_rows):
             with pytest.raises(DataFormatError, match=message):
                 load(path, "tick")
+
+    @pytest.mark.parametrize(
+        "text, read_by_numpy",
+        [
+            # a field over lines that opens on a line ending at the last byte
+            # of the scan's first 1 MiB read, or at the first of its second
+            (_spanning_field(ends_at=(1 << 20) - 1), False),
+            (_spanning_field(ends_at=1 << 20), False),
+            ('instrument,timestamp,price,volume\rA,1,10,"x\ry"\rA,2,11,1\r', False),
+            ('instrument,timestamp,price,volume\nA,1,10,1\nA,2,11,"x', False),
+            ('instrument,timestamp,price,volume\n"a""b",1,10,"1"\n"a""b",2,11,1\n', True),
+        ],
+        ids=["end-in-first-read", "end-in-second-read", "cr-ends", "unterminated-last-line", "doubled-quote-id"],
+    )
+    def test_a_line_with_an_odd_number_of_quotes_is_read_by_the_row_reader(
+        self, tmp_path, sources, text, read_by_numpy
+    ):
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        loaded = _outcome(load_prices, path, "tick")
+        assert loaded[0] == "ok" and loaded == _outcome(_load_rows, path, "tick")
+        assert sources == ([os.path.abspath(path)] if read_by_numpy else [])
 
     @pytest.mark.parametrize("extra, read_by_numpy", [(0, True), (1, False)])
     def test_a_line_over_csvs_limit_is_read_by_the_row_reader(self, tmp_path, sources, extra, read_by_numpy):
