@@ -45,12 +45,12 @@ MAX_SYNTHETIC_SAMPLES = 10_000_000
 
 # only the row reader decides a file holding one of these: np.loadtxt
 # strips U+001C..U+001F from numbers as whitespace where float() refuses
-# them, and reads NUL, which csv refuses before Python 3.11
-_CONTROLS = {b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f"}
+# them, and reads NUL, which csv refuses before Python 3.11; a `"` may open
+# a quoted field that spans lines, which numpy would neither limit nor read
+# with its line ends as they are, and a stray `"` on its lines can hide it
+_ROW_READER_BYTES = {b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"'}
 # numpy decompresses a path by these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# the quote scan keeps `"` and the line ends, \r read as \n
-_QUOTES_AND_ENDS = bytes.maketrans(b"\r", b"\n"), bytes(set(range(256)) - set(b'"\r\n'))
 # errors="surrogateescape" decodes each byte that is not UTF-8 to one of
 # these code points, which no UTF-8 text decodes to
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -138,13 +138,12 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
     numpy would read differently:
 
     - one holding NUL or a byte 0x1C..0x1F;
+    - one holding a `"`, so numpy reads only files where every record is
+      one line and no field holds a line end or a delimiter;
     - one named as compressed (`.gz`, `.bz2`, `.xz` or `.lzma`), which
       numpy would decompress;
     - one with a line of more than `csv.field_size_limit()` bytes, which
-      numpy would not limit;
-    - one with a line holding an odd number of `"`, as a quoted field that
-      spans lines does, which numpy would neither limit nor read with its
-      line ends as they are.
+      numpy would not limit.
 
     When the read or any check fails, the file is read again row by row,
     which raises the `DataFormatError` naming the first bad line (or
@@ -168,7 +167,7 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
     try:
         # an absolute path is never taken for a URL
         table = np.loadtxt(
-            os.path.abspath(path), dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+            os.path.abspath(path), dtype=dtype, delimiter=",", comments=None, ndmin=1,
             skiprows=1, encoding="utf-8-sig",
         )
         return _table_series(table, format)
@@ -177,24 +176,16 @@ def load_prices(path: str | Path, format: str) -> list[PriceSeries]:
 
 
 def _needs_row_reader(path: str | Path) -> bool:
-    """Whether the file holds a byte of `_CONTROLS`, a line of more than
-    `csv.field_size_limit()` bytes, or a line holding an odd number of `"`.
-    A quoted field that spans lines leaves an odd count on the line where it
-    opens, unless a stray `"` sits earlier on that line. In UTF-8 none of
-    those bytes, nor a line end, is ever part of another character."""
+    """Whether the file holds a byte of `_ROW_READER_BYTES` (a `"`, NUL or
+    0x1C..0x1F) anywhere, or a line of more than `csv.field_size_limit()`
+    bytes. In UTF-8 none of those bytes, nor a line end, is ever part of
+    another character."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         start = 0  # where the current line starts, relative to the chunk
-        quotes = b""  # the `"` of the current line so far
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            if any(control in chunk for control in _CONTROLS):
+            if any(byte in chunk for byte in _ROW_READER_BYTES):
                 return True
-            if quotes or b'"' in chunk:
-                done, _, quotes = (quotes + chunk.translate(*_QUOTES_AND_ENDS)).rpartition(b"\n")
-                # each line's quotes now sit together, so every line with an
-                # odd count leaves one `"` that no `""` pairs
-                if done.count(b'"') != 2 * done.count(b'""'):
-                    return True
             # jump from each line start to the last line end within the
             # limit, so a long file costs a few searches per limit's bytes
             while len(chunk) - start > limit:
@@ -204,7 +195,7 @@ def _needs_row_reader(path: str | Path) -> bool:
                     return True
                 start = end + 1
             start -= len(chunk)
-    return len(quotes) % 2 == 1
+    return False
 
 
 def _utf8_lines(fh, path: str | Path) -> Iterator[str]:

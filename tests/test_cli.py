@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voho
 from voho import homogenise
 from voho.cli import main
 from voho.ctw import entropy_rate
@@ -309,6 +314,44 @@ def test_ingest_of_a_file_that_is_not_utf8_is_a_data_error_naming_its_line(tmp_p
     data.write_bytes(b"instrument,timestamp,price,volume\nA,1,10,1\nA,2,\xff11,1\n")
     assert main(ingest_tick_file(tmp_path, data)) == 2
     assert capsys.readouterr().err == f"data error: {data}:3: not UTF-8 text\n"
+
+
+_TICKS = "instrument,timestamp,price,volume\n"
+_THREE_LINES = "\n".join(["x" * 50_000] * 3)  # over csv's field limit as one quoted field
+
+
+@pytest.mark.parametrize(
+    "data, code, stream, line",
+    [
+        (_TICKS.encode() + b"A,1,10,1\nA,2,11\xff,1\n", 2, "stderr", "data error: f.csv:3: not UTF-8 text"),
+        # csv's refusal of a field over its size limit is a data error, not a traceback
+        (f"{_TICKS}A,1,10,1\nA,2,-1,{'x' * 200_000}\n".encode(), 2, "stderr",
+         "data error: f.csv:3: field larger than field limit (131072)"),
+        (b'instrument,timestamp,price,volume\r\n"Q1",1,10,1\r\n"Q1",2,11,1\r\n"Q1",3,12,1\r\n', 0, "stdout",
+         "Q1            tick          3        2  yes"),
+        # a valid file with a field over that limit is refused too, on one
+        # line or spread over several shorter ones, with or without a stray
+        # `"` on its first and last line
+        (f"{_TICKS}A,1,10,{'x' * 200_000}\nA,2,11,1\n".encode(), 2, "stderr",
+         "data error: f.csv:2: field larger than field limit (131072)"),
+        (f'{_TICKS}A,1,10,"{_THREE_LINES}"\nA,2,11,1\n'.encode(), 2, "stderr",
+         "data error: f.csv:2: field larger than field limit (131072)"),
+        (f'{_TICKS}A"B,1,10,"{_THREE_LINES}"z"\nC,2,11,1\n'.encode(), 2, "stderr",
+         "data error: f.csv:2: field larger than field limit (131072)"),
+    ],
+    ids=["not-utf8", "bad-row-over-the-limit", "quoted-crlf", "wide", "span", "stray-quote-pair"],
+)
+def test_ingest_run_as_a_program_decides_a_price_file(tmp_path, data, code, stream, line):
+    (tmp_path / "f.csv").write_bytes(data)
+    write_config(tmp_path / "c.json", {"inputs": [{"path": "f.csv", "format": "tick"}], "min_tick_changes": 2})
+    src = str(Path(voho.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "voho.cli", "ingest", "--config", "c.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert line in getattr(done, stream).splitlines(), (done.stdout, done.stderr)
 
 
 def decompose_tick_file(tmp_path, data, out, **settings) -> int:
