@@ -10,9 +10,10 @@ that block's `frequency`, and `voho decompose` exports the skeletons that
 study decomposes.
 
 Exit codes: 0 success, 1 invalid configuration (also a config without a
-`synthetic` block given to `synth` or without deltas given to `decompose`),
-checked before any input is read, 2 data error or a usage error (such as a
-flag or command voho does not have), 3 every instrument failed.
+`synthetic` block, or with a daily one whose paths run past 9999-12-31,
+given to `synth`, or without deltas given to `decompose`), checked before
+any input is read, 2 data error or a usage error (such as a flag or command
+voho does not have), 3 every instrument failed.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from pathlib import Path
 
 from . import homogenise
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import write_skeleton_csv
-from .ingest import DAILY_HEADER, TICK_HEADER, count_price_changes, filter_eligible
+from .homogenise import replace_when_complete, write_skeleton_csv
+from .ingest import DAILY_HEADER, SYNTH_EPOCH, TICK_HEADER, count_price_changes, filter_eligible
 from .pipeline import (
     config_from_json,
     decompose_series,
@@ -38,6 +39,10 @@ from .pipeline import (
     write_csv,
 )
 from .stats import format_summary_table
+
+# the longest daily path `voho synth` writes: its last day, SYNTH_EPOCH + n - 1,
+# is 9999-12-31, the last date a YYYYMMDD field holds
+MAX_DAILY_SYNTH_N = date.max.toordinal() - SYNTH_EPOCH + 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,11 +93,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         s.instrument_id
         for s in filter_eligible(series, config.min_daily, config.min_tick_changes)
     }
-    print(f"{'instrument':<14}{'kind':<7}{'rows':>8}{'changes':>9}  eligible")
+    # columns are one space apart, so a value wider than its column stays apart from the next
+    print(f"{'instrument':<13} {'kind':<6} {'rows':>8} {'changes':>8}  eligible")
     for s in series:
         changes = count_price_changes(s) if s.kind == "tick" else ""
         flag = "yes" if s.instrument_id in eligible else "no"
-        print(f"{s.instrument_id:<14}{s.kind:<7}{len(s):>8}{changes!s:>9}  {flag}")
+        print(f"{s.instrument_id:<13} {s.kind:<6} {len(s):>8} {changes!s:>8}  {flag}")
     print(f"{len(eligible)} of {len(series)} instrument(s) eligible")
     return 0
 
@@ -136,8 +142,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec = config_from_json(args.config).synthetic
     if spec is None:
         raise ConfigError([f"{args.config}: no synthetic block to write"])
-    series = synthetic_series(spec)
     daily = spec.frequency == "daily"
+    if daily and spec.n > MAX_DAILY_SYNTH_N:
+        raise ConfigError([f"{args.config}: a daily synthetic n must be <= {MAX_DAILY_SYNTH_N} to end by 9999-12-31"])
+    series = synthetic_series(spec)
     rows = (
         [s.instrument_id, date.fromordinal(int(t)).strftime("%Y%m%d"), *[repr(p)] * 4, 0]
         if daily
@@ -147,7 +155,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(path, DAILY_HEADER if daily else TICK_HEADER, rows)
+    with replace_when_complete(path) as partial:
+        write_csv(partial, DAILY_HEADER if daily else TICK_HEADER, rows)
     print(f"{len(series)} instrument(s), {spec.n} rows each -> {path}")
     return 0
 

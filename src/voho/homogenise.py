@@ -37,7 +37,8 @@ import csv
 import io
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -278,6 +279,21 @@ def _csv_prefix(*fields) -> str:
     return line.getvalue()[:-1] + ","
 
 
+@contextmanager
+def replace_when_complete(path: str | Path) -> Iterator[Path]:
+    """Yield a path beside `path` to write a file to, and rename that file
+    onto `path` when the block completes; a block that fails removes it, so
+    a failure leaves no partial file at either path."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".part")
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], path: str | Path) -> int:
     """Export skeletons as instrument,delta,i,T_i,level,direction rows and
     return the number of events written. Skeletons are taken one at a time,
@@ -287,25 +303,18 @@ def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], pat
     none. Times and levels are written as repr of a Python float."""
     if isinstance(skeletons, SkeletonSeries):
         skeletons = [skeletons]
-    path = Path(path)
-    partial = path.with_name(path.name + ".part")
     events = 0
-    try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(SKELETON_CSV_HEADER) + "\n")
-            for skel in skeletons:
-                prefix = _csv_prefix(skel.instrument_id, repr(float(skel.delta)))
-                times, levels, directions = skel.times, skel.levels(), skel.directions
-                for start in range(0, times.size, CSV_SLICE_EVENTS):
-                    part = slice(start, start + CSV_SLICE_EVENTS)
-                    rows = zip(times[part].tolist(), levels[part].tolist(), directions[part].tolist())
-                    fh.write("".join(
-                        f"{prefix}{i},{t!r},{level!r},{direction}\n"
-                        for i, (t, level, direction) in enumerate(rows, start=start + 1)
-                    ))
-                events += times.size
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with replace_when_complete(path) as partial, open(partial, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(SKELETON_CSV_HEADER) + "\n")
+        for skel in skeletons:
+            prefix = _csv_prefix(skel.instrument_id, repr(float(skel.delta)))
+            times, levels, directions = skel.times, skel.levels(), skel.directions
+            for start in range(0, times.size, CSV_SLICE_EVENTS):
+                part = slice(start, start + CSV_SLICE_EVENTS)
+                rows = zip(times[part].tolist(), levels[part].tolist(), directions[part].tolist())
+                fh.write("".join(
+                    f"{prefix}{i},{t!r},{level!r},{direction}\n"
+                    for i, (t, level, direction) in enumerate(rows, start=start + 1)
+                ))
+            events += times.size
     return events

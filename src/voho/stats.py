@@ -193,7 +193,7 @@ def aggregate(rows: list[StudyRow], variants: list[Variant]) -> StudyResult:
 
 def format_summary_table(summary: list[tuple[float, float]]) -> str:
     """Two-column text table: step size against mean entropy rate."""
-    lines = [f"{'delta':<8}mean_entropy"]
+    lines = [f"{'delta':<7} mean_entropy"]
     for delta, mean in summary:
-        lines.append(f"{delta:<8g}{mean:.2f}")
+        lines.append(f"{delta:<7g} {mean:.2f}")
     return "\n".join(lines)

@@ -4,26 +4,26 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
+from datetime import date
 
 import numpy as np
 import pytest
 
-import voho
-from voho import homogenise
-from voho.cli import main
+from voho import cli, homogenise
 from voho.ctw import entropy_rate
 from voho.homogenise import decompose, skeleton_to_symbols
 from voho.ingest import SyntheticSpec, load_prices, log_returns
 from voho.pipeline import synthetic_series
 from voho.quantise import quantile_bins
 
-from conftest import daily_rows, write_daily_csv, write_tick_csv
+from conftest import daily_rows, make_series, run, run_python, write_daily_csv, write_tick_csv
+
+
+def write_config(path, config: dict):
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
 
 
 @pytest.mark.parametrize(
@@ -35,6 +35,7 @@ from conftest import daily_rows, write_daily_csv, write_tick_csv
         ),
         ('{"synthetic": {"instruments": "3"}}', ["synthetic.instruments must be of type int, got '3'"]),
         ('{"depth": 20, "deltas": [0.1', ["not valid JSON"]),
+        (b"\xff\xfe{}", ["not valid JSON"]),
         ('[1, 2]', ["must be a JSON object"]),
         ('{"synthetic": 3}', ["synthetic: must be a JSON object"]),
         ('{"depth": "20", "deltas": [0.1, "x"]}', ["depth must be of type int", "deltas must be of type list[float]"]),
@@ -61,18 +62,17 @@ from conftest import daily_rows, write_daily_csv, write_tick_csv
         ('{"deltas": [' + "1" * 5000 + "]}", []),
     ],
     ids=[
-        "field-name", "field-type", "truncated", "not-object", "nested-not-object", "top-level-types",
+        "field-name", "field-type", "truncated", "not-utf8", "not-object", "nested-not-object", "top-level-types",
         "input-type", "deltas-sharing-a-name", "delta-too-large-for-a-float", "negative-depth", "unknown-variant",
         "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original", "no-data",
         "min-daily", "min-skeleton-events", "unknown-domain", "unknown-crossing", "unknown-input-format",
         "integer-over-the-digit-limit",
     ],
 )
-def test_malformed_config_is_a_config_error(tmp_path, capsys, text, messages):
+def test_malformed_config_is_a_config_error(tmp_path, text, messages):
     config = tmp_path / "config.json"
-    config.write_text(text, encoding="utf-8")
-    code = main(["study", "--config", str(config), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    config.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    code, _, err = run(["study", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 1
     assert err.startswith("config error: ")
     for message in messages:
@@ -81,72 +81,65 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, text, messages):
     assert not (tmp_path / "out").exists()
 
 
-def test_undecodable_config_is_a_config_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_bytes(b"\xff\xfe{}")
-    assert main(["study", "--config", str(config)]) == 1
-    assert "not valid JSON" in capsys.readouterr().err
+def test_missing_config_file_stays_a_data_error(tmp_path):
+    code, _, err = run(["study", "--config", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert err.startswith("data error: ")
 
 
-def test_missing_config_file_stays_a_data_error(tmp_path, capsys):
-    assert main(["study", "--config", str(tmp_path / "absent.json")]) == 2
-    assert capsys.readouterr().err.startswith("data error: ")
+_DATA_FLAGS = {
+    "study": (
+        ["--deltas", "0.5,1"], ["--depth", "3"], ["--domain", "logpath"], ["--single-crossing"],
+        ["--min-daily", "100"], ["--min-tick-changes", "2"], ["--min-skeleton-events", "1"],
+    ),
+    "synth": (
+        ["--format", "tick"], ["--kind", "jump"], ["--instruments", "2"], ["--n", "10"], ["--seed", "1"],
+        ["--start", "10"], ["--sigma", "2"], ["--delta", "0.5"], ["--jump-multiple", "3"],
+        ["--jump-prob", "0.5"], ["--vol-period", "20"], ["--vol-swing", "0.1"],
+    ),
+    "ingest": (["--input", "prices.csv"], ["--format", "tick"], ["--min-daily", "100"], ["--min-tick-changes", "2"]),
+    "decompose": (
+        ["--input", "prices.csv"], ["--format", "tick"], ["--delta", "0.5"], ["--domain", "logpath"],
+        ["--single-crossing"],
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "flag",
-    [
-        ["--deltas", "0.5,1"], ["--depth", "3"], ["--domain", "logpath"], ["--single-crossing"],
-        ["--min-daily", "100"], ["--min-tick-changes", "2"], ["--min-skeleton-events", "1"],
-    ],
-    ids=lambda flag: flag[0],
+    "command, flag",
+    [(command, flag) for command, flags in _DATA_FLAGS.items() for flag in flags],
+    ids=lambda value: value if isinstance(value, str) else value[0],
 )
-def test_a_study_setting_given_as_a_flag_is_a_usage_error_before_the_config_is_read(tmp_path, capsys, flag):
+def test_a_data_setting_given_as_a_flag_is_a_usage_error_before_the_config_is_read(tmp_path, command, flag):
     # the config does not exist: reading it first would end in a data error
-    with pytest.raises(SystemExit) as exited:
-        main(["study", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"), *flag])
-    assert exited.value.code == 2
-    err = capsys.readouterr().err
+    out = ["--out", str(tmp_path / "out")] if command != "ingest" else []
+    code, _, err = run([command, "--config", str(tmp_path / "absent.json"), *out, *flag])
+    assert code == 2
     assert err.startswith("usage: ")
     assert f"error: unrecognized arguments: {' '.join(flag)}" in err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_study_out_writes_the_files_of_the_config_with_that_out_dir(tmp_path, capsys):
-    config = {
-        "synthetic": {"instruments": 3, "n": 300, "seed": 4},
-        "deltas": [0.5, 1.0],
-        "depth": 6,
-        "min_daily": 100,
-        "min_skeleton_events": 10,
-    }
-    as_flag, in_config = tmp_path / "as_flag.json", tmp_path / "in_config.json"
-    as_flag.write_text(json.dumps({**config, "out_dir": str(tmp_path / "unused")}), encoding="utf-8")
-    in_config.write_text(json.dumps({**config, "out_dir": str(tmp_path / "b")}), encoding="utf-8")
-    assert main(["study", "--config", str(as_flag), "--out", str(tmp_path / "a")]) == 0
-    assert capsys.readouterr().out.startswith(f"12 entropy estimate(s) -> {tmp_path / 'a'}\n")
-    assert main(["study", "--config", str(in_config)]) == 0
-    assert not (tmp_path / "unused").exists()
-    written = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
-    assert sorted(written) == sorted(p.name for p in (tmp_path / "b").iterdir())
-    assert "scatter_orig4_delta_0.5.csv" in written
-    for name, data in written.items():
-        assert data == (tmp_path / "b" / name).read_bytes(), name
+@pytest.mark.parametrize(
+    "command, options",
+    [("synth", {"--config", "--out"}), ("ingest", {"--config"}), ("decompose", {"--config", "--out"})],
+)
+def test_synth_and_ingest_take_only_the_config(command, options):
+    code, out, _ = run([command, "--help"])
+    assert code == 0
+    assert set(re.findall(r"--[a-z-]+", out)) == options | {"--help"}
 
 
-def write_config(path, config: dict):
-    path.write_text(json.dumps(config), encoding="utf-8")
-    return path
-
-
-def test_study_out_empty_is_a_config_error_that_leaves_the_working_directory_alone(tmp_path, monkeypatch, capsys):
-    config = write_config(tmp_path / "study.json", {"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100})
-    (tmp_path / "corr.csv").write_text("the user's own\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    assert main(["study", "--config", str(config), "--out", ""]) == 1
-    assert capsys.readouterr().err == "config error: out_dir must not be empty\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["corr.csv", "study.json"]
-    assert (tmp_path / "corr.csv").read_text(encoding="utf-8") == "the user's own\n"
+def test_entropy_is_not_a_command(tmp_path):
+    code, _, err = run(
+        ["entropy", "--input", str(tmp_path / "absent.csv"), "--format", "tick", "--out", str(tmp_path / "h.csv")]
+    )
+    assert code == 2
+    assert "error: argument command: invalid choice: 'entropy'" in err
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(["--help"])
+    assert code == 0
+    assert "{ingest,decompose,study,synth}" in out
 
 
 @pytest.mark.parametrize(
@@ -171,6 +164,9 @@ def test_study_out_empty_is_a_config_error_that_leaves_the_working_directory_alo
         ("synth", {"synthetic": {"jump_multiple": 5}},
          "{tmp}/config.json: synthetic: unknown config key 'jump_multiple'"),
         ("synth", {"synthetic": {"instruments": 1001, "n": 10_000}}, "synthetic instruments * n must be <= 10000000"),
+        # its last date would be in the year 10000, which no YYYYMMDD field holds
+        ("synth", {"synthetic": {"instruments": 1, "n": 2_921_939}},
+         "{tmp}/config.json: a daily synthetic n must be <= 2921938 to end by 9999-12-31"),
         ("decompose", {"inputs": [{"path": "{tmp}/absent.csv", "format": "tick"}], "deltas": [-1]},
          "every delta must be a positive finite number"),
         ("decompose", {"inputs": [{"path": "{tmp}/absent.csv", "format": "tick"}], "deltas": []},
@@ -182,78 +178,72 @@ def test_study_out_empty_is_a_config_error_that_leaves_the_working_directory_alo
         "synth-no-synthetic-block",
         "synth-start-too-large-for-a-float", "synth-sigma-too-large-for-a-float",
         "synth-retired-kind-jump", "synth-retired-key-jump-multiple", "synth-samples-over-the-bound",
-        "decompose-delta", "decompose-no-deltas",
+        "synth-daily-past-9999", "decompose-delta", "decompose-no-deltas",
     ],
 )
-def test_bad_config_of_synth_and_ingest_is_a_config_error_before_any_input_is_read(
-    tmp_path, capsys, command, config, message
-):
+def test_bad_config_of_synth_and_ingest_is_a_config_error_before_any_input_is_read(tmp_path, command, config, message):
     # the input does not exist: reading it first would end in a data error
     text = json.dumps(config).replace("{tmp}", str(tmp_path))
     path = tmp_path / "config.json"
     path.write_text(text, encoding="utf-8")
     args = [command, "--config", str(path)] + (["--out", str(tmp_path / "out.csv")] if command != "ingest" else [])
-    assert main(args) == 1
-    assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+    code, _, err = run(args)
+    assert code == 1
+    assert err == f"config error: {message.format(tmp=tmp_path)}\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("synth", flag) for flag in (
-            ["--format", "tick"], ["--kind", "jump"], ["--instruments", "2"], ["--n", "10"], ["--seed", "1"],
-            ["--start", "10"], ["--sigma", "2"], ["--delta", "0.5"], ["--jump-multiple", "3"],
-            ["--jump-prob", "0.5"], ["--vol-period", "20"], ["--vol-swing", "0.1"],
-        )
-    ] + [
-        ("ingest", flag) for flag in (
-            ["--input", "prices.csv"], ["--format", "tick"], ["--min-daily", "100"], ["--min-tick-changes", "2"],
-        )
-    ] + [
-        ("decompose", flag) for flag in (
-            ["--input", "prices.csv"], ["--format", "tick"], ["--delta", "0.5"], ["--domain", "logpath"],
-            ["--single-crossing"],
-        )
-    ],
-    ids=lambda value: value if isinstance(value, str) else value[0],
-)
-def test_a_data_setting_of_synth_or_ingest_given_as_a_flag_is_a_usage_error(tmp_path, capsys, command, flag):
-    # the config does not exist: reading it first would end in a data error
-    out = ["--out", str(tmp_path / "out.csv")] if command != "ingest" else []
-    with pytest.raises(SystemExit) as exited:
-        main([command, "--config", str(tmp_path / "absent.json"), *out, *flag])
-    assert exited.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ")
-    assert f"error: unrecognized arguments: {' '.join(flag)}" in err
-    assert list(tmp_path.iterdir()) == []
+def test_synth_draws_the_longest_daily_path_that_ends_by_9999_12_31(tmp_path, monkeypatch):
+    drawn = []  # drawing and writing 2.9 million rows would take seconds
+    monkeypatch.setattr(cli, "synthetic_series", lambda spec: drawn.append(spec.n) or [])
+    config = write_config(tmp_path / "config.json", {"synthetic": {"instruments": 1, "n": cli.MAX_DAILY_SYNTH_N}})
+    assert run(["synth", "--config", str(config), "--out", str(tmp_path / "s.csv")])[0] == 0
+    assert drawn == [2_921_938]
 
 
-@pytest.mark.parametrize(
-    "command, options",
-    [("synth", {"--config", "--out"}), ("ingest", {"--config"}), ("decompose", {"--config", "--out"})],
-)
-def test_synth_and_ingest_take_only_the_config(capsys, command, options):
-    with pytest.raises(SystemExit) as exited:
-        main([command, "--help"])
-    assert exited.value.code == 0
-    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == options | {"--help"}
+def test_a_synth_that_fails_while_writing_leaves_no_file(tmp_path, monkeypatch):
+    # the day after 9999-12-31 has no YYYYMMDD date, so its row fails after the first is written
+    last = make_series([1.0, 1.0], [date.max.toordinal(), date.max.toordinal() + 1], instrument="A")
+    monkeypatch.setattr(cli, "synthetic_series", lambda spec: [last])
+    config = write_config(tmp_path / "config.json", {"synthetic": {"instruments": 1, "n": 2}})
+    code, _, err = run(["synth", "--config", str(config), "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert err.startswith("data error: ")
+    assert list(tmp_path.iterdir()) == [config]
 
 
-def test_entropy_is_not_a_command(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exited:
-        main(["entropy", "--input", str(tmp_path / "absent.csv"), "--format", "tick", "--out", str(tmp_path / "h.csv")])
-    assert exited.value.code == 2
-    assert "error: argument command: invalid choice: 'entropy'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-    with pytest.raises(SystemExit) as exited:
-        main(["--help"])
-    assert exited.value.code == 0
-    assert "{ingest,decompose,study,synth}" in capsys.readouterr().out
+def test_study_out_writes_the_files_of_the_config_with_that_out_dir(tmp_path):
+    config = {
+        "synthetic": {"instruments": 3, "n": 300, "seed": 4},
+        "deltas": [0.5, 1.0],
+        "depth": 6,
+        "min_daily": 100,
+        "min_skeleton_events": 10,
+    }
+    as_flag = write_config(tmp_path / "as_flag.json", {**config, "out_dir": str(tmp_path / "unused")})
+    in_config = write_config(tmp_path / "in_config.json", {**config, "out_dir": str(tmp_path / "b")})
+    code, out, _ = run(["study", "--config", str(as_flag), "--out", str(tmp_path / "a")])
+    assert code == 0
+    assert out.startswith(f"12 entropy estimate(s) -> {tmp_path / 'a'}\n")
+    assert run(["study", "--config", str(in_config)])[0] == 0
+    assert not (tmp_path / "unused").exists()
+    written = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    assert sorted(written) == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "scatter_orig4_delta_0.5.csv" in written
+    for name, data in written.items():
+        assert data == (tmp_path / "b" / name).read_bytes(), name
 
 
-def test_a_study_of_one_tick_file_scores_each_instrument_as_its_layers_do(tmp_path, capsys):
+def test_study_out_empty_is_a_config_error_that_leaves_the_working_directory_alone(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "study.json", {"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100})
+    (tmp_path / "corr.csv").write_text("the user's own\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(["study", "--config", str(config), "--out", ""]) == (1, "", "config error: out_dir must not be empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corr.csv", "study.json"]
+    assert (tmp_path / "corr.csv").read_text(encoding="utf-8") == "the user's own\n"
+
+
+def test_a_study_of_one_tick_file_scores_each_instrument_as_its_layers_do(tmp_path):
     # steps rounded to cents repeat prices, which log_returns drops from tick data
     walk = np.random.default_rng(5).normal(0.0, 0.4, size=(3, 400)).round(2).cumsum(axis=1) + 100.0
     data = write_tick_csv(
@@ -263,7 +253,7 @@ def test_a_study_of_one_tick_file_scores_each_instrument_as_its_layers_do(tmp_pa
         "inputs": [{"path": str(data), "format": "tick"}], "deltas": [0.5, 1.0], "depth": 8,
         "min_daily": 2, "min_tick_changes": 2, "min_skeleton_events": 1, "out_dir": str(tmp_path / "out"),
     })
-    assert main(["study", "--config", str(config)]) == 0
+    assert run(["study", "--config", str(config)])[0] == 0
     want = []
     for s in load_prices(data, "tick"):
         returns = log_returns(s)
@@ -281,12 +271,12 @@ def test_a_study_of_one_tick_file_scores_each_instrument_as_its_layers_do(tmp_pa
     assert [[i, v, int(n), int(d), int(m), float(h)] for i, v, n, d, m, h in rows] == want
 
 
-def test_a_study_without_deltas_scores_the_originals_alone(tmp_path, capsys):
+def test_a_study_without_deltas_scores_the_originals_alone(tmp_path):
     config = write_config(tmp_path / "config.json", {
         "synthetic": {"instruments": 3, "n": 300, "seed": 4}, "deltas": [], "depth": 6, "min_daily": 100,
         "out_dir": str(tmp_path / "out"),
     })
-    assert main(["study", "--config", str(config)]) == 0
+    assert run(["study", "--config", str(config)])[0] == 0
     out = tmp_path / "out"
     assert sorted(p.name for p in out.iterdir()) == [
         "corr.csv", "entropy.csv", "kde_orig2.csv", "kde_orig4.csv", "summary.csv",
@@ -296,88 +286,98 @@ def test_a_study_without_deltas_scores_the_originals_alone(tmp_path, capsys):
     assert [row.split(",")[:2] for row in rows] == [[f"SYN{i:03d}", v] for i in range(3) for v in ("orig2", "orig4")]
 
 
-def ingest_tick_file(tmp_path, data) -> list[str]:
-    return ["ingest", "--config", str(write_config(
-        tmp_path / "config.json", {"inputs": [{"path": str(data), "format": "tick"}]}
-    ))]
-
-
-def test_ingest_of_a_malformed_tick_file_is_a_data_error_naming_its_line(tmp_path, capsys):
-    data = tmp_path / "ticks.csv"
-    data.write_text("instrument,timestamp,price,volume\nA,1,10,1\n\nA,2,-3,1\n", encoding="utf-8")
-    assert main(ingest_tick_file(tmp_path, data)) == 2
-    assert capsys.readouterr().err == f"data error: {data}:4: non-positive price -3.0\n"
-
-
-def test_ingest_of_a_file_that_is_not_utf8_is_a_data_error_naming_its_line(tmp_path, capsys):
-    data = tmp_path / "ticks.csv"
-    data.write_bytes(b"instrument,timestamp,price,volume\nA,1,10,1\nA,2,\xff11,1\n")
-    assert main(ingest_tick_file(tmp_path, data)) == 2
-    assert capsys.readouterr().err == f"data error: {data}:3: not UTF-8 text\n"
-
-
 _TICKS = "instrument,timestamp,price,volume\n"
 _THREE_LINES = "\n".join(["x" * 50_000] * 3)  # over csv's field limit as one quoted field
 
 
+def ingest(data: bytes) -> tuple[tuple[str, ...], dict[str, bytes]]:
+    """The argv and the files of a `voho ingest` of one tick file holding data."""
+    config = json.dumps({"inputs": [{"path": "f.csv", "format": "tick"}], "min_tick_changes": 2}).encode()
+    return ("ingest", "--config", "c.json"), {"c.json": config, "f.csv": data}
+
+
+# `python -m voho.cli *argv` runs in a directory holding only `files`, exits
+# with `code`, prints `line` as one line of stdout if `code` is 0 and of
+# stderr if not, and leaves every file as it found it
 @pytest.mark.parametrize(
-    "data, code, stream, line",
+    "argv, files, code, line",
     [
-        (_TICKS.encode() + b"A,1,10,1\nA,2,11\xff,1\n", 2, "stderr", "data error: f.csv:3: not UTF-8 text"),
+        (*ingest(_TICKS.encode() + b"A,1,10,1\nA,2,11\xff,1\n"), 2, "data error: f.csv:3: not UTF-8 text"),
         # csv's refusal of a field over its size limit is a data error, not a traceback
-        (f"{_TICKS}A,1,10,1\nA,2,-1,{'x' * 200_000}\n".encode(), 2, "stderr",
+        (*ingest(f"{_TICKS}A,1,10,1\nA,2,-1,{'x' * 200_000}\n".encode()), 2,
          "data error: f.csv:3: field larger than field limit (131072)"),
-        (b'instrument,timestamp,price,volume\r\n"Q1",1,10,1\r\n"Q1",2,11,1\r\n"Q1",3,12,1\r\n', 0, "stdout",
+        (*ingest(b'instrument,timestamp,price,volume\r\n"Q1",1,10,1\r\n"Q1",2,11,1\r\n"Q1",3,12,1\r\n'), 0,
          "Q1            tick          3        2  yes"),
         # a valid file with a field over that limit is refused too, on one
         # line or spread over several shorter ones, with or without a stray
         # `"` on its first and last line
-        (f"{_TICKS}A,1,10,{'x' * 200_000}\nA,2,11,1\n".encode(), 2, "stderr",
+        (*ingest(f"{_TICKS}A,1,10,{'x' * 200_000}\nA,2,11,1\n".encode()), 2,
          "data error: f.csv:2: field larger than field limit (131072)"),
-        (f'{_TICKS}A,1,10,"{_THREE_LINES}"\nA,2,11,1\n'.encode(), 2, "stderr",
+        (*ingest(f'{_TICKS}A,1,10,"{_THREE_LINES}"\nA,2,11,1\n'.encode()), 2,
          "data error: f.csv:2: field larger than field limit (131072)"),
-        (f'{_TICKS}A"B,1,10,"{_THREE_LINES}"z"\nC,2,11,1\n'.encode(), 2, "stderr",
+        (*ingest(f'{_TICKS}A"B,1,10,"{_THREE_LINES}"z"\nC,2,11,1\n'.encode()), 2,
          "data error: f.csv:2: field larger than field limit (131072)"),
+        # refused before the study sweeps out_dir, so the last run's outputs stay
+        (("study", "--config", "nodata.json"),
+         {"nodata.json": b'{"deltas": [0.5, 1.0], "out_dir": "out"}', "out/entropy.csv": b"earlier\n"},
+         1, "config error: inputs and synthetic must not both be empty"),
     ],
-    ids=["not-utf8", "bad-row-over-the-limit", "quoted-crlf", "wide", "span", "stray-quote-pair"],
+    ids=["not-utf8", "bad-row-over-the-limit", "quoted-crlf", "wide", "span", "stray-quote-pair", "no-data-kept"],
 )
-def test_ingest_run_as_a_program_decides_a_price_file(tmp_path, data, code, stream, line):
-    (tmp_path / "f.csv").write_bytes(data)
-    write_config(tmp_path / "c.json", {"inputs": [{"path": "f.csv", "format": "tick"}], "min_tick_changes": 2})
-    src = str(Path(voho.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "voho.cli", "ingest", "--config", "c.json"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+def test_voho_run_as_a_program(tmp_path, argv, files, code, line):
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(content)
+    done = run_python("-m", "voho.cli", *argv, cwd=tmp_path)
     assert done.returncode == code, done.stderr
-    assert line in getattr(done, stream).splitlines(), (done.stdout, done.stderr)
+    assert line in (done.stderr if code else done.stdout).splitlines(), (done.stdout, done.stderr)
+    assert {p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
 
-def decompose_tick_file(tmp_path, data, out, **settings) -> int:
+@pytest.mark.parametrize(
+    "data, code, out, err",
+    [
+        (f"{_TICKS}A,1,10,1\n\nA,2,-3,1\n", 2, "", "data error: f.csv:4: non-positive price -3.0\n"),
+        # an id wider than its column keeps a space before the next one
+        (_TICKS + "".join(f"AVERYLONGINSTRUMENTNAME,{t},1{t},1\n" for t in range(3)), 0,
+         "instrument    kind       rows  changes  eligible\n"
+         "AVERYLONGINSTRUMENTNAME tick          3        2  yes\n"
+         "1 of 1 instrument(s) eligible\n", ""),
+    ],
+    ids=["malformed-after-a-blank-line", "wide-id"],
+)
+def test_ingest_in_process_decides_a_price_file(tmp_path, monkeypatch, data, code, out, err):
+    argv, files = ingest(data.encode())
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    assert run(list(argv)) == (code, out, err)
+
+
+def decompose_tick_file(tmp_path, data, out, **settings) -> tuple[int, str, str]:
     """voho decompose on a config of the one tick file that keeps every instrument."""
     config = write_config(tmp_path / "decompose.json", {
         "inputs": [{"path": str(data), "format": "tick"}], "min_daily": 2, "min_tick_changes": 2, **settings,
     })
-    return main(["decompose", "--config", str(config), "--out", str(out)])
+    return run(["decompose", "--config", str(config), "--out", str(out)])
 
 
-def test_decompose_on_a_decimal_tick_grid(tmp_path, capsys):
+def test_decompose_on_a_decimal_tick_grid(tmp_path):
     prices = [100.006, 100.007, 100.008, 100.011, 100.012]
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), p) for i, p in enumerate(prices)])
     out = tmp_path / "nested" / "dir" / "skel.csv"  # the missing directories are made
-    assert decompose_tick_file(tmp_path, data, out, deltas=[0.001]) == 0
-    assert capsys.readouterr().out.startswith("6 event(s) for 1 instrument(s)")
+    code, printed, _ = decompose_tick_file(tmp_path, data, out, deltas=[0.001])
+    assert code == 0
+    assert printed.startswith("6 event(s) for 1 instrument(s)")
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["1", "2", "3", "4", "5", "6"]
     assert [r.split(",")[5] for r in rows] == ["1"] * 6
 
 
-def test_decompose_over_the_event_bound_is_a_data_error(tmp_path, capsys):
+def test_decompose_over_the_event_bound_is_a_data_error(tmp_path):
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", 0.0, 1.0), ("A", 1.0, 2001.0), ("A", 2.0, 1.0)])
     out = tmp_path / "skel.csv"
-    code = decompose_tick_file(tmp_path, data, out, deltas=[0.0001])
-    err = capsys.readouterr().err
+    code, _, err = decompose_tick_file(tmp_path, data, out, deltas=[0.0001])
     assert code == 2
     assert err.startswith("data error: instrument 'A': delta=0.0001 gives at least 20000000 skeleton events")
     assert not out.exists()
@@ -390,29 +390,28 @@ def test_decompose_over_the_event_bound_is_a_data_error(tmp_path, capsys):
      (("A",), [0.25, 0.5], "6 skeleton events over 1 instrument(s) and 2 delta(s)")],
     ids=["one-instrument", "one-coarse-delta", "both-instruments", "both-deltas"],
 )
-def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, capsys, monkeypatch, names, deltas, refused):
+def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, monkeypatch, names, deltas, refused):
     monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
     # 4 events at 0.25 and 2 at 0.5 for each instrument
     data = write_tick_csv(tmp_path / "ticks.csv", [(name, t, 1.0 + t / 2) for name in names for t in (0.0, 1.0, 2.0)])
     out = tmp_path / "nested" / "dir" / "skel.csv"
-    code = decompose_tick_file(tmp_path, data, out, deltas=deltas)
+    code, _, err = decompose_tick_file(tmp_path, data, out, deltas=deltas)
     if refused is None:
         assert code == 0
         assert out.exists()
         return
     assert code == 2
-    err = capsys.readouterr().err
     assert err.startswith(f"data error: {tmp_path / 'decompose.json'}: {refused}")
     assert "more than the limit of 5" in err
     assert not (tmp_path / "nested").exists()  # a refused export makes no directory either
     assert not list(tmp_path.rglob("*.part"))
 
 
-def test_decompose_logpath_is_the_skeleton_of_log_prices(tmp_path, capsys):
+def test_decompose_logpath_is_the_skeleton_of_log_prices(tmp_path):
     prices = [100.0, 103.0, 98.0, 110.0]
     data = write_tick_csv(tmp_path / "ticks.csv", [("A", float(i), p) for i, p in enumerate(prices)])
     out = tmp_path / "skel.csv"
-    assert decompose_tick_file(tmp_path, data, out, deltas=[0.01], domain="logpath") == 0
+    assert decompose_tick_file(tmp_path, data, out, deltas=[0.01], domain="logpath")[0] == 0
     want = decompose(np.log(prices), 0.01, times=np.arange(4.0))
     rows = [r.split(",") for r in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert [float(r[4]) for r in rows] == want.levels().tolist()
@@ -425,7 +424,7 @@ def test_decompose_logpath_is_the_skeleton_of_log_prices(tmp_path, capsys):
     ids=["price-multi", "logpath-single"],
 )
 @pytest.mark.parametrize("source", ["files", "synthetic"])
-def test_decompose_exports_the_skeletons_the_study_scores(tmp_path, capsys, source, domain, crossing, deltas):
+def test_decompose_exports_the_skeletons_the_study_scores(tmp_path, source, domain, crossing, deltas):
     data = (
         {"inputs": eligibility_inputs(tmp_path)} if source == "files"
         else {"synthetic": {"instruments": 3, "n": 300, "seed": 2, "start": 100.0}}
@@ -435,9 +434,8 @@ def test_decompose_exports_the_skeletons_the_study_scores(tmp_path, capsys, sour
         "min_daily": 100, "min_tick_changes": 100, "min_skeleton_events": 1, "out_dir": str(tmp_path / "out"),
     })
     out = tmp_path / "skel.csv"
-    assert main(["decompose", "--config", str(config), "--out", str(out)]) == 0
-    assert main(["study", "--config", str(config)]) == 0
-    capsys.readouterr()
+    assert run(["decompose", "--config", str(config), "--out", str(out)])[0] == 0
+    assert run(["study", "--config", str(config)])[0] == 0
     with open(out, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["instrument", "delta", "i", "T_i", "level", "direction"]
@@ -453,12 +451,12 @@ def test_decompose_exports_the_skeletons_the_study_scores(tmp_path, capsys, sour
 
 @pytest.mark.parametrize("frequency", ["daily", "tick"])
 @pytest.mark.parametrize("kind", ["brownian", "time_changed"])
-def test_the_synth_file_loads_studies_and_decomposes_as_the_synthetic_block(tmp_path, capsys, kind, frequency):
+def test_the_synth_file_loads_studies_and_decomposes_as_the_synthetic_block(tmp_path, kind, frequency):
     synthetic = {"kind": kind, "instruments": 2, "n": 400, "seed": 9, "frequency": frequency, "vol_period": 50.0}
     settings = {"deltas": [0.5, 1.0], "depth": 6, "min_skeleton_events": 10, "min_daily": 100, "min_tick_changes": 100}
     in_config = write_config(tmp_path / "synthetic.json", {**settings, "synthetic": synthetic})
     data = tmp_path / "synth.csv"
-    assert main(["synth", "--config", str(in_config), "--out", str(data)]) == 0
+    assert run(["synth", "--config", str(in_config), "--out", str(data)])[0] == 0
     from_file = write_config(tmp_path / "file.json", {**settings, "inputs": [{"path": str(data), "format": frequency}]})
 
     def fields(series):
@@ -466,9 +464,8 @@ def test_the_synth_file_loads_studies_and_decomposes_as_the_synthetic_block(tmp_
 
     assert fields(load_prices(data, frequency)) == fields(synthetic_series(SyntheticSpec(**synthetic)))
     for config, out in ((in_config, tmp_path / "a"), (from_file, tmp_path / "b")):
-        assert main(["study", "--config", str(config), "--out", str(out / "study")]) == 0
-        assert main(["decompose", "--config", str(config), "--out", str(out / "skel.csv")]) == 0
-    capsys.readouterr()
+        assert run(["study", "--config", str(config), "--out", str(out / "study")])[0] == 0
+        assert run(["decompose", "--config", str(config), "--out", str(out / "skel.csv")])[0] == 0
     written = {p.relative_to(tmp_path / "a").as_posix(): p.read_bytes() for p in (tmp_path / "a").rglob("*.csv")}
     assert sorted(written) == sorted(p.relative_to(tmp_path / "b").as_posix() for p in (tmp_path / "b").rglob("*.csv"))
     assert {"study/entropy.csv", "study/summary.csv", "skel.csv"} <= set(written)
@@ -491,45 +488,43 @@ def eligibility_inputs(tmp_path) -> list[dict]:
     return [{"path": str(daily), "format": "daily"}, {"path": str(ticks), "format": "tick"}]
 
 
-def test_ingest_marks_eligible_exactly_the_instruments_the_study_scores(tmp_path, capsys):
+def test_ingest_marks_eligible_exactly_the_instruments_the_study_scores(tmp_path):
     config = write_config(tmp_path / "config.json", {
         "inputs": eligibility_inputs(tmp_path),
         "synthetic": {"instruments": 2, "n": 120, "seed": 3},
         "deltas": [0.5, 1.0], "depth": 4, "min_daily": 100, "min_tick_changes": 100, "min_skeleton_events": 1,
         "out_dir": str(tmp_path / "out"),
     })
-    assert main(["ingest", "--config", str(config)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    code, out, _ = run(["ingest", "--config", str(config)])
+    assert code == 0
+    lines = out.splitlines()
     listed = [line.split() for line in lines[1:-1]]
     assert [row[0] for row in listed] == ["LONG", "SHORT", "MOVING", "FLAT", "SYN000", "SYN001"]
     assert lines[-1] == "4 of 6 instrument(s) eligible"
     eligible = {row[0] for row in listed if row[-1] == "yes"}
     assert eligible == {"LONG", "MOVING", "SYN000", "SYN001"}
     assert not (tmp_path / "out").exists()
-    assert main(["study", "--config", str(config)]) == 0
+    assert run(["study", "--config", str(config)])[0] == 0
     scored = (tmp_path / "out" / "entropy.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert {line.split(",")[0] for line in scored} == eligible
 
 
-def test_ingest_and_study_refuse_an_id_in_two_inputs_alike(tmp_path, capsys):
+def test_ingest_and_study_refuse_an_id_in_two_inputs_alike(tmp_path):
     inputs = eligibility_inputs(tmp_path)
     config = write_config(tmp_path / "config.json", {"inputs": inputs + inputs[:1], "min_daily": 100})
-    assert main(["ingest", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == "data error: duplicate instrument id 'LONG' across inputs\n"
-    assert main(["study", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "data error: duplicate instrument id 'LONG' across inputs\n"
+    refused = (2, "", "data error: duplicate instrument id 'LONG' across inputs\n")
+    assert run(["ingest", "--config", str(config)]) == refused
+    assert run(["study", "--config", str(config), "--out", str(tmp_path / "out")]) == refused
     assert not (tmp_path / "out").exists()
 
 
-def test_a_synthetic_path_that_overflows_is_a_named_data_error(tmp_path, capsys):
+def test_a_synthetic_path_that_overflows_is_a_named_data_error(tmp_path):
     config = write_config(tmp_path / "config.json", {
         "synthetic": {"instruments": 2, "n": 300, "start": 1e308, "sigma": 1e307},
         "deltas": [1e-300], "min_daily": 2,
     })
     out = tmp_path / "synth.csv"
-    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
-    message = "data error: synthetic path overflowed the float range; lower `start` or the volatility\n"
-    assert capsys.readouterr().err == message
+    refused = (2, "", "data error: synthetic path overflowed the float range; lower `start` or the volatility\n")
+    assert run(["synth", "--config", str(config), "--out", str(out)]) == refused
     assert not out.exists()
-    assert main(["study", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == message
+    assert run(["study", "--config", str(config), "--out", str(tmp_path / "out")]) == refused

@@ -4,15 +4,14 @@ modules a study leaves unloaded."""
 from __future__ import annotations
 
 import ast
-import os
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import voho
+
+from conftest import run_python
 
 
 def test_every_export_resolves_once():
@@ -59,11 +58,7 @@ config = voho.StudyConfig(
 voho.run_study(config)
 print(",".join(m for m in ("concurrent.futures", "numpy.ma") if m in sys.modules))
 """
-    src = str(Path(voho.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = run_python("-c", script, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "kde_orig2.csv").exists()  # the KDE ran
     assert done.stdout == "\n"

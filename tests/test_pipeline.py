@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from voho import ctw, pipeline
-from voho.cli import main
 from voho.errors import AllInstrumentsFailedError, ConfigError, DataError
 from voho.ingest import generate_synthetic_path
 from voho.pipeline import (
@@ -28,7 +27,7 @@ from voho.pipeline import (
 from voho.stats import entropy_by_instrument
 from voho.variants import Variant
 
-from conftest import write_tick_csv
+from conftest import run, write_tick_csv
 
 VARIANTS = ["orig2", "orig4", "delta_0.5", "delta_1"]
 INSTRUMENTS = ["SYN000", "SYN001", "SYN002"]
@@ -318,7 +317,7 @@ def test_an_instrument_that_fails_while_scoring_leaves_none_of_its_rows(tmp_path
     )
 
 
-def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path, capsys):
+def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path):
     config = tick_config(tmp_path, two_changes("B") + three_changes("D"))
     message = "all 2 eligible instrument(s) failed; first error: need at least 4 values, got 2"
     with pytest.raises(AllInstrumentsFailedError) as raised:
@@ -328,8 +327,9 @@ def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path, capsys)
 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(asdict(config)), encoding="utf-8")
-    assert main(["study", "--config", str(path)]) == 3
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    code, _, err = run(["study", "--config", str(path)])
+    assert code == 3
+    assert err.splitlines()[-1] == f"error: {message}"
 
 
 def filled(out):
@@ -342,7 +342,7 @@ def filled(out):
 
 
 @pytest.mark.parametrize("failing, code", [("no_eligible", 2), ("every_instrument_fails", 3)])
-def test_a_rerun_that_fails_after_validation_leaves_no_earlier_outputs(tmp_path, capsys, failing, code):
+def test_a_rerun_that_fails_after_validation_leaves_no_earlier_outputs(tmp_path, failing, code):
     out = tmp_path / "out"
     if failing == "no_eligible":
         config = StudyConfig(synthetic=SyntheticSpec(instruments=3, n=800, seed=5), min_daily=801, out_dir=str(out))
@@ -361,13 +361,14 @@ def test_a_rerun_that_fails_after_validation_leaves_no_earlier_outputs(tmp_path,
     filled(out)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(asdict(config)), encoding="utf-8")
-    assert main(["study", "--config", str(path)]) == code
-    assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+    exit_code, _, err = run(["study", "--config", str(path)])
+    assert exit_code == code
+    assert err.splitlines()[-1].startswith(message)
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 
 
-def test_an_out_dir_under_a_regular_file_is_a_data_error(tmp_path, capsys):
+def test_an_out_dir_under_a_regular_file_is_a_data_error(tmp_path):
     (tmp_path / "file").write_text("", encoding="utf-8")
     out = tmp_path / "file" / "out"
     config = StudyConfig(
@@ -385,12 +386,11 @@ def test_an_out_dir_under_a_regular_file_is_a_data_error(tmp_path, capsys):
 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(asdict(config)), encoding="utf-8")
-    assert main(["study", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert run(["study", "--config", str(path)]) == (2, "", f"data error: {message}\n")
     assert (tmp_path / "file").read_bytes() == b""
 
 
-def test_an_out_dir_that_refuses_the_first_write_is_a_data_error(tmp_path, capsys, monkeypatch):
+def test_an_out_dir_that_refuses_the_first_write_is_a_data_error(tmp_path, monkeypatch):
     # root may write anywhere, so the refusal is made here, not asked of the file system
     def refuse(path, header, rows):
         raise PermissionError(13, "Permission denied", str(path))
@@ -412,8 +412,7 @@ def test_an_out_dir_that_refuses_the_first_write_is_a_data_error(tmp_path, capsy
 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(asdict(config)), encoding="utf-8")
-    assert main(["study", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert run(["study", "--config", str(path)]) == (2, "", f"data error: {message}\n")
     assert list(out.iterdir()) == []
 
 

@@ -181,11 +181,9 @@ class TestDeltaSummary:
         assert delta_summary({0.5: [0.2, 0.4]}) == [(0.5, pytest.approx(0.3))]
 
     def test_table_layout(self):
-        text = format_summary_table([(0.05, 0.13), (1.0, 0.32)])
-        lines = text.splitlines()
-        assert lines[0].split() == ["delta", "mean_entropy"]
-        assert lines[1].split() == ["0.05", "0.13"]
-        assert lines[2].split() == ["1", "0.32"]
+        # a delta wider than its column keeps a space before the mean
+        text = format_summary_table([(0.05, 0.13), (1.0, 0.32), (0.000123456, 0.98)])
+        assert text == "delta   mean_entropy\n0.05    0.13\n1       0.32\n0.000123456 0.98"
 
 
 class TestAggregate:
