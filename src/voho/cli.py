@@ -23,11 +23,10 @@ import logging
 import sys
 from dataclasses import replace
 from datetime import date
-from pathlib import Path
 
 from . import homogenise
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import replace_when_complete, write_skeleton_csv
+from .homogenise import write_skeleton_csv
 from .ingest import DAILY_HEADER, SYNTH_EPOCH, TICK_HEADER, count_price_changes, filter_eligible
 from .pipeline import (
     config_from_json,
@@ -121,7 +120,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             f"{args.config}: {total} skeleton events over {len(series)} instrument(s) and "
             f"{len(config.deltas)} delta(s), more than the limit of {homogenise.MAX_EVENTS}"
         )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # after the bound: a refused export makes nothing
     events = write_skeleton_csv(skeletons(), args.out)
     print(f"{events} event(s) for {len(series)} instrument(s) at {len(config.deltas)} delta(s) -> {args.out}")
     return 0
@@ -153,11 +151,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         for s in series
         for t, p in zip(s.times.tolist(), s.prices.tolist())
     )
-    path = Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with replace_when_complete(path) as partial:
-        write_csv(partial, DAILY_HEADER if daily else TICK_HEADER, rows)
-    print(f"{len(series)} instrument(s), {spec.n} rows each -> {path}")
+    write_csv(args.out, DAILY_HEADER if daily else TICK_HEADER, rows)
+    print(f"{len(series)} instrument(s), {spec.n} rows each -> {args.out}")
     return 0
 
 

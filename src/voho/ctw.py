@@ -228,7 +228,7 @@ def entropy_rate(seq, depth: int = DEFAULT_DEPTH, alphabet_size: int = 2) -> Ent
     values = np.asarray(seq)
     if m not in SUPPORTED_ALPHABETS:
         raise ValueError(f"alphabet size must be one of {SUPPORTED_ALPHABETS}")
-    if int(depth) != depth or depth < 0:
+    if isinstance(depth, (bool, np.bool_)) or int(depth) != depth or depth < 0:
         raise ValueError("depth must be a non-negative integer")
     if values.ndim != 1:
         raise ValueError("symbols must be 1-d")

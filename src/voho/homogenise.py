@@ -147,8 +147,8 @@ def decompose(
     instrument_id: str = "",
 ) -> SkeletonSeries:
     """Extract the delta-step skeleton of the path `values`, a 1-d real
-    array sampled at `times` (0..n-1 when None). `instrument_id` only
-    labels the result and its errors.
+    array sampled at the finite, non-decreasing `times` (0..n-1 when None).
+    `instrument_id` only labels the result and its errors.
 
     Crossings are decided on u = (x - x[0]) / delta, each u_j within
     4 * spacing(max|x|) / delta of an integer taken as that integer, so a
@@ -173,6 +173,8 @@ def decompose(
         times = np.ascontiguousarray(times, dtype=np.float64)
         if times.shape != values.shape:
             raise ValueError("times must match the path length")
+        if not np.all(np.isfinite(times)) or np.any(times[1:] < times[:-1]):
+            raise ValueError("times must be finite and non-decreasing")
     moves = np.diff(_skeleton_levels(values, delta, crossing, instrument_id))
     moved = np.flatnonzero(moves)
     steps = moves[moved]
@@ -280,14 +282,16 @@ def _csv_prefix(*fields) -> str:
 
 
 @contextmanager
-def replace_when_complete(path: str | Path) -> Iterator[Path]:
-    """Yield a path beside `path` to write a file to, and rename that file
-    onto `path` when the block completes; a block that fails removes it, so
-    a failure leaves no partial file at either path."""
+def open_output(path: str | Path) -> Iterator[io.TextIOWrapper]:
+    """The one way voho creates an output file: make the directories of
+    `path`, yield `<name>.part` beside it open as UTF-8 with newline="", and
+    rename it onto `path` when the block completes or remove it if it fails."""
     path = Path(path)
     partial = path.with_name(path.name + ".part")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        yield partial
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            yield fh
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -298,13 +302,13 @@ def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], pat
     """Export skeletons as instrument,delta,i,T_i,level,direction rows and
     return the number of events written. Skeletons are taken one at a time,
     so a generator holds one and its event arrays in memory, and each is
-    turned into text CSV_SLICE_EVENTS events at a time; the file is written
-    beside `path` and renamed into place when complete, so a failure leaves
-    none. Times and levels are written as repr of a Python float."""
+    turned into text CSV_SLICE_EVENTS events at a time; a failure leaves no
+    file (see open_output). Times and levels are written as repr of a
+    Python float."""
     if isinstance(skeletons, SkeletonSeries):
         skeletons = [skeletons]
     events = 0
-    with replace_when_complete(path) as partial, open(partial, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(SKELETON_CSV_HEADER) + "\n")
         for skel in skeletons:
             prefix = _csv_prefix(skel.instrument_id, repr(float(skel.delta)))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
+from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, open_output, skeleton_to_symbols
 from .ingest import (
     FORMATS,
     PriceSeries,
@@ -272,8 +272,10 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     """Execute the full pipeline and persist all outputs under out_dir. Rows
     follow the input order of instruments, then the order of study_variants.
     Once the config is valid, before any input is read, each regular file
-    in out_dir named as in OUTPUT_FILES is removed, so a study that fails
-    leaves no earlier study's outputs; nothing else is touched or created.
+    in out_dir named as in OUTPUT_FILES, or so named plus ".part", is
+    removed, so a study that fails leaves no earlier or killed study's
+    files; nothing else is touched or created. Each output is written
+    through open_output, so it is whole or absent.
 
     Instruments are handled one after another in the calling thread: the
     symbol arrays of instrument_sequences, then one entropy_rate per array.
@@ -284,7 +286,8 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
-    stale = [p for name in OUTPUT_FILES for p in Path(config.out_dir).glob(name) if p.is_file()]
+    out = Path(config.out_dir)
+    stale = [p for name in OUTPUT_FILES for part in ("", ".part") for p in out.glob(name + part) if p.is_file()]
     for path in stale:
         path.unlink()
     logger.info("removed %d output file(s) of an earlier study from %s", len(stale), config.out_dir)
@@ -325,24 +328,23 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
 
 
 def write_csv(path: str | os.PathLike, header: list[str], rows) -> None:
-    """Write a header and rows as CSV to path. csv.writer writes a Python
-    float as its repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write a header and rows as CSV to path through open_output.
+    csv.writer writes a Python float as its repr."""
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _persist(result: StudyResult, config: StudyConfig) -> None:
-    """Write every output file under config.out_dir. Every float is written
-    as Python's repr of a Python float; a numpy scalar is never passed, since
-    under numpy 2 its repr is np.float64(...). Only writes: run_study has
-    already removed an earlier study's outputs. An OSError while making the
-    directory or writing a file is a DataError naming the directory."""
+    """Write every output file under config.out_dir through open_output.
+    Every float is written as Python's repr of a Python float; a numpy
+    scalar is never passed, since under numpy 2 its repr is np.float64(...).
+    Only writes: run_study has already removed an earlier study's outputs.
+    An OSError is a DataError naming the directory; the file it hit is absent."""
     out = Path(config.out_dir)
     alphabet = {v.name: v.alphabet for v in result.variants}
     try:
-        out.mkdir(parents=True, exist_ok=True)
         write_csv(
             out / "entropy.csv",
             ENTROPY_CSV_HEADER,
@@ -350,7 +352,7 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
         )
         for variant, (grid, density) in result.kde_curves.items():
             # 512 rows of plain numbers: one string, not one csv.writer call per value
-            with open(out / f"kde_{variant}.csv", "w", newline="", encoding="utf-8") as fh:
+            with open_output(out / f"kde_{variant}.csv") as fh:
                 fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
         if result.corr_matrix is not None:
             header = ["variant"] + result.corr_variants

@@ -31,5 +31,7 @@ def quantile_bins(values: np.ndarray, m: int) -> np.ndarray:
         raise ValueError("values must be a 1-d array")
     if values.size < m:
         raise ValueError(f"need at least {m} values, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain non-finite numbers")
     boundaries = quantile_boundaries(values, m)
     return np.searchsorted(boundaries, values, side="left").astype(np.int64, copy=False)

@@ -303,7 +303,7 @@ class TestTreeStructure:
             assert sum(counts.shape[0] for counts, _ in levels) == len(contexts) <= seq.size * end + 1
 
     def test_invalid_parameters(self):
-        for depth in (-1, 2.5):
+        for depth in (-1, 2.5, True, np.True_):
             with pytest.raises(ValueError, match="depth"):
                 entropy_rate([0, 1], depth=depth)
         with pytest.raises(ValueError, match="alphabet"):

@@ -154,6 +154,9 @@ class TestDecomposeExamples:
             decompose(np.array([1.0, np.nan, 2.0]), 0.5)
         with pytest.raises(ValueError, match="^times must match the path length$"):
             decompose(np.array([1.0, 2.0]), 0.5, times=np.arange(3.0))
+        for times in ([0.0, np.nan, 2.0], [0.0, np.inf, 2.0], [2.0, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="^times must be finite and non-decreasing$"):
+                decompose(np.array([1.0, 2.0, 3.0]), 0.5, times=np.array(times))
 
 
 class TestDecomposeProperties:

@@ -413,7 +413,46 @@ def test_an_out_dir_that_refuses_the_first_write_is_a_data_error(tmp_path, monke
     path = tmp_path / "config.json"
     path.write_text(json.dumps(asdict(config)), encoding="utf-8")
     assert run(["study", "--config", str(path)]) == (2, "", f"data error: {message}\n")
+    assert not out.exists()  # the writer makes the directory, and it was never called
+
+
+def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch):
+    real_writer = csv.writer
+
+    class FullDisk:
+        """A csv.writer whose device fills after the header and two rows."""
+
+        def __init__(self, fh, **kwargs):
+            self.inner, self.rows = real_writer(fh, **kwargs), 0
+
+        def writerow(self, row):
+            if self.rows == 3:
+                raise OSError(28, "No space left on device")
+            self.rows += 1
+            self.inner.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(pipeline.csv, "writer", FullDisk)
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match=r"^output directory .* is not writable: \[Errno 28\] No space left on device$"):
+        study(out)
     assert list(out.iterdir()) == []
+
+
+def test_the_sweep_removes_the_partial_files_of_a_killed_study(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    partial = [name.replace("*", "x") + ".part" for name in pipeline.OUTPUT_FILES]
+    kept = ["notes.part", "entropy.csv.bak"]
+    for name in partial + kept:
+        (out / name).write_text("partial\n", encoding="utf-8")
+    study(out)
+    names = {p.name for p in out.iterdir()}
+    assert names.isdisjoint(partial)
+    assert set(kept) <= names
 
 
 def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path, caplog):

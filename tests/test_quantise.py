@@ -64,6 +64,12 @@ class TestQuantileBins:
         with pytest.raises(ValueError, match="1-d"):
             quantile_bins(np.arange(8.0).reshape(2, 4), 2)
 
+    def test_non_finite_rejected(self):
+        # NaN sorts last, so it would land in the top bin and shift the cut points
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^values contain non-finite numbers$"):
+                quantile_bins(np.array([1.0, bad, 0.5, 0.2]), 2)
+
 
 class TestBinCounts:
     def test_two_state_counts(self):
