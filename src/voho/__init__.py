@@ -14,7 +14,7 @@ from .errors import (
     DataFormatError,
     VohoError,
 )
-from .homogenise import SkeletonSeries, decompose, skeleton_to_symbols, write_skeleton_csv
+from .homogenise import SkeletonSeries, decompose, skeleton_to_symbols
 from .ingest import (
     PriceSeries,
     SyntheticSpec,
@@ -29,6 +29,7 @@ from .pipeline import (
     config_from_json,
     run_study,
     validate_config,
+    write_skeleton_csv,
 )
 from .quantise import quantile_bins
 from .stats import (

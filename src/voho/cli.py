@@ -26,7 +26,6 @@ from datetime import date
 
 from . import homogenise
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import write_skeleton_csv
 from .ingest import DAILY_HEADER, SYNTH_EPOCH, TICK_HEADER, count_price_changes, filter_eligible
 from .pipeline import (
     config_from_json,
@@ -36,6 +35,7 @@ from .pipeline import (
     run_study,
     synthetic_series,
     write_csv,
+    write_skeleton_csv,
 )
 from .stats import format_summary_table
 
@@ -109,12 +109,17 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     series = eligible_series(config)
 
     def skeletons():  # instrument by instrument, each at every delta by increasing delta
-        return (decompose_series(s, d, config.domain, config.crossing) for s in series for d in config.deltas)
+        for s in series:
+            try:  # decompose names no instrument: this names the one it refused
+                for d in config.deltas:
+                    yield s.instrument_id, decompose_series(s, d, config.domain, config.crossing)
+            except DataError as exc:
+                raise DataError(f"instrument {s.instrument_id!r}: {exc}") from None
 
     # each skeleton copies its instrument's path, so holding them all would
     # cost one path per delta: the first pass keeps only each event count,
     # and the writer decomposes again, one skeleton at a time
-    total = sum(map(len, skeletons()))
+    total = sum(len(skel) for _, skel in skeletons())
     if total > homogenise.MAX_EVENTS:
         raise DataError(
             f"{args.config}: {total} skeleton events over {len(series)} instrument(s) and "

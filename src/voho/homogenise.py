@@ -33,26 +33,16 @@ directions, source samples) cost O(events) each time one is read.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import os
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 
-SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
-
 CROSSING_MODES = ("multi", "single")
 # events one decompose call may emit; checked before any event array exists
 MAX_EVENTS = 10_000_000
-# events of one skeleton turned into CSV rows at a time by write_skeleton_csv
-CSV_SLICE_EVENTS = 65_536
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -62,7 +52,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SkeletonSeries:
-    """A delta-step skeleton in run-length form.
+    """A delta-step skeleton in run-length form: plain arrays and the step,
+    with no name; the caller pairs it with whatever it decomposed.
 
     `path` and `sample_times` are the decomposed samples (copied, so the
     caller's arrays may change afterwards). After sample `moved_at[r]`
@@ -78,7 +69,6 @@ class SkeletonSeries:
     itself (1-based) is the time-change estimate at that event.
     """
 
-    instrument_id: str
     delta: float
     path: np.ndarray
     sample_times: np.ndarray
@@ -144,11 +134,10 @@ def decompose(
     *,
     times: np.ndarray | None = None,
     crossing: str = "multi",
-    instrument_id: str = "",
 ) -> SkeletonSeries:
     """Extract the delta-step skeleton of the path `values`, a 1-d real
     array sampled at the finite, non-decreasing `times` (0..n-1 when None).
-    `instrument_id` only labels the result and its errors.
+    An error names the delta and the count; the caller names whose path it is.
 
     Crossings are decided on u = (x - x[0]) / delta, each u_j within
     4 * spacing(max|x|) / delta of an integer taken as that integer, so a
@@ -175,14 +164,13 @@ def decompose(
             raise ValueError("times must match the path length")
         if not np.all(np.isfinite(times)) or np.any(times[1:] < times[:-1]):
             raise ValueError("times must be finite and non-decreasing")
-    moves = np.diff(_skeleton_levels(values, delta, crossing, instrument_id))
+    moves = np.diff(_skeleton_levels(values, delta, crossing))
     moved = np.flatnonzero(moves)
     steps = moves[moved]
     total = int(np.abs(steps).sum())
     if total > MAX_EVENTS:
-        raise _too_many_events(instrument_id, delta, str(total))
+        raise _too_many_events(delta, str(total))
     return SkeletonSeries(
-        instrument_id=instrument_id,
         delta=float(delta),
         path=values,
         sample_times=times,
@@ -204,7 +192,7 @@ def _checked_path(values: np.ndarray, delta: float, crossing: str) -> np.ndarray
     return values
 
 
-def _skeleton_levels(values: np.ndarray, delta: float, crossing: str, instrument_id: str) -> np.ndarray:
+def _skeleton_levels(values: np.ndarray, delta: float, crossing: str) -> np.ndarray:
     """The level index after each sample; the first is 0.
 
     u_j is taken as the nearest integer when it lies within
@@ -234,7 +222,7 @@ def _skeleton_levels(values: np.ndarray, delta: float, crossing: str, instrument
         return _lagging_levels(np.clip(u, -bound, bound))
     reach = float(np.max(np.abs(u)))
     if reach > MAX_EVENTS + 1:  # reaching level k_j takes |k_j| >= floor(|u_j|) events
-        raise _too_many_events(instrument_id, delta, f"at least {np.floor(reach):.0f}")
+        raise _too_many_events(delta, f"at least {np.floor(reach):.0f}")
     return _levels(u)
 
 
@@ -262,63 +250,10 @@ def _lagging_levels(u: np.ndarray) -> np.ndarray:
     return np.asarray(levels, dtype=np.int64)
 
 
-def _too_many_events(instrument_id: str, delta: float, count: str) -> DataError:
-    return DataError(
-        f"instrument {instrument_id!r}: delta={delta!r} gives {count} skeleton events, "
-        f"more than the limit of {MAX_EVENTS}"
-    )
+def _too_many_events(delta: float, count: str) -> DataError:
+    return DataError(f"delta={delta!r} gives {count} skeleton events, more than the limit of {MAX_EVENTS}")
 
 
 def skeleton_to_symbols(skeleton: SkeletonSeries) -> np.ndarray:
     """Binary int64 symbols of the skeleton's moves: 1 for up, 0 for down."""
     return np.repeat((skeleton.steps > 0).astype(np.int64), np.abs(skeleton.steps))
-
-
-def _csv_prefix(*fields) -> str:
-    """The fields as csv.writer quotes them, each followed by a comma."""
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow(fields)
-    return line.getvalue()[:-1] + ","
-
-
-@contextmanager
-def open_output(path: str | Path) -> Iterator[io.TextIOWrapper]:
-    """The one way voho creates an output file: make the directories of
-    `path`, yield `<name>.part` beside it open as UTF-8 with newline="", and
-    rename it onto `path` when the block completes or remove it if it fails."""
-    path = Path(path)
-    partial = path.with_name(path.name + ".part")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
-def write_skeleton_csv(skeletons: SkeletonSeries | Iterable[SkeletonSeries], path: str | Path) -> int:
-    """Export skeletons as instrument,delta,i,T_i,level,direction rows and
-    return the number of events written. Skeletons are taken one at a time,
-    so a generator holds one and its event arrays in memory, and each is
-    turned into text CSV_SLICE_EVENTS events at a time; a failure leaves no
-    file (see open_output). Times and levels are written as repr of a
-    Python float."""
-    if isinstance(skeletons, SkeletonSeries):
-        skeletons = [skeletons]
-    events = 0
-    with open_output(path) as fh:
-        fh.write(",".join(SKELETON_CSV_HEADER) + "\n")
-        for skel in skeletons:
-            prefix = _csv_prefix(skel.instrument_id, repr(float(skel.delta)))
-            times, levels, directions = skel.times, skel.levels(), skel.directions
-            for start in range(0, times.size, CSV_SLICE_EVENTS):
-                part = slice(start, start + CSV_SLICE_EVENTS)
-                rows = zip(times[part].tolist(), levels[part].tolist(), directions[part].tolist())
-                fh.write("".join(
-                    f"{prefix}{i},{t!r},{level!r},{direction}\n"
-                    for i, (t, level, direction) in enumerate(rows, start=start + 1)
-                ))
-            events += times.size
-    return events

@@ -61,7 +61,8 @@ class PriceSeries:
     """Timestamped positive prices for one instrument.
 
     `times` are day ordinals for daily data and epoch seconds for tick data.
-    Arrays are frozen after construction.
+    The arrays are read-only copies: the caller's stay writable, and
+    changing them leaves the series as it was.
     """
 
     instrument_id: str
@@ -70,8 +71,8 @@ class PriceSeries:
     kind: str  # one of FORMATS
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
-        prices = np.ascontiguousarray(self.prices, dtype=np.float64)
+        times = np.array(self.times, dtype=np.float64)
+        prices = np.array(self.prices, dtype=np.float64)
         if times.ndim != 1 or prices.ndim != 1 or times.size != prices.size:
             raise ValueError("times and prices must be 1-d arrays of equal length")
         if self.kind not in FORMATS:
@@ -296,10 +297,7 @@ def _load_rows(path: str | Path, format: str) -> list[PriceSeries]:
                 prices.append(price)
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{last + 1}: {exc}") from None
-    return [
-        PriceSeries(instrument, np.asarray(t), np.asarray(p), format)
-        for instrument, (t, p) in groups.items()
-    ]
+    return [PriceSeries(instrument, t, p, format) for instrument, (t, p) in groups.items()]
 
 
 def count_price_changes(series: PriceSeries) -> int:
@@ -329,7 +327,7 @@ def log_returns(series: PriceSeries) -> np.ndarray:
     removed before differencing, so every emitted return is nonzero.
     """
     if len(series) < 2:
-        raise ValueError(f"{series.instrument_id}: need at least 2 observations")
+        raise ValueError("need at least 2 observations")
     prices = series.prices
     if series.kind == "tick":
         keep = np.empty(prices.size, dtype=bool)

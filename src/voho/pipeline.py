@@ -1,4 +1,4 @@
-"""End-to-end study orchestration: config, the per-instrument loop, persistence.
+"""End-to-end study orchestration: config, the per-instrument loop, and every file voho writes.
 
 A study loads (or synthesises) price series, keeps the eligible ones and
 writes the aggregate CSV outputs. Each instrument is handled in two steps:
@@ -12,11 +12,14 @@ order; one that raises in either step is logged and contributes no rows.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
 import numbers
 import os
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -25,7 +28,7 @@ import numpy as np
 
 from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
-from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, open_output, skeleton_to_symbols
+from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
 from .ingest import (
     FORMATS,
     PriceSeries,
@@ -45,6 +48,9 @@ DEFAULT_DELTAS = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
 DOMAINS = ("price", "logpath")
 
 ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entropy_bits_per_symbol"]
+SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
+# events of one skeleton turned into CSV rows at a time by write_skeleton_csv
+CSV_SLICE_EVENTS = 65_536
 # the names, as glob patterns, of every file a study writes into out_dir
 OUTPUT_FILES = ("entropy.csv", "summary.csv", "corr.csv", "kde_*.csv", "scatter_*.csv")
 
@@ -208,7 +214,7 @@ def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: s
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
     path = np.log(series.prices) if domain == "logpath" else series.prices
-    return decompose(path, delta, times=series.times, crossing=crossing, instrument_id=series.instrument_id)
+    return decompose(path, delta, times=series.times, crossing=crossing)
 
 
 def instrument_sequences(
@@ -268,29 +274,35 @@ def eligible_series(config: StudyConfig) -> list[PriceSeries]:
     return eligible
 
 
-def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
-    """Execute the full pipeline and persist all outputs under out_dir. Rows
-    follow the input order of instruments, then the order of study_variants.
-    Once the config is valid, before any input is read, each regular file
-    in out_dir named as in OUTPUT_FILES, or so named plus ".part", is
-    removed, so a study that fails leaves no earlier or killed study's
-    files; nothing else is touched or created. Each output is written
-    through open_output, so it is whole or absent.
-
-    Instruments are handled one after another in the calling thread: the
-    symbol arrays of instrument_sequences, then one entropy_rate per array.
-    One that raises in either step is logged and left out with all its rows,
-    and AllInstrumentsFailedError is raised only when every eligible
-    instrument did. `threads` is accepted for callers that still pass a
-    worker count and is ignored."""
-    errors = validate_config(config)
-    if errors:
-        raise ConfigError(errors)
-    out = Path(config.out_dir)
+def _remove_outputs(out: Path) -> int:
+    """Remove each regular file in `out` named as in OUTPUT_FILES, or so
+    named plus ".part", and return how many there were; nothing else is
+    touched."""
     stale = [p for name in OUTPUT_FILES for part in ("", ".part") for p in out.glob(name + part) if p.is_file()]
     for path in stale:
         path.unlink()
-    logger.info("removed %d output file(s) of an earlier study from %s", len(stale), config.out_dir)
+    return len(stale)
+
+
+def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
+    """Execute the full pipeline and persist all outputs under out_dir. Rows
+    follow the input order of instruments, then the order of study_variants.
+    Once the config is valid, before any input is read, _remove_outputs
+    clears out_dir of an earlier or killed study's files, and _persist of
+    its own if a write fails, so a failed study leaves no output.
+
+    Instruments are handled one after another in the calling thread: the
+    symbol arrays of instrument_sequences, then one entropy_rate per array.
+    One that raises in either step is logged as `instrument A failed: <error>`
+    (the layers name no instrument) and left out with all its rows.
+    AllInstrumentsFailedError, quoting the first as `instrument 'A': <error>`,
+    is raised only when every eligible instrument failed. `threads` is
+    accepted for callers that still pass a worker count and is ignored."""
+    errors = validate_config(config)
+    if errors:
+        raise ConfigError(errors)
+    removed = _remove_outputs(Path(config.out_dir))
+    logger.info("removed %d output file(s) of an earlier study from %s", removed, config.out_dir)
 
     eligible = eligible_series(config)
     variants = study_variants(config.variants, config.deltas)
@@ -307,7 +319,7 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
                 estimate = entropy_rate(seq, config.depth, alphabet_size=variant.alphabet)
                 scored.append(StudyRow(s.instrument_id, variant.name, estimate.value, len(seq)))
         except Exception as exc:
-            failures.append(str(exc))
+            failures.append(f"instrument {s.instrument_id!r}: {exc}")
             logger.warning("instrument %s failed: %s", s.instrument_id, exc)
             logger.debug("instrument %s traceback", s.instrument_id, exc_info=True)
             continue
@@ -327,6 +339,23 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     return result
 
 
+@contextmanager
+def open_output(path: str | Path) -> Iterator[io.TextIOWrapper]:
+    """The one way voho creates an output file: make the directories of
+    `path`, yield `<name>.part` beside it open as UTF-8 with newline="", and
+    rename it onto `path` when the block completes or remove it if it fails."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".part")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: str | os.PathLike, header: list[str], rows) -> None:
     """Write a header and rows as CSV to path through open_output.
     csv.writer writes a Python float as its repr."""
@@ -336,12 +365,43 @@ def write_csv(path: str | os.PathLike, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _csv_prefix(*fields) -> str:
+    """The fields as csv.writer quotes them, each followed by a comma."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(fields)
+    return line.getvalue()[:-1] + ","
+
+
+def write_skeleton_csv(skeletons: Iterable[tuple[str, SkeletonSeries]], path: str | Path) -> int:
+    """Export (instrument id, skeleton) pairs as instrument,delta,i,T_i,level,
+    direction rows and return the number of events written. Pairs are taken
+    one at a time, so a generator holds one skeleton and its event arrays in
+    memory, each turned into text CSV_SLICE_EVENTS events at a time; a failure
+    leaves no file (see open_output). Times and levels are written as repr of a
+    Python float."""
+    events = 0
+    with open_output(path) as fh:
+        fh.write(",".join(SKELETON_CSV_HEADER) + "\n")
+        for instrument, skel in skeletons:
+            prefix = _csv_prefix(instrument, repr(float(skel.delta)))
+            times, levels, directions = skel.times, skel.levels(), skel.directions
+            for start in range(0, times.size, CSV_SLICE_EVENTS):
+                part = slice(start, start + CSV_SLICE_EVENTS)
+                rows = zip(times[part].tolist(), levels[part].tolist(), directions[part].tolist())
+                fh.write("".join(
+                    f"{prefix}{i},{t!r},{level!r},{direction}\n"
+                    for i, (t, level, direction) in enumerate(rows, start=start + 1)
+                ))
+            events += times.size
+    return events
+
+
 def _persist(result: StudyResult, config: StudyConfig) -> None:
     """Write every output file under config.out_dir through open_output.
     Every float is written as Python's repr of a Python float; a numpy
     scalar is never passed, since under numpy 2 its repr is np.float64(...).
-    Only writes: run_study has already removed an earlier study's outputs.
-    An OSError is a DataError naming the directory; the file it hit is absent."""
+    An OSError removes the outputs written so far, leaving all or none, and
+    is raised as a DataError naming the directory."""
     out = Path(config.out_dir)
     alphabet = {v.name: v.alphabet for v in result.variants}
     try:
@@ -371,5 +431,6 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
             ([float(d), float(m)] for d, m in result.summary),
         )
     except OSError as exc:
+        _remove_outputs(out)
         raise DataError(f"output directory {out} is not writable: {exc}") from exc
     logger.info("outputs written to %s", out)

@@ -290,10 +290,10 @@ _TICKS = "instrument,timestamp,price,volume\n"
 _THREE_LINES = "\n".join(["x" * 50_000] * 3)  # over csv's field limit as one quoted field
 
 
-def ingest(data: bytes) -> tuple[tuple[str, ...], dict[str, bytes]]:
+def ingest(data: bytes, name: str = "f.csv") -> tuple[tuple[str, ...], dict[str, bytes]]:
     """The argv and the files of a `voho ingest` of one tick file holding data."""
-    config = json.dumps({"inputs": [{"path": "f.csv", "format": "tick"}], "min_tick_changes": 2}).encode()
-    return ("ingest", "--config", "c.json"), {"c.json": config, "f.csv": data}
+    config = json.dumps({"inputs": [{"path": name, "format": "tick"}], "min_tick_changes": 2}).encode()
+    return ("ingest", "--config", "c.json"), {"c.json": config, name: data}
 
 
 # `python -m voho.cli *argv` runs in a directory holding only `files`, exits
@@ -317,12 +317,18 @@ def ingest(data: bytes) -> tuple[tuple[str, ...], dict[str, bytes]]:
          "data error: f.csv:2: field larger than field limit (131072)"),
         (*ingest(f'{_TICKS}A"B,1,10,"{_THREE_LINES}"z"\nC,2,11,1\n'.encode()), 2,
          "data error: f.csv:2: field larger than field limit (131072)"),
+        # a file of no rows, read by numpy or, for a compressed name, by the row reader
+        (*ingest(_TICKS.encode()), 2, "data error: no input sources produced any instrument"),
+        (*ingest(b"", "e.csv.gz"), 2, "data error: no input sources produced any instrument"),
         # refused before the study sweeps out_dir, so the last run's outputs stay
         (("study", "--config", "nodata.json"),
          {"nodata.json": b'{"deltas": [0.5, 1.0], "out_dir": "out"}', "out/entropy.csv": b"earlier\n"},
          1, "config error: inputs and synthetic must not both be empty"),
     ],
-    ids=["not-utf8", "bad-row-over-the-limit", "quoted-crlf", "wide", "span", "stray-quote-pair", "no-data-kept"],
+    ids=[
+        "not-utf8", "bad-row-over-the-limit", "quoted-crlf", "wide", "span", "stray-quote-pair",
+        "header-only", "empty-compressed-name", "no-data-kept",
+    ],
 )
 def test_voho_run_as_a_program(tmp_path, argv, files, code, line):
     for name, content in files.items():

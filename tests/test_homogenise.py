@@ -6,16 +6,16 @@ import csv
 import io
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from voho import homogenise
+from voho import homogenise, pipeline
 from voho.errors import DataError
-from voho.homogenise import SKELETON_CSV_HEADER, decompose, skeleton_to_symbols, write_skeleton_csv
-
-from conftest import make_series
+from voho.homogenise import SkeletonSeries, decompose, skeleton_to_symbols
+from voho.pipeline import SKELETON_CSV_HEADER, write_skeleton_csv
 
 
 def source_indices(skeleton):
@@ -136,10 +136,15 @@ class TestDecomposeExamples:
         assert len(skel) == 1
         assert skel.times[0] == 5.0
 
-    def test_price_series_input_carries_id(self):
-        series = make_series([10.0, 11.0, 12.0], instrument="ZZZ")
-        skel = decompose(series.prices, 0.5, times=series.times, instrument_id=series.instrument_id)
-        assert skel.instrument_id == "ZZZ"
+    def test_a_skeleton_is_plain_arrays_and_its_step(self):
+        skel = decompose(np.array([10.0, 11.0, 12.0]), 0.5)
+        assert [f.name for f in fields(skel)] == ["delta", "path", "sample_times", "moved_at", "steps"]
+
+    def test_arrays_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="skeleton arrays must have matching lengths"):
+            SkeletonSeries(0.5, [1.0, 2.0], [0.0], [], [])
+        with pytest.raises(ValueError, match="skeleton arrays must have matching lengths"):
+            SkeletonSeries(0.5, [1.0, 2.0], [0.0, 1.0], [1], [])
 
     def test_errors(self):
         with pytest.raises(ValueError, match="delta"):
@@ -276,20 +281,18 @@ class TestEventBound:
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match="at least 1000000000 skeleton events"):
-                decompose(np.array([0.0, 1e9]), 1.0, instrument_id="FAR")
+                decompose(np.array([0.0, 1e9]), 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_message_names_instrument_delta_and_count(self, monkeypatch):
+    def test_message_names_delta_and_count(self, monkeypatch):
         monkeypatch.setattr(homogenise, "MAX_EVENTS", 5)
         # the path never goes beyond 3 steps, but swings three times
         with pytest.raises(DataError) as info:
-            decompose(np.array([0.0, 3.0, 0.0, 3.0]), 1.0, instrument_id="OSC")
-        assert str(info.value) == (
-            "instrument 'OSC': delta=1.0 gives 9 skeleton events, more than the limit of 5"
-        )
+            decompose(np.array([0.0, 3.0, 0.0, 3.0]), 1.0)
+        assert str(info.value) == "delta=1.0 gives 9 skeleton events, more than the limit of 5"
 
     def test_limit_is_inclusive(self, monkeypatch):
         values = np.array([0.0, 3.0, 0.0])
@@ -359,40 +362,38 @@ def reference_skeleton_csv(skeletons) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SKELETON_CSV_HEADER)
-    for skel in skeletons:
+    for instrument, skel in skeletons:
         rows = zip(skel.times.tolist(), skel.levels().tolist(), skel.directions.tolist())
         writer.writerows(
-            [skel.instrument_id, repr(float(skel.delta)), i, repr(t), repr(level), direction]
+            [instrument, repr(float(skel.delta)), i, repr(t), repr(level), direction]
             for i, (t, level, direction) in enumerate(rows, start=1)
         )
     return out.getvalue().encode("utf-8")
 
 
 class TestSkeletonCsv:
-    @pytest.mark.parametrize("slice_events", [homogenise.CSV_SLICE_EVENTS, 3])
+    @pytest.mark.parametrize("slice_events", [pipeline.CSV_SLICE_EVENTS, 3])
     def test_bytes_match_the_row_writer_with_ids_that_need_quoting(self, tmp_path, monkeypatch, rng, slice_events):
-        monkeypatch.setattr(homogenise, "CSV_SLICE_EVENTS", slice_events)
+        monkeypatch.setattr(pipeline, "CSV_SLICE_EVENTS", slice_events)
         paths = [100.0 + np.cumsum(rng.normal(0.0, 0.7, size=40)) for _ in range(4)]
         times = np.cumsum(rng.uniform(0.0, 3.0, size=40))
         skeletons = [
-            decompose(paths[0], 0.25, times=times, instrument_id="WIG,20"),
-            decompose(paths[1], 0.1, instrument_id='say "hi"', crossing="single"),
-            decompose(paths[2], 1e-3, times=times, instrument_id="Żywiec ąę"),
-            decompose(np.array([1.0, 1.1]), 5.0, instrument_id="EMPTY"),
-            decompose(paths[3], 0.3, instrument_id=""),
+            ("WIG,20", decompose(paths[0], 0.25, times=times)),
+            ('say "hi"', decompose(paths[1], 0.1, crossing="single")),
+            ("Żywiec ąę", decompose(paths[2], 1e-3, times=times)),
+            ("EMPTY", decompose(np.array([1.0, 1.1]), 5.0)),
+            ("", decompose(paths[3], 0.3)),
         ]
         out = tmp_path / "skel.csv"
-        assert write_skeleton_csv(skeletons, out) == sum(map(len, skeletons))
+        assert write_skeleton_csv(skeletons, out) == sum(len(skel) for _, skel in skeletons)
         assert out.read_bytes() == reference_skeleton_csv(skeletons)
         assert b'"WIG,20",0.25,1,' in out.read_bytes()
         assert b'"say ""hi""",0.1,1,' in out.read_bytes()
 
     def test_schema_and_indexing(self, tmp_path):
-        skel = decompose(
-            np.array([10.00, 10.30, 10.10, 9.70]), 0.25, instrument_id="AAA"
-        )
+        skel = decompose(np.array([10.00, 10.30, 10.10, 9.70]), 0.25)
         out = tmp_path / "skel.csv"
-        write_skeleton_csv(skel, out)
+        write_skeleton_csv([("AAA", skel)], out)
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(SKELETON_CSV_HEADER)
         first = lines[1].split(",")
@@ -403,8 +404,8 @@ class TestSkeletonCsv:
         assert len(lines) == 1 + 3
 
     def test_bytes_of_two_instruments_with_multi_crossings(self, tmp_path):
-        a = decompose(np.array([10.0, 10.5, 9.75]), 0.25, times=np.array([0.0, 1.0, 4.0]), instrument_id="A")
-        b = decompose(np.array([5.0, 4.0]), 0.5, instrument_id="B")
+        a = ("A", decompose(np.array([10.0, 10.5, 9.75]), 0.25, times=np.array([0.0, 1.0, 4.0])))
+        b = ("B", decompose(np.array([5.0, 4.0]), 0.5))
         out = tmp_path / "skel.csv"
         write_skeleton_csv([a, b], out)
         assert out.read_bytes() == (
@@ -420,18 +421,18 @@ class TestSkeletonCsv:
 
     def test_a_skeleton_written_in_slices_has_the_bytes_of_one_slice(self, tmp_path, monkeypatch):
         skeletons = [
-            decompose(np.array([10.0, 10.5, 9.75, 11.0]), 0.25, times=np.array([0.0, 1.0, 4.0, 4.5]), instrument_id="A"),
-            decompose(np.array([5.0, 4.0]), 0.5, instrument_id="B"),
+            ("A", decompose(np.array([10.0, 10.5, 9.75, 11.0]), 0.25, times=np.array([0.0, 1.0, 4.0, 4.5]))),
+            ("B", decompose(np.array([5.0, 4.0]), 0.5)),
         ]
         write_skeleton_csv(skeletons, tmp_path / "whole.csv")
-        monkeypatch.setattr(homogenise, "CSV_SLICE_EVENTS", 3)  # A's 10 events span four slices
+        monkeypatch.setattr(pipeline, "CSV_SLICE_EVENTS", 3)  # A's 10 events span four slices
         assert write_skeleton_csv(skeletons, tmp_path / "sliced.csv") == 12
         assert (tmp_path / "sliced.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_a_generator_writes_the_bytes_of_a_list(self, tmp_path):
         skeletons = [
-            decompose(np.array([10.0, 10.5, 9.75]), 0.25, instrument_id="A"),
-            decompose(np.array([5.0, 4.0]), 0.5, instrument_id="B"),
+            ("A", decompose(np.array([10.0, 10.5, 9.75]), 0.25)),
+            ("B", decompose(np.array([5.0, 4.0]), 0.5)),
         ]
         assert write_skeleton_csv(skeletons, tmp_path / "list.csv") == 7
         assert write_skeleton_csv((s for s in skeletons), tmp_path / "generator.csv") == 7
@@ -439,7 +440,7 @@ class TestSkeletonCsv:
 
     def test_a_failing_skeleton_leaves_no_file(self, tmp_path):
         def skeletons():
-            yield decompose(np.array([10.0, 10.5]), 0.25, instrument_id="A")
+            yield "A", decompose(np.array([10.0, 10.5]), 0.25)
             raise DataError("second instrument failed")
 
         with pytest.raises(DataError, match="second instrument failed"):

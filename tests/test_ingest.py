@@ -533,6 +533,13 @@ class TestPriceSeriesInvariants:
         with pytest.raises(ValueError):
             s.prices[0] = 99.0
 
+    def test_the_callers_arrays_stay_writable_and_apart(self):
+        times, prices = np.array([0.0, 1.0]), np.array([10.0, 11.0])
+        s = PriceSeries("T", times, prices, "daily")
+        assert times.flags.writeable and prices.flags.writeable
+        times[1], prices[0] = 5.0, 99.0
+        assert s.times.tolist() == [0.0, 1.0] and s.prices.tolist() == [10.0, 11.0]
+
 
 class TestFilterEligible:
     def test_daily_999_excluded_1000_kept(self):
@@ -583,7 +590,7 @@ class TestLogReturns:
         assert r.tolist() == pytest.approx([math.log(1.05)])
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="^need at least 2 observations$"):
             log_returns(make_series([100.0]))
 
     def test_constant_series_drop_zero_empty(self):

@@ -20,8 +20,8 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
-def _voho_imports(module: str) -> set[str]:
-    """The voho modules that the source of voho.<module> imports."""
+def _imports(module: str) -> set[str]:
+    """The modules that the source of voho.<module> imports."""
     source = Path(voho.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     found = set()
     for node in ast.walk(ast.parse(source)):
@@ -34,7 +34,7 @@ def _voho_imports(module: str) -> set[str]:
                 found.update(f"{base}.{alias.name}" for alias in node.names)
             else:
                 found.add(base)
-    return {name for name in found if name == "voho" or name.startswith("voho.")}
+    return found
 
 
 @pytest.mark.parametrize(
@@ -43,8 +43,11 @@ def _voho_imports(module: str) -> set[str]:
 )
 def test_layers_below_the_pipeline_exchange_plain_arrays(module, allowed):
     # symbols, returns and prices cross these boundaries as numpy arrays,
-    # so none of these modules needs another's types
-    assert _voho_imports(module) == allowed
+    # so none of these modules needs another's types; and only the pipeline
+    # writes files, so none of them needs a file or stream module either
+    imports = _imports(module)
+    assert {name for name in imports if name == "voho" or name.startswith("voho.")} == allowed
+    assert imports & {"csv", "io", "os", "contextlib"} == set()
 
 
 def test_a_study_loads_no_thread_pool_and_no_numpy_ma(tmp_path):

@@ -12,7 +12,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from voho import ctw, pipeline
+from voho import ctw, homogenise, pipeline
 from voho.errors import AllInstrumentsFailedError, ConfigError, DataError
 from voho.ingest import generate_synthetic_path
 from voho.pipeline import (
@@ -319,7 +319,7 @@ def test_an_instrument_that_fails_while_scoring_leaves_none_of_its_rows(tmp_path
 
 def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path):
     config = tick_config(tmp_path, two_changes("B") + three_changes("D"))
-    message = "all 2 eligible instrument(s) failed; first error: need at least 4 values, got 2"
+    message = "all 2 eligible instrument(s) failed; first error: instrument 'B': need at least 4 values, got 2"
     with pytest.raises(AllInstrumentsFailedError) as raised:
         run_study(config)
     assert str(raised.value) == message
@@ -330,6 +330,21 @@ def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path):
     code, _, err = run(["study", "--config", str(path)])
     assert code == 3
     assert err.splitlines()[-1] == f"error: {message}"
+
+
+def test_a_refused_skeleton_names_its_instrument_once(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(homogenise, "MAX_EVENTS", 50)
+    config = StudyConfig(
+        synthetic=SyntheticSpec(instruments=2, n=300), deltas=[0.05, 1.0], min_daily=100, out_dir=str(tmp_path)
+    )
+    refused = "delta=0.05 gives at least {} skeleton events, more than the limit of 50"
+    with caplog.at_level(logging.WARNING, logger="voho.pipeline"), pytest.raises(AllInstrumentsFailedError) as raised:
+        run_study(config)
+    assert caplog.messages == [
+        f"instrument SYN000 failed: {refused.format(818)}", f"instrument SYN001 failed: {refused.format(399)}"
+    ]
+    first = f"instrument 'SYN000': {refused.format(818)}"
+    assert str(raised.value) == f"all 2 eligible instrument(s) failed; first error: {first}"
 
 
 def filled(out):
@@ -416,12 +431,11 @@ def test_an_out_dir_that_refuses_the_first_write_is_a_data_error(tmp_path, monke
     assert not out.exists()  # the writer makes the directory, and it was never called
 
 
-def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch):
+def full_disk_midway(monkeypatch):
+    """csv.writer's device fills after the first file's header and two rows."""
     real_writer = csv.writer
 
     class FullDisk:
-        """A csv.writer whose device fills after the header and two rows."""
-
         def __init__(self, fh, **kwargs):
             self.inner, self.rows = real_writer(fh, **kwargs), 0
 
@@ -436,10 +450,29 @@ def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch)
                 self.writerow(row)
 
     monkeypatch.setattr(pipeline.csv, "writer", FullDisk)
+
+
+def full_disk_at_the_last_file(monkeypatch):
+    """The device fills when summary.csv, written last, is opened."""
+    real_write_csv = pipeline.write_csv
+
+    def write_csv(path, header, rows):
+        if path.name == "summary.csv":
+            raise OSError(28, "No space left on device")
+        real_write_csv(path, header, rows)
+
+    monkeypatch.setattr(pipeline, "write_csv", write_csv)
+
+
+@pytest.mark.parametrize("fill", [full_disk_midway, full_disk_at_the_last_file], ids=["midway", "last-file"])
+def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch, fill):
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    fill(monkeypatch)
     with pytest.raises(DataError, match=r"^output directory .* is not writable: \[Errno 28\] No space left on device$"):
         study(out)
-    assert list(out.iterdir()) == []
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 def test_the_sweep_removes_the_partial_files_of_a_killed_study(tmp_path):
