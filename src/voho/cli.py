@@ -24,18 +24,15 @@ import sys
 from dataclasses import replace
 from datetime import date
 
-from . import homogenise
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .ingest import DAILY_HEADER, SYNTH_EPOCH, TICK_HEADER, count_price_changes, filter_eligible
 from .pipeline import (
     config_from_json,
-    decompose_series,
-    eligible_series,
+    export_skeletons,
     gather_series,
     run_study,
     synthetic_series,
     write_csv,
-    write_skeleton_csv,
 )
 from .stats import format_summary_table
 
@@ -106,27 +103,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     config = config_from_json(args.config)
     if not config.deltas:
         raise ConfigError([f"{args.config}: no deltas to decompose"])
-    series = eligible_series(config)
-
-    def skeletons():  # instrument by instrument, each at every delta by increasing delta
-        for s in series:
-            try:  # decompose names no instrument: this names the one it refused
-                for d in config.deltas:
-                    yield s.instrument_id, decompose_series(s, d, config.domain, config.crossing)
-            except DataError as exc:
-                raise DataError(f"instrument {s.instrument_id!r}: {exc}") from None
-
-    # each skeleton copies its instrument's path, so holding them all would
-    # cost one path per delta: the first pass keeps only each event count,
-    # and the writer decomposes again, one skeleton at a time
-    total = sum(len(skel) for _, skel in skeletons())
-    if total > homogenise.MAX_EVENTS:
-        raise DataError(
-            f"{args.config}: {total} skeleton events over {len(series)} instrument(s) and "
-            f"{len(config.deltas)} delta(s), more than the limit of {homogenise.MAX_EVENTS}"
-        )
-    events = write_skeleton_csv(skeletons(), args.out)
-    print(f"{events} event(s) for {len(series)} instrument(s) at {len(config.deltas)} delta(s) -> {args.out}")
+    events, instruments = export_skeletons(config, args.out)
+    print(f"{events} event(s) for {instruments} instrument(s) at {len(config.deltas)} delta(s) -> {args.out}")
     return 0
 
 

@@ -21,11 +21,13 @@ import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import homogenise
 from .ctw import DEFAULT_DEPTH, entropy_rate
 from .errors import AllInstrumentsFailedError, ConfigError, DataError
 from .homogenise import CROSSING_MODES, SkeletonSeries, decompose, skeleton_to_symbols
@@ -100,11 +102,20 @@ def _from_json_object(raw, cls, where: str, errors: list[str]):
 def config_from_json(path: str | Path) -> StudyConfig:
     """Load a valid StudyConfig from a JSON file. Malformed JSON (also an
     integer over the interpreter's digit limit), keys that are unknown,
-    missing or hold something other than an object where one is expected,
-    and every value validate_config refuses raise ConfigError."""
+    missing, repeated in one object or hold something other than an object
+    where one is expected, and every value validate_config refuses raise
+    ConfigError."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:  # json.load would keep the last value silently
+                raise ConfigError([f"{path}: repeated config key {key!r}"])
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
         raise ConfigError([f"{path}: not valid JSON: {exc}"]) from None
     errors: list[str] = []
@@ -199,6 +210,8 @@ def validate_config(config: StudyConfig) -> list[str]:
     for spec in config.inputs:
         if spec.format not in FORMATS:
             errors.append(f"input {spec.path!r}: format must be daily or tick")
+        if _swept(spec.path, config.out_dir):
+            errors.append(f"input {spec.path!r}: lies in out_dir under an output file name, which a study removes")
     if config.synthetic is not None:
         errors += [f"synthetic {problem}" for problem in config.synthetic.problems()]
     return errors
@@ -209,12 +222,15 @@ def synthetic_series(spec: SyntheticSpec) -> list[PriceSeries]:
     return [generate_synthetic_path(spec, i) for i in range(spec.instruments)]
 
 
-def decompose_series(series: PriceSeries, delta: float, domain: str, crossing: str) -> SkeletonSeries:
-    """The skeleton of the prices or, for domain "logpath", of the log prices."""
-    if domain not in DOMAINS:
-        raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
+def instrument_skeletons(
+    series: PriceSeries, deltas: list[float], domain: str, crossing: str
+) -> Iterator[SkeletonSeries]:
+    """An instrument's skeleton at each of `deltas` in order, one at a time,
+    of its prices or, for domain "logpath", of its log prices, taken once:
+    the one place that decides how a study and `voho decompose` decompose it."""
     path = np.log(series.prices) if domain == "logpath" else series.prices
-    return decompose(path, delta, times=series.times, crossing=crossing)
+    for delta in deltas:
+        yield decompose(path, delta, times=series.times, crossing=crossing)
 
 
 def instrument_sequences(
@@ -223,18 +239,17 @@ def instrument_sequences(
     """One instrument's symbol arrays: each kept variant of `variants`, in
     order, with its sequence, plus the name and event count of each skeleton
     variant dropped for having fewer than min_skeleton_events events. Log
-    returns are taken only when an original variant is asked for. Only the
-    symbol arrays are kept, not the skeletons they come from."""
+    returns are taken only when an original variant is asked for; of each
+    skeleton of instrument_skeletons only the symbol array is kept."""
     if any(v.delta is None for v in variants):
         returns = log_returns(series)
+    skeletons = instrument_skeletons(series, [v.delta for v in variants if v.delta is not None], domain, crossing)
     kept: list[tuple[Variant, np.ndarray]] = []
     dropped: list[tuple[str, int]] = []
     for variant in variants:
         if variant.delta is None:
             kept.append((variant, quantile_bins(returns, variant.alphabet)))
-            continue
-        skeleton = decompose_series(series, variant.delta, domain, crossing)
-        if len(skeleton) < min_skeleton_events:
+        elif len(skeleton := next(skeletons)) < min_skeleton_events:
             dropped.append((variant.name, len(skeleton)))
         else:
             kept.append((variant, skeleton_to_symbols(skeleton)))
@@ -272,6 +287,23 @@ def eligible_series(config: StudyConfig) -> list[PriceSeries]:
     if not eligible:
         raise DataError("no eligible instruments after length filters")
     return eligible
+
+
+def _swept(path: str | os.PathLike, out: str | os.PathLike) -> bool:
+    """Whether _remove_outputs(out) would remove the file at `path`: its
+    name in its directory, or the file it links to, lies in `out` under a
+    name of OUTPUT_FILES, bare or plus ".part". A path holding a NUL names
+    no file and is not swept."""
+    try:
+        out = os.path.realpath(out)
+        files = [os.path.join(os.path.realpath(os.path.dirname(path)), os.path.basename(path)), os.path.realpath(path)]
+    except ValueError:
+        return False
+    return any(
+        os.path.dirname(file) == out
+        and any(fnmatchcase(os.path.basename(file), name + part) for name in OUTPUT_FILES for part in ("", ".part"))
+        for file in files
+    )
 
 
 def _remove_outputs(out: Path) -> int:
@@ -372,14 +404,12 @@ def _csv_prefix(*fields) -> str:
     return line.getvalue()[:-1] + ","
 
 
-def write_skeleton_csv(skeletons: Iterable[tuple[str, SkeletonSeries]], path: str | Path) -> int:
+def write_skeleton_csv(skeletons: Iterable[tuple[str, SkeletonSeries]], path: str | Path) -> None:
     """Export (instrument id, skeleton) pairs as instrument,delta,i,T_i,level,
-    direction rows and return the number of events written. Pairs are taken
-    one at a time, so a generator holds one skeleton and its event arrays in
-    memory, each turned into text CSV_SLICE_EVENTS events at a time; a failure
-    leaves no file (see open_output). Times and levels are written as repr of a
-    Python float."""
-    events = 0
+    direction rows, one pair at a time: a generator holds one skeleton and its
+    event arrays, turned into text CSV_SLICE_EVENTS events at a time. A failure
+    leaves no file (see open_output); times and levels are written as repr of
+    a Python float. export_skeletons counts and bounds the events."""
     with open_output(path) as fh:
         fh.write(",".join(SKELETON_CSV_HEADER) + "\n")
         for instrument, skel in skeletons:
@@ -392,8 +422,32 @@ def write_skeleton_csv(skeletons: Iterable[tuple[str, SkeletonSeries]], path: st
                     f"{prefix}{i},{t!r},{level!r},{direction}\n"
                     for i, (t, level, direction) in enumerate(rows, start=start + 1)
                 ))
-            events += times.size
-    return events
+
+
+def export_skeletons(config: StudyConfig, path: str | Path) -> tuple[int, int]:
+    """Write to `path` with write_skeleton_csv the skeletons of
+    instrument_skeletons for each instrument of eligible_series, also those a
+    study drops for min_skeleton_events, and return the events and instruments
+    written. DataError names an instrument that decompose refuses as run_study
+    does, and refuses more than homogenise.MAX_EVENTS events before any file."""
+    series = eligible_series(config)
+
+    def skeletons():  # instrument by instrument, each at every delta by increasing delta
+        for s in series:
+            try:  # decompose names no instrument: this names the one it refused
+                for skeleton in instrument_skeletons(s, config.deltas, config.domain, config.crossing):
+                    yield s.instrument_id, skeleton
+            except DataError as exc:
+                raise DataError(f"instrument {s.instrument_id!r}: {exc}") from None
+
+    # holding every skeleton would cost a copy of its path per delta, so the
+    # bounding pass keeps only event counts and the writer decomposes again
+    events = sum(len(skel) for _, skel in skeletons())
+    if events > homogenise.MAX_EVENTS:
+        raise DataError(f"{events} skeleton events over {len(series)} instrument(s) and {len(config.deltas)} "
+                        f"delta(s), more than the limit of {homogenise.MAX_EVENTS}")
+    write_skeleton_csv(skeletons(), path)
+    return events, len(series)
 
 
 def _persist(result: StudyResult, config: StudyConfig) -> None:

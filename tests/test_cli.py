@@ -52,6 +52,8 @@ def write_config(path, config: dict):
         ('{"deltas": [0.5, 0.5]}', ["deltas must be strictly increasing"]),
         ('{"deltas": [], "variants": []}', ["variants and deltas must not both be empty"]),
         ('{"variants": ["orig2", "orig2"]}', ["variants[0] and variants[1] share the variant name 'orig2'"]),
+        ('{"depth": 5, "deltas": [0.5], "depth": 20}', ["config.json: repeated config key 'depth'"]),
+        ('{"synthetic": {"instruments": 2, "n": 300, "n": 400}}', ["config.json: repeated config key 'n'"]),
         ("{}", ["inputs and synthetic must not both be empty"]),
         ('{"min_daily": 1}', ["min_daily must be >= 2"]),
         ('{"min_skeleton_events": 0}', ["min_skeleton_events must be >= 1"]),
@@ -64,7 +66,8 @@ def write_config(path, config: dict):
     ids=[
         "field-name", "field-type", "truncated", "not-utf8", "not-object", "nested-not-object", "top-level-types",
         "input-type", "deltas-sharing-a-name", "delta-too-large-for-a-float", "negative-depth", "unknown-variant",
-        "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original", "no-data",
+        "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original", "repeated-key",
+        "repeated-synthetic-key", "no-data",
         "min-daily", "min-skeleton-events", "unknown-domain", "unknown-crossing", "unknown-input-format",
         "integer-over-the-digit-limit",
     ],
@@ -324,10 +327,23 @@ def ingest(data: bytes, name: str = "f.csv") -> tuple[tuple[str, ...], dict[str,
         (("study", "--config", "nodata.json"),
          {"nodata.json": b'{"deltas": [0.5, 1.0], "out_dir": "out"}', "out/entropy.csv": b"earlier\n"},
          1, "config error: inputs and synthetic must not both be empty"),
+        # an input the sweep of out_dir would remove is refused before it is read
+        (("study", "--config", "c.json"),
+         {"c.json": b'{"inputs": [{"path": "out/scatter_prices.csv", "format": "tick"}], "out_dir": "out", '
+                    b'"deltas": [1.0], "min_tick_changes": 2, "min_skeleton_events": 1}',
+          "out/scatter_prices.csv": f"{_TICKS}A,1,10,1\nA,2,11,1\nA,3,12,1\n".encode()},
+         1, "config error: input 'out/scatter_prices.csv': lies in out_dir under an output file name, "
+            "which a study removes"),
+        (("study", "--config", "c.json", "--out", "data"),
+         {"c.json": b'{"inputs": [{"path": "data/entropy.csv.part", "format": "tick"}], "out_dir": "out"}',
+          "data/entropy.csv.part": f"{_TICKS}A,1,10,1\nA,2,11,1\n".encode()},
+         1, "config error: input 'data/entropy.csv.part': lies in out_dir under an output file name, "
+            "which a study removes"),
     ],
     ids=[
         "not-utf8", "bad-row-over-the-limit", "quoted-crlf", "wide", "span", "stray-quote-pair",
-        "header-only", "empty-compressed-name", "no-data-kept",
+        "header-only", "empty-compressed-name", "no-data-kept", "input-in-out-dir",
+        "input-in-the-out-override",
     ],
 )
 def test_voho_run_as_a_program(tmp_path, argv, files, code, line):
@@ -407,7 +423,7 @@ def test_decompose_bounds_the_events_of_all_instruments_together(tmp_path, monke
         assert out.exists()
         return
     assert code == 2
-    assert err.startswith(f"data error: {tmp_path / 'decompose.json'}: {refused}")
+    assert err.startswith(f"data error: {refused}")
     assert "more than the limit of 5" in err
     assert not (tmp_path / "nested").exists()  # a refused export makes no directory either
     assert not list(tmp_path.rglob("*.part"))

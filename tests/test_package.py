@@ -50,6 +50,12 @@ def test_layers_below_the_pipeline_exchange_plain_arrays(module, allowed):
     assert imports & {"csv", "io", "os", "contextlib"} == set()
 
 
+def test_the_cli_decomposes_nothing_itself():
+    # voho decompose exports through the pipeline's own decomposition, so
+    # the command line holds no second copy of it
+    assert "voho.homogenise" not in _imports("cli")
+
+
 def test_a_study_loads_no_thread_pool_and_no_numpy_ma(tmp_path):
     script = """
 import sys

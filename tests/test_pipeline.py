@@ -20,12 +20,11 @@ from voho.pipeline import (
     InputSpec,
     StudyConfig,
     SyntheticSpec,
-    instrument_sequences,
+    instrument_skeletons,
     run_study,
     validate_config,
 )
 from voho.stats import entropy_by_instrument
-from voho.variants import Variant
 
 from conftest import run, write_tick_csv
 
@@ -230,10 +229,16 @@ def test_synthetic_problems_keep_their_wording_with_a_prefix():
     ]
 
 
-def test_an_unknown_domain_is_refused_not_read_as_prices():
+@pytest.mark.parametrize("domain", ["price", "logpath"])
+def test_instrument_skeletons_decompose_the_domain_path_at_each_delta_in_order(domain):
     series = generate_synthetic_path(SyntheticSpec(n=200))
-    with pytest.raises(ValueError, match=r"unknown domain 'Logpath'; expected one of \('price', 'logpath'\)"):
-        instrument_sequences(series, [Variant.skeleton(0.5)], "Logpath", "multi", 1)
+    path = np.log(series.prices) if domain == "logpath" else series.prices
+    got = list(instrument_skeletons(series, [0.0001, 0.01, 0.5], domain, "single"))
+    want = [homogenise.decompose(path, d, times=series.times, crossing="single") for d in (0.0001, 0.01, 0.5)]
+    assert [(s.delta, s.moved_at.tolist(), s.steps.tolist()) for s in got] == [
+        (s.delta, s.moved_at.tolist(), s.steps.tolist()) for s in want
+    ]
+    assert np.array_equal(got[0].path, path)
 
 
 def walk(instrument: str, seed: int, steps: int = 60):
