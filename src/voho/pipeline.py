@@ -1,12 +1,12 @@
 """End-to-end study orchestration: config, the per-instrument loop, and every file voho writes.
 
 A study loads (or synthesises) price series, keeps the eligible ones and
-writes the aggregate CSV outputs. Each instrument is handled in two steps:
-instrument_sequences builds its symbol arrays, the quantile-binned returns
-of each original variant and the skeleton symbols of each step size kept
-under min_skeleton_events; run_study then scores each array with its
-variant's entropy rate. Instruments are handled one after another in input
-order; one that raises in either step is logged and contributes no rows.
+writes the aggregate CSV outputs. Each instrument is handled in three steps:
+instrument_sequences plans its symbol arrays (the quantile-binned returns of
+each original variant, the skeleton symbols of each step size kept under
+min_skeleton_events), score_sequences scores them and run_study makes their
+rows. Instruments are handled one after another in input order; one that
+raises while planning or scoring is logged and contributes no rows.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def config_from_json(path: str | Path) -> StudyConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit, nesting
         raise ConfigError([f"{path}: not valid JSON: {exc}"]) from None
     errors: list[str] = []
     if isinstance(raw, dict):
@@ -236,11 +236,11 @@ def instrument_skeletons(
 def instrument_sequences(
     series: PriceSeries, variants: list[Variant], domain: str, crossing: str, min_skeleton_events: int
 ) -> tuple[list[tuple[Variant, np.ndarray]], list[tuple[str, int]]]:
-    """One instrument's symbol arrays: each kept variant of `variants`, in
-    order, with its sequence, plus the name and event count of each skeleton
-    variant dropped for having fewer than min_skeleton_events events. Log
-    returns are taken only when an original variant is asked for; of each
-    skeleton of instrument_skeletons only the symbol array is kept."""
+    """One instrument's study plan: each kept variant of `variants`, in order,
+    with its symbol array for score_sequences, plus the name and event count
+    of each skeleton variant dropped for having fewer than min_skeleton_events
+    events. Log returns are taken only when an original variant is asked for;
+    of each skeleton of instrument_skeletons only the symbol array is kept."""
     if any(v.delta is None for v in variants):
         returns = log_returns(series)
     skeletons = instrument_skeletons(series, [v.delta for v in variants if v.delta is not None], domain, crossing)
@@ -254,6 +254,12 @@ def instrument_sequences(
         else:
             kept.append((variant, skeleton_to_symbols(skeleton)))
     return kept, dropped
+
+
+def score_sequences(sequences: list[tuple[Variant, np.ndarray]], depth: int) -> list[float]:
+    """The entropy rate of each (variant, symbols) pair of instrument_sequences,
+    in order, under the variant's alphabet: one entropy_rate call per pair."""
+    return [entropy_rate(symbols, depth, alphabet_size=variant.alphabet).value for variant, symbols in sequences]
 
 
 def gather_series(config: StudyConfig) -> list[PriceSeries]:
@@ -324,8 +330,8 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     its own if a write fails, so a failed study leaves no output.
 
     Instruments are handled one after another in the calling thread: the
-    symbol arrays of instrument_sequences, then one entropy_rate per array.
-    One that raises in either step is logged as `instrument A failed: <error>`
+    plan of instrument_sequences, its score_sequences estimates, its rows.
+    One that raises before its rows is logged as `instrument A failed: <error>`
     (the layers name no instrument) and left out with all its rows.
     AllInstrumentsFailedError, quoting the first as `instrument 'A': <error>`,
     is raised only when every eligible instrument failed. `threads` is
@@ -346,16 +352,13 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
             sequences, dropped = instrument_sequences(
                 s, variants, config.domain, config.crossing, config.min_skeleton_events
             )
-            scored = []
-            for variant, seq in sequences:
-                estimate = entropy_rate(seq, config.depth, alphabet_size=variant.alphabet)
-                scored.append(StudyRow(s.instrument_id, variant.name, estimate.value, len(seq)))
+            estimates = score_sequences(sequences, config.depth)
         except Exception as exc:
             failures.append(f"instrument {s.instrument_id!r}: {exc}")
             logger.warning("instrument %s failed: %s", s.instrument_id, exc)
             logger.debug("instrument %s traceback", s.instrument_id, exc_info=True)
             continue
-        rows.extend(scored)
+        rows.extend(StudyRow(s.instrument_id, v.name, value, len(seq)) for (v, seq), value in zip(sequences, estimates))
         for name, events in dropped:
             logger.info(
                 "instrument %s: variant %s dropped (%d < %d skeleton events)",

@@ -62,6 +62,7 @@ def write_config(path, config: dict):
         ('{"inputs": [{"path": "p.csv", "format": "hourly"}]}', ["input 'p.csv': format must be daily or tick"]),
         # a config error with or without the interpreter's limit on integer digits
         ('{"deltas": [' + "1" * 5000 + "]}", []),
+        ("[" * 100_000, ["not valid JSON"]),
     ],
     ids=[
         "field-name", "field-type", "truncated", "not-utf8", "not-object", "nested-not-object", "top-level-types",
@@ -69,7 +70,7 @@ def write_config(path, config: dict):
         "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original", "repeated-key",
         "repeated-synthetic-key", "no-data",
         "min-daily", "min-skeleton-events", "unknown-domain", "unknown-crossing", "unknown-input-format",
-        "integer-over-the-digit-limit",
+        "integer-over-the-digit-limit", "nested-too-deeply",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, text, messages):

@@ -4,6 +4,7 @@ modules a study leaves unloaded."""
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,11 +21,20 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
+def _modules() -> list[str]:
+    """The name of every module of voho."""
+    return sorted(path.stem for path in Path(voho.__file__).parent.glob("*.py"))
+
+
+def _tree(module: str) -> ast.Module:
+    """The parsed source of voho.<module>."""
+    return ast.parse(Path(voho.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+
+
 def _imports(module: str) -> set[str]:
     """The modules that the source of voho.<module> imports."""
-    source = Path(voho.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -54,6 +64,30 @@ def test_the_cli_decomposes_nothing_itself():
     # voho decompose exports through the pipeline's own decomposition, so
     # the command line holds no second copy of it
     assert "voho.homogenise" not in _imports("cli")
+
+
+def test_every_module_imports_only_declared_dependencies():
+    # pyproject.toml declares numpy alone; an import of anything else that
+    # happens to be installed where the tests run would still pass them
+    allowed = sys.stdlib_module_names | {"numpy", "voho"}
+    imported = [(module, name) for module in _modules() for name in sorted(_imports(module))]
+    assert [(module, name) for module, name in imported if name.split(".")[0] not in allowed] == []
+
+
+def _callers(node: ast.AST, name: str, enclosing: str = "<module>"):
+    """The name of the innermost function around each call of `name` under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = node.name
+    if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        yield enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _callers(child, name, enclosing)
+
+
+def test_entropy_rate_is_called_only_by_score_sequences():
+    # the one scoring step: every estimate a study makes passes through it
+    callers = [f"{module}.{caller}" for module in _modules() for caller in _callers(_tree(module), "entropy_rate")]
+    assert callers == ["pipeline.score_sequences"]
 
 
 def test_a_study_loads_no_thread_pool_and_no_numpy_ma(tmp_path):

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import logging
+import sys
 import threading
 from dataclasses import asdict, replace
 
@@ -22,9 +23,11 @@ from voho.pipeline import (
     SyntheticSpec,
     instrument_skeletons,
     run_study,
+    score_sequences,
     validate_config,
 )
 from voho.stats import entropy_by_instrument
+from voho.variants import Variant
 
 from conftest import run, write_tick_csv
 
@@ -320,6 +323,54 @@ def test_an_instrument_that_fails_while_scoring_leaves_none_of_its_rows(tmp_path
         "instrument A failed: depth 3 over 120 symbols sorts 120 words of history keys, more than the limit of 100"
         in caplog.messages
     )
+
+
+def test_score_sequences_scores_each_pair_as_entropy_rate_does(rng):
+    depth = 5
+    orig2, orig4, coarse, fine = Variant("orig2", 2), Variant("orig4", 4), Variant.skeleton(1.0), Variant.skeleton(0.5)
+    sequences = [
+        (orig2, rng.integers(0, 2, 40)),
+        (fine, rng.integers(0, 2, 1)),
+        (orig4, rng.integers(0, 4, 40)),
+        (coarse, rng.integers(0, 2, depth)),
+        (fine, rng.integers(0, 2, 3)),
+        (orig4, rng.integers(0, 4, 2)),
+        (coarse, rng.integers(0, 2, 200)),
+    ]
+    want = [ctw.entropy_rate(seq, depth, alphabet_size=variant.alphabet).value for variant, seq in sequences]
+    assert score_sequences(sequences, depth) == want
+    assert score_sequences([], depth) == []
+
+
+def test_a_traced_study_calls_each_layer_as_the_benchmark_tracer_reads_it(tmp_path, monkeypatch):
+    # bench/child.py times a layer by replacing every voho module attribute
+    # that is its function, then reads the symbols or the path from args[0]
+    calls = {"entropy_rate": [], "decompose": []}
+    for original in (ctw.entropy_rate, homogenise.decompose):
+        def recorder(*args, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls[_original.__name__].append((args, kwargs, result))
+            return result
+
+        for name, module in list(sys.modules.items()):
+            if name == "voho" or name.startswith("voho."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, recorder)
+    spec = SyntheticSpec(instruments=2, n=300)
+    config = StudyConfig(synthetic=spec, deltas=[0.5, 1.0], min_daily=100, min_skeleton_events=10, out_dir=tmp_path)
+    run_study(config)
+    entropy = read_csv(tmp_path / "entropy.csv")[1:]
+    assert [r[1] for r in entropy] == VARIANTS * spec.instruments
+    assert len(calls["entropy_rate"]) == len(entropy)
+    for (args, _, estimate), (_, _, n, depth, alphabet, value) in zip(calls["entropy_rate"], entropy):
+        assert (len(args[0]), estimate.depth, estimate.alphabet_size) == (int(n), int(depth), int(alphabet))
+        assert repr(estimate.value) == value
+    paths = [generate_synthetic_path(spec, i).prices for i in range(spec.instruments)]
+    decomposed = [
+        (args[0].tolist(), args[1] if len(args) > 1 else kwargs["delta"]) for args, kwargs, _ in calls["decompose"]
+    ]
+    assert decomposed == [(path.tolist(), delta) for path in paths for delta in config.deltas]
 
 
 def test_every_instrument_failing_is_an_error_naming_the_first(tmp_path):
