@@ -222,8 +222,8 @@ def entropy_rate(seq, depth: int = DEFAULT_DEPTH, alphabet_size: int = 2) -> Ent
     ~1 is unpredictable binary, ~2 unpredictable quaternary.
 
     `seq` is a 1-d sequence of integer symbols in [0, alphabet_size), such
-    as the arrays `quantile_bins` and `skeleton_to_symbols` return. Floats
-    are taken only when they are whole numbers; bools read as 0 and 1."""
+    as the uint8 arrays `quantile_bins` and `skeleton_to_symbols` return.
+    Integer or bool arrays only, bools read as 0 and 1; floats are refused."""
     m = alphabet_size
     values = np.asarray(seq)
     if m not in SUPPORTED_ALPHABETS:
@@ -235,15 +235,11 @@ def entropy_rate(seq, depth: int = DEFAULT_DEPTH, alphabet_size: int = 2) -> Ent
     n = values.size
     if n == 0:
         raise ValueError("cannot estimate the entropy of an empty sequence")
-    if values.dtype.kind == "f":
-        if not (np.isfinite(values).all() and (values == np.floor(values)).all()):
-            raise ValueError("symbols must be whole numbers, not fractions, NaN or infinities")
-    elif values.dtype.kind not in "biu":
+    if values.dtype.kind not in "biu":
         raise ValueError(f"symbols must be integers, not {values.dtype}")
     if values.min() < 0 or values.max() >= m:
         raise ValueError(f"symbols out of range for alphabet size {m}")
-    symbols = np.ascontiguousarray(values, dtype=np.int64)
-    log_prob = _log2_mixture_probability(symbols, int(depth), m)
+    log_prob = _log2_mixture_probability(values, int(depth), m)
     return EntropyEstimate(
         value=-log_prob / n, sequence_length=n, depth=int(depth), alphabet_size=m
     )

@@ -255,5 +255,5 @@ def _too_many_events(delta: float, count: str) -> DataError:
 
 
 def skeleton_to_symbols(skeleton: SkeletonSeries) -> np.ndarray:
-    """Binary int64 symbols of the skeleton's moves: 1 for up, 0 for down."""
-    return np.repeat((skeleton.steps > 0).astype(np.int64), np.abs(skeleton.steps))
+    """Binary uint8 symbols of the skeleton's moves: 1 for up, 0 for down."""
+    return np.repeat(skeleton.steps > 0, np.abs(skeleton.steps)).view(np.uint8)

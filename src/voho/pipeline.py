@@ -53,6 +53,9 @@ ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entrop
 SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
 # events of one skeleton turned into CSV rows at a time by write_skeleton_csv
 CSV_SLICE_EVENTS = 65_536
+# characters of a config file read before it is refused as too long, so a
+# price file given as the config is not read whole
+MAX_CONFIG_CHARS = 1 << 24
 # the names, as glob patterns, of every file a study writes into out_dir
 OUTPUT_FILES = ("entropy.csv", "summary.csv", "corr.csv", "kde_*.csv", "scatter_*.csv")
 
@@ -103,7 +106,8 @@ def config_from_json(path: str | Path) -> StudyConfig:
     """Load a valid StudyConfig from a JSON file. Malformed JSON (also an
     integer over the interpreter's digit limit), keys that are unknown,
     missing, repeated in one object or hold something other than an object
-    where one is expected, and every value validate_config refuses raise
+    where one is expected, a file longer than MAX_CONFIG_CHARS characters
+    (read no further) and every value validate_config refuses raise
     ConfigError."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         seen: set[str] = set()
@@ -113,9 +117,13 @@ def config_from_json(path: str | Path) -> StudyConfig:
             seen.add(key)
         return dict(pairs)
 
+    limit = MAX_CONFIG_CHARS
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=unique_keys)
+            text = fh.read(limit + 1)
+        if len(text) > limit:
+            raise ConfigError([f"{path}: longer than {limit} characters, the limit for a config"])
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit, nesting
         raise ConfigError([f"{path}: not valid JSON: {exc}"]) from None
     errors: list[str] = []
@@ -378,8 +386,12 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
 def open_output(path: str | Path) -> Iterator[io.TextIOWrapper]:
     """The one way voho creates an output file: make the directories of
     `path`, yield `<name>.part` beside it open as UTF-8 with newline="", and
-    rename it onto `path` when the block completes or remove it if it fails."""
+    rename it onto `path` when the block completes or remove it if it fails.
+    A `path` that exists and is not a regular file, after symlinks (a
+    directory, a FIFO, a device), raises OSError before anything is made."""
     path = Path(path)
+    if path.exists() and not path.is_file():
+        raise OSError(f"{path} exists and is not a regular file; refusing to replace it")
     partial = path.with_name(path.name + ".part")
     path.parent.mkdir(parents=True, exist_ok=True)
     try:

@@ -1,8 +1,9 @@
 """Equal-count discretisation of real-valued returns into m-ary symbols.
 
-Symbols are plain int64 arrays; the alphabet size is the caller's to keep
-(a study takes it from each `Variant`), and `entropy_rate` checks that
-every symbol lies below it.
+Symbols are plain uint8 arrays, and uint8 arithmetic wraps at 256, so a
+consumer that computes with them (a context code, say) widens them first.
+The alphabet size is the caller's to keep (a study takes it from each
+`Variant`), and `entropy_rate` checks that every symbol lies below it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def quantile_boundaries(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def quantile_bins(values: np.ndarray, m: int) -> np.ndarray:
-    """Discretise a 1-d array into m equal-count states, as int64 symbols
+    """Discretise a 1-d array into m equal-count states, as uint8 symbols
     in [0, m); a value's symbol is the number of cut points strictly below
     it, so boundary ties fall in the lower bin."""
     if m not in SUPPORTED_ALPHABETS:
@@ -34,4 +35,4 @@ def quantile_bins(values: np.ndarray, m: int) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("values contain non-finite numbers")
     boundaries = quantile_boundaries(values, m)
-    return np.searchsorted(boundaries, values, side="left").astype(np.int64, copy=False)
+    return np.searchsorted(boundaries, values, side="left").astype(np.uint8)

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import stat
 from collections import Counter
 from datetime import date
 
 import numpy as np
 import pytest
 
-from voho import cli, homogenise
+from voho import cli, homogenise, pipeline
 from voho.ctw import entropy_rate
 from voho.homogenise import decompose, skeleton_to_symbols
 from voho.ingest import SyntheticSpec, load_prices, log_returns
@@ -214,6 +216,49 @@ def test_a_synth_that_fails_while_writing_leaves_no_file(tmp_path, monkeypatch):
     assert code == 2
     assert err.startswith("data error: ")
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_a_config_longer_than_the_bound_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "MAX_CONFIG_CHARS", 64)
+    text = '{"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100}'
+    config = tmp_path / "config.json"
+    config.write_text(text.ljust(64), encoding="utf-8")
+    assert pipeline.config_from_json(config).min_daily == 100
+    config.write_text(text.ljust(65), encoding="utf-8")
+    assert run(["ingest", "--config", str(config)]) == (
+        1, "", f"config error: {config}: longer than 64 characters, the limit for a config\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["synth", "decompose"])
+def test_an_output_path_that_is_a_fifo_is_refused_not_replaced(tmp_path, command):
+    config = write_config(tmp_path / "study.json", {"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100})
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    code, _, err = run([command, "--config", str(config), "--out", str(fifo)])
+    assert code == 2
+    assert err == f"data error: {fifo} exists and is not a regular file; refusing to replace it\n"
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "study.json"]
+
+
+def test_a_study_whose_summary_csv_is_a_fifo_leaves_none_of_its_outputs(tmp_path):
+    # summary.csv is written last, so every other output was written and removed
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / "summary.csv")
+    config = write_config(
+        tmp_path / "study.json",
+        {"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100, "min_skeleton_events": 10, "out_dir": str(out)},
+    )
+    code, _, err = run(["study", "--config", str(config)])
+    assert code == 2
+    assert err == (
+        f"data error: output directory {out} is not writable: "
+        f"{out / 'summary.csv'} exists and is not a regular file; refusing to replace it\n"
+    )
+    assert [p.name for p in out.iterdir()] == ["summary.csv"]
+    assert stat.S_ISFIFO((out / "summary.csv").stat().st_mode)
 
 
 def test_study_out_writes_the_files_of_the_config_with_that_out_dir(tmp_path):

@@ -322,7 +322,7 @@ class TestRunLengthForm:
         assert peak < 64 * 1024
         assert len(skel) == 1_000_000
         symbols = skeleton_to_symbols(skel)
-        assert symbols.dtype == np.int64 and symbols.size == 1_000_000 and np.all(symbols == 1)
+        assert symbols.dtype == np.uint8 and symbols.size == 1_000_000 and np.all(symbols == 1)
         # t_0 + (x_0 + k * delta - x_0) / (x_1 - x_0) * (t_1 - t_0) for k = 1..10^6
         assert np.array_equal(skel.times, np.arange(1, 1_000_001) / 1e6)
 
@@ -340,7 +340,7 @@ class TestSkeletonSymbols:
     def test_direction_mapping(self):
         skel = decompose(np.array([10.00, 10.30, 10.10, 9.70]), 0.25)
         seq = skeleton_to_symbols(skel)
-        assert seq.dtype == np.int64
+        assert seq.dtype == np.uint8
         assert seq.tolist() == [1, 0, 0]
 
     def test_empty_skeleton_gives_empty_sequence(self):

@@ -4,6 +4,7 @@ modules a study leaves unloaded."""
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -75,19 +76,49 @@ def test_every_module_imports_only_declared_dependencies():
 
 
 def _callers(node: ast.AST, name: str, enclosing: str = "<module>"):
-    """The name of the innermost function around each call of `name` under node."""
+    """(the name of the innermost function around it, the call) for each
+    call of `name` under node."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         enclosing = node.name
     if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-        yield enclosing
+        yield enclosing, node
     for child in ast.iter_child_nodes(node):
         yield from _callers(child, name, enclosing)
 
 
 def test_entropy_rate_is_called_only_by_score_sequences():
     # the one scoring step: every estimate a study makes passes through it
-    callers = [f"{module}.{caller}" for module in _modules() for caller in _callers(_tree(module), "entropy_rate")]
+    callers = [f"{module}.{caller}" for module in _modules() for caller, _ in _callers(_tree(module), "entropy_rate")]
     assert callers == ["pipeline.score_sequences"]
+
+
+def _opens_to_write(call: ast.Call) -> bool:
+    """Whether an open(...) call may create or change a file: its mode= is
+    not a literal, or a literal mode among mode= and its first two arguments
+    holds w, a, x or +."""
+    given = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if any(not isinstance(mode, ast.Constant) for mode in given):
+        return True
+    modes = [arg.value for arg in given + call.args[:2] if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    return any(re.fullmatch(r"[rwaxbt+]+", mode) and set(mode) & set("wax+") for mode in modes)
+
+
+def test_every_file_write_sits_in_open_output():
+    # open_output refuses a target that is not a regular file before it
+    # writes, so no other code may create, rename or write a file
+    writes = []
+    for module in _modules():
+        tree = _tree(module)
+        writes += [(f"{module}.{caller}", "open") for caller, call in _callers(tree, "open") if _opens_to_write(call)]
+        for name in ("replace", "rename"):
+            writes += [
+                (f"{module}.{caller}", f"os.{name}")
+                for caller, call in _callers(tree, name)
+                if getattr(getattr(call.func, "value", None), "id", None) == "os"
+            ]
+        for name in ("write_text", "write_bytes"):
+            writes += [(f"{module}.{caller}", name) for caller, _ in _callers(tree, name)]
+    assert writes == [("pipeline.open_output", "open"), ("pipeline.open_output", "os.replace")]
 
 
 def test_a_study_loads_no_thread_pool_and_no_numpy_ma(tmp_path):

@@ -21,6 +21,7 @@ from voho.pipeline import (
     InputSpec,
     StudyConfig,
     SyntheticSpec,
+    instrument_sequences,
     instrument_skeletons,
     run_study,
     score_sequences,
@@ -242,6 +243,15 @@ def test_instrument_skeletons_decompose_the_domain_path_at_each_delta_in_order(d
         (s.delta, s.moved_at.tolist(), s.steps.tolist()) for s in want
     ]
     assert np.array_equal(got[0].path, path)
+
+
+def test_instrument_sequences_keep_one_byte_per_symbol():
+    series = generate_synthetic_path(SyntheticSpec(n=2000, seed=3))
+    variants = [Variant("orig2", 2), Variant("orig4", 4), Variant.skeleton(0.05), Variant.skeleton(0.5)]
+    kept, dropped = instrument_sequences(series, variants, "price", "multi", 1)
+    assert [v for v, _ in kept] == variants and dropped == []
+    for _, symbols in kept:
+        assert symbols.dtype == np.uint8 and symbols.nbytes == symbols.size > 0
 
 
 def walk(instrument: str, seed: int, steps: int = 60):

@@ -11,7 +11,7 @@ from voho.quantise import quantile_bins, quantile_boundaries
 class TestQuantileBins:
     def test_median_split(self):
         seq = quantile_bins(np.array([-2.0, -1.0, 1.0, 2.0]), 2)
-        assert seq.dtype == np.int64
+        assert seq.dtype == np.uint8
         assert seq.tolist() == [0, 0, 1, 1]
 
     def test_rank_boundary_with_repeats(self):
