@@ -56,6 +56,9 @@ CSV_SLICE_EVENTS = 65_536
 # characters of a config file read before it is refused as too long, so a
 # price file given as the config is not read whole
 MAX_CONFIG_CHARS = 1 << 24
+# bytes of one input file, checked before any input is read: loading a file
+# held 2.6 (daily) to 4.4 (tick) times its size, so one stays under 5 GB
+MAX_INPUT_BYTES = 1 << 30
 # the names, as glob patterns, of every file a study writes into out_dir
 OUTPUT_FILES = ("entropy.csv", "summary.csv", "corr.csv", "kde_*.csv", "scatter_*.csv")
 
@@ -272,8 +275,13 @@ def score_sequences(sequences: list[tuple[Variant, np.ndarray]], depth: int) -> 
 
 def gather_series(config: StudyConfig) -> list[PriceSeries]:
     """Every instrument a study of `config` loads: the series of each of its
-    inputs in order, then its synthetic paths. DataError when none is
-    produced or when two share an instrument id."""
+    inputs in order, then its synthetic paths. DataError, before any input
+    is read, when an input file is larger than MAX_INPUT_BYTES; then when
+    none is produced or when two share an instrument id."""
+    limit = MAX_INPUT_BYTES
+    for spec in config.inputs:
+        if (size := os.stat(spec.path).st_size) > limit:
+            raise DataError(f"{spec.path}: {size} bytes, more than the limit of {limit} for an input file")
     series: list[PriceSeries] = []
     for spec in config.inputs:
         loaded = load_prices(spec.path, spec.format)
@@ -303,28 +311,29 @@ def eligible_series(config: StudyConfig) -> list[PriceSeries]:
     return eligible
 
 
+def _is_output_name(name: str) -> bool:
+    """Whether a file named `name` in out_dir is one a study writes or leaves
+    half written: a name of OUTPUT_FILES, bare or plus ".part"."""
+    return any(fnmatchcase(name, pattern + part) for pattern in OUTPUT_FILES for part in ("", ".part"))
+
+
 def _swept(path: str | os.PathLike, out: str | os.PathLike) -> bool:
     """Whether _remove_outputs(out) would remove the file at `path`: its
     name in its directory, or the file it links to, lies in `out` under a
-    name of OUTPUT_FILES, bare or plus ".part". A path holding a NUL names
-    no file and is not swept."""
+    name _is_output_name accepts. A path holding a NUL names no file and is
+    not swept."""
     try:
         out = os.path.realpath(out)
         files = [os.path.join(os.path.realpath(os.path.dirname(path)), os.path.basename(path)), os.path.realpath(path)]
     except ValueError:
         return False
-    return any(
-        os.path.dirname(file) == out
-        and any(fnmatchcase(os.path.basename(file), name + part) for name in OUTPUT_FILES for part in ("", ".part"))
-        for file in files
-    )
+    return any(os.path.dirname(file) == out and _is_output_name(os.path.basename(file)) for file in files)
 
 
 def _remove_outputs(out: Path) -> int:
-    """Remove each regular file in `out` named as in OUTPUT_FILES, or so
-    named plus ".part", and return how many there were; nothing else is
-    touched."""
-    stale = [p for name in OUTPUT_FILES for part in ("", ".part") for p in out.glob(name + part) if p.is_file()]
+    """Remove each regular file in `out` whose name _is_output_name accepts,
+    and return how many there were; nothing else is touched."""
+    stale = [p for p in out.glob("*") if _is_output_name(p.name) and p.is_file()]
     for path in stale:
         path.unlink()
     return len(stale)
@@ -335,7 +344,8 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
     follow the input order of instruments, then the order of study_variants.
     Once the config is valid, before any input is read, _remove_outputs
     clears out_dir of an earlier or killed study's files, and _persist of
-    its own if a write fails, so a failed study leaves no output.
+    its own if a write fails or is interrupted, so a failed study leaves no
+    output.
 
     Instruments are handled one after another in the calling thread: the
     plan of instrument_sequences, its score_sequences estimates, its rows.
@@ -466,11 +476,12 @@ def export_skeletons(config: StudyConfig, path: str | Path) -> tuple[int, int]:
 
 
 def _persist(result: StudyResult, config: StudyConfig) -> None:
-    """Write every output file under config.out_dir through open_output.
-    Every float is written as Python's repr of a Python float; a numpy
-    scalar is never passed, since under numpy 2 its repr is np.float64(...).
-    An OSError removes the outputs written so far, leaving all or none, and
-    is raised as a DataError naming the directory."""
+    """Write entropy.csv, then each file of result.kde_curves and of
+    result.tables, under config.out_dir through open_output. Every float is
+    written as Python's repr of a Python float; a numpy scalar is never
+    passed, since under numpy 2 its repr is np.float64(...). Any exception
+    removes the outputs written so far, leaving all or none, and an OSError
+    is raised as a DataError naming out_dir."""
     out = Path(config.out_dir)
     alphabet = {v.name: v.alphabet for v in result.variants}
     try:
@@ -479,27 +490,15 @@ def _persist(result: StudyResult, config: StudyConfig) -> None:
             ENTROPY_CSV_HEADER,
             ([r.instrument, r.variant, r.n, config.depth, alphabet[r.variant], float(r.entropy)] for r in result.rows),
         )
-        for variant, (grid, density) in result.kde_curves.items():
+        for name, (grid, density) in result.kde_curves.items():
             # 512 rows of plain numbers: one string, not one csv.writer call per value
-            with open_output(out / f"kde_{variant}.csv") as fh:
+            with open_output(out / name) as fh:
                 fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
-        if result.corr_matrix is not None:
-            header = ["variant"] + result.corr_variants
-            body = [[v] + row for v, row in zip(result.corr_variants, result.corr_matrix.tolist())]
-            write_csv(out / "corr.csv", header, body)
-        if result.scatter is not None:
-            a, b, pairs = result.scatter
-            write_csv(
-                out / f"scatter_{a}_{b}.csv",
-                ["instrument", f"value_{a}", f"value_{b}"],
-                ([i, float(va), float(vb)] for i, va, vb in pairs),
-            )
-        write_csv(
-            out / "summary.csv",
-            ["delta", "mean_entropy"],
-            ([float(d), float(m)] for d, m in result.summary),
-        )
-    except OSError as exc:
+        for name, (header, rows) in result.tables.items():
+            write_csv(out / name, header, rows)
+    except BaseException as exc:
         _remove_outputs(out)
-        raise DataError(f"output directory {out} is not writable: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write the outputs to {out}: {exc}") from exc
+        raise
     logger.info("outputs written to %s", out)

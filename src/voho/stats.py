@@ -1,23 +1,23 @@
 """Cross-instrument aggregation: kernel densities, correlations, summaries.
 
-`aggregate` turns a study's entropy rows into every aggregate it writes.
-It groups the rows once into a table of each instrument's estimate by
-variant, and applies these rules to it:
+`aggregate` turns a study's entropy rows into every aggregate file it
+writes, each named and given its header here. It groups the rows once into
+a table of each instrument's estimate by variant, and applies these rules:
 
-- KDE: one Gaussian-kernel density per variant with at least 2 estimates,
-  with Silverman's bandwidth on 512 points over the estimates' range
-  padded by 3 bandwidths. A variant with fewer than 2 estimates gets none,
-  silently; one whose estimates have no spread (a zero bandwidth) is
-  logged as `kde skipped for <variant>: ...`.
-- Correlation: the Pearson matrix of the variants that have estimates,
+- `kde_<variant>.csv`: one Gaussian-kernel density per variant with at
+  least 2 estimates, with Silverman's bandwidth on 512 points over the
+  estimates' range padded by 3 bandwidths. A variant with fewer than 2
+  estimates gets none, silently; one whose estimates have no spread (a
+  zero bandwidth) is logged as `kde skipped for <variant>: ...`.
+- `corr.csv`: the Pearson matrix of the variants that have estimates,
   when there are at least 2 of them, over the instruments that have every
   one of those variants (listwise). The instruments left out are logged.
   With fewer than 2 complete instruments, or an estimate column with no
   variance, the matrix is logged as `correlation matrix skipped: ...`.
-- Scatter: each instrument's orig4 estimate against its estimate at the
-  smallest delta, for the instruments that have both.
-- Summary: the mean estimate over instruments of each skeleton variant
-  that has estimates, by increasing delta.
+- `scatter_orig4_<variant>.csv`: each instrument's orig4 estimate against
+  its estimate at the smallest delta, for the instruments that have both.
+- `summary.csv`: the mean estimate over instruments of each skeleton
+  variant that has estimates, by increasing delta.
 """
 
 from __future__ import annotations
@@ -49,14 +49,14 @@ class StudyRow:
 @dataclass(frozen=True)
 class StudyResult:
     """Everything a study run produces before it is written to disk.
-    `scatter` is (variant a, variant b, [(instrument, a, b), ...]) or None."""
+    `kde_curves` maps each KDE file's name to its (grid, density); `tables`
+    maps every other aggregate file's name, in write order, to its header
+    and rows, each float a Python float."""
 
     rows: list[StudyRow]
     variants: list[Variant]
     kde_curves: dict[str, tuple[np.ndarray, np.ndarray]]
-    corr_matrix: np.ndarray | None
-    corr_variants: list[str]
-    scatter: tuple[str, str, list[tuple[str, float, float]]] | None
+    tables: dict[str, tuple[list[str], list[list]]]
     summary: list[tuple[float, float]]
 
 
@@ -154,8 +154,8 @@ def delta_summary(columns: dict[float, list[float]]) -> list[tuple[float, float]
 
 
 def aggregate(rows: list[StudyRow], variants: list[Variant]) -> StudyResult:
-    """A study's aggregates, by the rules in this module's docstring. Rows
-    follow the instruments' order; `variants` are the study's, skeleton
+    """A study's aggregate files, by the rules in this module's docstring.
+    Rows follow the instruments' order; `variants` are the study's, skeleton
     variants by increasing delta."""
     table = entropy_by_instrument(rows)
     columns = {v.name: [values[v.name] for values in table.values() if v.name in values] for v in variants}
@@ -163,32 +163,29 @@ def aggregate(rows: list[StudyRow], variants: list[Variant]) -> StudyResult:
     for name, values in columns.items():
         if len(values) >= 2:
             try:
-                kde_curves[name] = kernel_density(values)
+                kde_curves[f"kde_{name}.csv"] = kernel_density(values)
             except ValueError as exc:
                 logger.warning("kde skipped for %s: %s", name, exc)
+    tables = {}
     present = [name for name, values in columns.items() if values]
-    corr_matrix = None
     if len(present) >= 2:
         try:
-            corr_matrix = correlation_matrix(table, present)
+            matrix = correlation_matrix(table, present).tolist()
+            tables["corr.csv"] = (["variant"] + present, [[v] + line for v, line in zip(present, matrix)])
         except ValueError as exc:
             logger.warning("correlation matrix skipped: %s", exc)
     skeletons = [v for v in variants if v.delta is not None]
     finest = skeletons[0].name if skeletons else None
     pairs = [
-        (instrument, values["orig4"], values[finest])
+        [instrument, float(values["orig4"]), float(values[finest])]
         for instrument, values in table.items()
         if "orig4" in values and finest in values
     ]
-    return StudyResult(
-        rows=rows,
-        variants=variants,
-        kde_curves=kde_curves,
-        corr_matrix=corr_matrix,
-        corr_variants=present if corr_matrix is not None else [],
-        scatter=("orig4", finest, pairs) if pairs else None,
-        summary=delta_summary({v.delta: columns[v.name] for v in skeletons if columns[v.name]}),
-    )
+    if pairs:
+        tables[f"scatter_orig4_{finest}.csv"] = (["instrument", "value_orig4", f"value_{finest}"], pairs)
+    summary = delta_summary({v.delta: columns[v.name] for v in skeletons if columns[v.name]})
+    tables["summary.csv"] = (["delta", "mean_entropy"], [[float(d), m] for d, m in summary])
+    return StudyResult(rows, variants, kde_curves, tables, summary)
 
 
 def format_summary_table(summary: list[tuple[float, float]]) -> str:

@@ -254,7 +254,7 @@ def test_a_study_whose_summary_csv_is_a_fifo_leaves_none_of_its_outputs(tmp_path
     code, _, err = run(["study", "--config", str(config)])
     assert code == 2
     assert err == (
-        f"data error: output directory {out} is not writable: "
+        f"data error: cannot write the outputs to {out}: "
         f"{out / 'summary.csv'} exists and is not a regular file; refusing to replace it\n"
     )
     assert [p.name for p in out.iterdir()] == ["summary.csv"]

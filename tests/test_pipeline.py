@@ -104,14 +104,12 @@ def reference_files(result, depth: int) -> dict[str, bytes]:
             ENTROPY_CSV_HEADER,
             [[r.instrument, r.variant, r.n, depth, alphabet[r.variant], fmt(r.entropy)] for r in result.rows],
         ),
-        "corr.csv": csv_bytes(
-            ["variant"] + result.corr_variants,
-            [[v] + [fmt(x) for x in result.corr_matrix[i]] for i, v in enumerate(result.corr_variants)],
-        ),
         "summary.csv": csv_bytes(["delta", "mean_entropy"], [[fmt(d), fmt(m)] for d, m in result.summary]),
     }
-    for variant, (grid, density) in result.kde_curves.items():
-        files[f"kde_{variant}.csv"] = csv_bytes(["x", "density"], [[fmt(x), fmt(d)] for x, d in zip(grid, density)])
+    corr_header, corr_rows = result.tables["corr.csv"]
+    files["corr.csv"] = csv_bytes(corr_header, [[v] + [fmt(x) for x in xs] for v, *xs in corr_rows])
+    for name, (grid, density) in result.kde_curves.items():
+        files[name] = csv_bytes(["x", "density"], [[fmt(x), fmt(d)] for x, d in zip(grid, density)])
     finest = next(v.name for v in result.variants if v.delta is not None)
     files[f"scatter_orig4_{finest}.csv"] = csv_bytes(
         ["instrument", "value_orig4", f"value_{finest}"],
@@ -460,7 +458,7 @@ def test_an_out_dir_under_a_regular_file_is_a_data_error(tmp_path):
         min_skeleton_events=1,
         out_dir=str(out),
     )
-    message = f"output directory {out} is not writable: [Errno 20] Not a directory: '{out}'"
+    message = f"cannot write the outputs to {out}: [Errno 20] Not a directory: '{out}'"
     with pytest.raises(DataError) as raised:
         run_study(config)
     assert str(raised.value) == message
@@ -486,7 +484,7 @@ def test_an_out_dir_that_refuses_the_first_write_is_a_data_error(tmp_path, monke
         min_skeleton_events=1,
         out_dir=str(out),
     )
-    message = f"output directory {out} is not writable: [Errno 13] Permission denied: '{out / 'entropy.csv'}'"
+    message = f"cannot write the outputs to {out}: [Errno 13] Permission denied: '{out / 'entropy.csv'}'"
     with pytest.raises(DataError) as raised:
         run_study(config)
     assert str(raised.value) == message
@@ -536,9 +534,37 @@ def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch,
     out.mkdir()
     (out / "notes.txt").write_text("kept\n", encoding="utf-8")
     fill(monkeypatch)
-    with pytest.raises(DataError, match=r"^output directory .* is not writable: \[Errno 28\] No space left on device$"):
+    with pytest.raises(DataError, match=r"^cannot write the outputs to .*: \[Errno 28\] No space left on device$"):
         study(out)
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
+def test_an_interrupted_write_leaves_no_outputs_and_propagates(tmp_path, monkeypatch):
+    real_write_csv = pipeline.write_csv
+
+    def write_csv(path, header, rows):
+        if path.name == "summary.csv":  # written last, after every other output
+            raise KeyboardInterrupt
+        real_write_csv(path, header, rows)
+
+    monkeypatch.setattr(pipeline, "write_csv", write_csv)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt):
+        study(out)
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
+def test_every_file_a_study_writes_has_a_name_the_sweep_and_input_guard_match(results):
+    root, by_order = results
+    for order, result in by_order.items():
+        names = ["entropy.csv", *result.kde_curves, *result.tables]
+        assert sorted(names) == sorted(p.name for p in (root / order).iterdir())
+        for name in names:
+            assert pipeline._is_output_name(name) and pipeline._is_output_name(name + ".part")
+    for name in ["notes.csv", "entropy.csv.bak", "kde_orig2.txt", "Summary.csv"]:
+        assert not pipeline._is_output_name(name)
 
 
 def test_the_sweep_removes_the_partial_files_of_a_killed_study(tmp_path):
@@ -552,6 +578,41 @@ def test_the_sweep_removes_the_partial_files_of_a_killed_study(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert names.isdisjoint(partial)
     assert set(kept) <= names
+
+
+@pytest.mark.parametrize("command", ["study", "ingest", "decompose"])
+def test_an_input_over_the_size_bound_is_refused_before_any_input_is_read(tmp_path, monkeypatch, command):
+    first = write_tick_csv(tmp_path / "first.csv", three_changes("A"))
+    second = write_tick_csv(tmp_path / "second.csv", two_changes("B") + three_changes("C"))
+    size = second.stat().st_size
+    assert first.stat().st_size < size
+    loaded = []
+    real_load_prices = pipeline.load_prices
+
+    def load_prices(path, format):
+        loaded.append(path)
+        return real_load_prices(path, format)
+
+    monkeypatch.setattr(pipeline, "load_prices", load_prices)
+    monkeypatch.setattr(pipeline, "MAX_INPUT_BYTES", size - 1)
+    config = StudyConfig(
+        inputs=[InputSpec(str(first), "tick"), InputSpec(str(second), "tick")],
+        deltas=[0.5, 1.0],
+        variants=[],
+        min_tick_changes=2,
+        min_skeleton_events=1,
+        out_dir=str(tmp_path / "out"),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+    args = [command, "--config", str(path)] + (["--out", str(tmp_path / "skel.csv")] if command == "decompose" else [])
+    message = f"{second}: {size} bytes, more than the limit of {size - 1} for an input file"
+    assert run(args) == (2, "", f"data error: {message}\n")
+    assert loaded == []
+
+    monkeypatch.setattr(pipeline, "MAX_INPUT_BYTES", size)
+    assert run(args)[0] == 0
+    assert loaded == [str(first), str(second)]
 
 
 def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path, caplog):

@@ -194,8 +194,27 @@ class TestAggregate:
             for variant, value in zip(("orig2", "orig4", "delta_1"), values)
         ]
         result = aggregate(rows, study_variants(["orig2", "orig4"], [0.5, 1.0]))
-        assert list(result.kde_curves) == ["orig2", "orig4", "delta_1"]
-        assert result.corr_variants == ["orig2", "orig4", "delta_1"]
-        assert result.corr_matrix[0, 2] == pearson([0.9, 1.0, 0.7], [0.5, 0.6, 0.9])
-        assert result.scatter is None  # the finest skeleton variant, delta_0.5, has no estimates
+        assert list(result.kde_curves) == ["kde_orig2.csv", "kde_orig4.csv", "kde_delta_1.csv"]
+        # no scatter file: the finest skeleton variant, delta_0.5, has no estimates
+        assert list(result.tables) == ["corr.csv", "summary.csv"]
+        header, body = result.tables["corr.csv"]
+        assert header == ["variant", "orig2", "orig4", "delta_1"]
+        assert [line[0] for line in body] == ["orig2", "orig4", "delta_1"]
+        assert body[0][3] == pearson([0.9, 1.0, 0.7], [0.5, 0.6, 0.9])
         assert result.summary == [(1.0, pytest.approx(2.0 / 3.0))]
+        assert result.tables["summary.csv"] == (["delta", "mean_entropy"], [[1.0, result.summary[0][1]]])
+
+    def test_every_table_holds_python_floats_only(self):
+        rows = [
+            StudyRow(instrument, variant, np.float64(value), 100)
+            for instrument, values in {"A": (0.9, 0.1, 0.5), "B": (1.0, 0.4, 0.6), "C": (0.7, 0.3, 0.9)}.items()
+            for variant, value in zip(("orig2", "orig4", "delta_1"), values)
+        ]
+        result = aggregate(rows, study_variants(["orig2", "orig4"], [1]))
+        assert list(result.tables) == ["corr.csv", "scatter_orig4_delta_1.csv", "summary.csv"]
+        assert result.tables["scatter_orig4_delta_1.csv"] == (
+            ["instrument", "value_orig4", "value_delta_1"],
+            [["A", 0.1, 0.5], ["B", 0.4, 0.6], ["C", 0.3, 0.9]],
+        )
+        numbers = [x for _, body in result.tables.values() for line in body for x in line if not isinstance(x, str)]
+        assert numbers and {type(x) for x in numbers} == {float}
