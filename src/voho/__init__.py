@@ -4,43 +4,16 @@ Decomposes price series into fixed-size up/down moves (regular steps in
 price rather than time), estimates entropy rates of the original and
 decomposed sequences with a context-tree weighted estimator, and runs the
 comparative study pipeline over real or synthetic market data.
+
+The package root names the study API. Each layer's functions are imported
+from their module: `voho.ctw.entropy_rate`, `voho.homogenise.decompose`,
+`voho.ingest.load_prices`.
 """
 
-from .ctw import EntropyEstimate, entropy_rate
-from .errors import (
-    AllInstrumentsFailedError,
-    ConfigError,
-    DataError,
-    DataFormatError,
-    VohoError,
-)
-from .homogenise import SkeletonSeries, decompose, skeleton_to_symbols
-from .ingest import (
-    PriceSeries,
-    SyntheticSpec,
-    filter_eligible,
-    generate_synthetic_path,
-    load_prices,
-    log_returns,
-)
-from .pipeline import (
-    InputSpec,
-    StudyConfig,
-    config_from_json,
-    run_study,
-    validate_config,
-    write_skeleton_csv,
-)
-from .quantise import quantile_bins
-from .stats import (
-    StudyResult,
-    StudyRow,
-    correlation_matrix,
-    delta_summary,
-    kernel_density,
-    pearson,
-)
-from .variants import Variant
+from .errors import AllInstrumentsFailedError, ConfigError, DataError, VohoError
+from .ingest import SyntheticSpec
+from .pipeline import InputSpec, StudyConfig, config_from_json, run_study, validate_config
+from .stats import StudyResult
 
 __version__ = "0.1.0"
 
@@ -48,31 +21,12 @@ __all__ = [
     "AllInstrumentsFailedError",
     "ConfigError",
     "DataError",
-    "DataFormatError",
-    "EntropyEstimate",
     "InputSpec",
-    "PriceSeries",
-    "SkeletonSeries",
     "StudyConfig",
     "StudyResult",
-    "StudyRow",
     "SyntheticSpec",
-    "Variant",
     "VohoError",
     "config_from_json",
-    "correlation_matrix",
-    "decompose",
-    "delta_summary",
-    "entropy_rate",
-    "filter_eligible",
-    "generate_synthetic_path",
-    "kernel_density",
-    "load_prices",
-    "log_returns",
-    "pearson",
-    "quantile_bins",
     "run_study",
-    "skeleton_to_symbols",
     "validate_config",
-    "write_skeleton_csv",
 ]

@@ -114,8 +114,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         config = replace(config, out_dir=args.out)
     result = run_study(config)
     print(f"{len(result.rows)} entropy estimate(s) -> {config.out_dir}")
-    if result.summary:
-        print(format_summary_table(result.summary))
+    if summary := result.tables["summary.csv"][1]:
+        print(format_summary_table(summary))
     return 0
 
 

@@ -49,7 +49,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_DELTAS = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
 DOMAINS = ("price", "logpath")
 
-ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entropy_bits_per_symbol"]
 SKELETON_CSV_HEADER = ["instrument", "delta", "i", "T_i", "level", "direction"]
 # events of one skeleton turned into CSV rows at a time by write_skeleton_csv
 CSV_SLICE_EVENTS = 65_536
@@ -110,8 +109,8 @@ def config_from_json(path: str | Path) -> StudyConfig:
     integer over the interpreter's digit limit), keys that are unknown,
     missing, repeated in one object or hold something other than an object
     where one is expected, a file longer than MAX_CONFIG_CHARS characters
-    (read no further) and every value validate_config refuses raise
-    ConfigError."""
+    (read no further; a leading byte-order mark is skipped, not counted) and
+    every value validate_config refuses raise ConfigError."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         seen: set[str] = set()
         for key, _ in pairs:
@@ -122,7 +121,7 @@ def config_from_json(path: str | Path) -> StudyConfig:
 
     limit = MAX_CONFIG_CHARS
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # RFC 8259 lets a parser ignore a BOM
             text = fh.read(limit + 1)
         if len(text) > limit:
             raise ConfigError([f"{path}: longer than {limit} characters, the limit for a config"])
@@ -387,8 +386,8 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyResult:
             f"all {len(eligible)} eligible instrument(s) failed; first error: {failures[0]}"
         )
 
-    result = aggregate(rows, variants)
-    _persist(result, config)
+    result = aggregate(rows, variants, config.depth)
+    _persist(result, Path(config.out_dir))
     return result
 
 
@@ -475,27 +474,20 @@ def export_skeletons(config: StudyConfig, path: str | Path) -> tuple[int, int]:
     return events, len(series)
 
 
-def _persist(result: StudyResult, config: StudyConfig) -> None:
-    """Write entropy.csv, then each file of result.kde_curves and of
-    result.tables, under config.out_dir through open_output. Every float is
-    written as Python's repr of a Python float; a numpy scalar is never
-    passed, since under numpy 2 its repr is np.float64(...). Any exception
-    removes the outputs written so far, leaving all or none, and an OSError
-    is raised as a DataError naming out_dir."""
-    out = Path(config.out_dir)
-    alphabet = {v.name: v.alphabet for v in result.variants}
+def _persist(result: StudyResult, out: Path) -> None:
+    """Write each file of result.tables, then of result.kde_curves, under
+    `out` through open_output. Every float is written as Python's repr of a
+    Python float; a numpy scalar is never passed, since under numpy 2 its
+    repr is np.float64(...). Any exception removes the outputs written so
+    far, leaving all or none, and an OSError is raised as a DataError naming
+    `out`."""
     try:
-        write_csv(
-            out / "entropy.csv",
-            ENTROPY_CSV_HEADER,
-            ([r.instrument, r.variant, r.n, config.depth, alphabet[r.variant], float(r.entropy)] for r in result.rows),
-        )
+        for name, (header, rows) in result.tables.items():
+            write_csv(out / name, header, rows)
         for name, (grid, density) in result.kde_curves.items():
             # 512 rows of plain numbers: one string, not one csv.writer call per value
             with open_output(out / name) as fh:
                 fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
-        for name, (header, rows) in result.tables.items():
-            write_csv(out / name, header, rows)
     except BaseException as exc:
         _remove_outputs(out)
         if isinstance(exc, OSError):

@@ -1,9 +1,11 @@
 """Cross-instrument aggregation: kernel densities, correlations, summaries.
 
-`aggregate` turns a study's entropy rows into every aggregate file it
-writes, each named and given its header here. It groups the rows once into
-a table of each instrument's estimate by variant, and applies these rules:
+`aggregate` turns a study's entropy rows into every file it writes, each
+named and given its header here. It groups the rows once into a table of
+each instrument's estimate by variant, and applies these rules:
 
+- `entropy.csv`: one row per estimate, in the order of the rows, with its
+  n, the study's CTW depth and its variant's alphabet size.
 - `kde_<variant>.csv`: one Gaussian-kernel density per variant with at
   least 2 estimates, with Silverman's bandwidth on 512 points over the
   estimates' range padded by 3 bandwidths. A variant with fewer than 2
@@ -34,6 +36,7 @@ logger = logging.getLogger(__name__)
 
 KDE_GRID_POINTS = 512
 KDE_GRID_PAD = 3.0  # grid spans the data range padded by this many bandwidths
+ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entropy_bits_per_symbol"]
 
 
 @dataclass(frozen=True)
@@ -50,14 +53,12 @@ class StudyRow:
 class StudyResult:
     """Everything a study run produces before it is written to disk.
     `kde_curves` maps each KDE file's name to its (grid, density); `tables`
-    maps every other aggregate file's name, in write order, to its header
-    and rows, each float a Python float."""
+    maps every other file's name, entropy.csv first, to its header and
+    rows, each float a Python float."""
 
     rows: list[StudyRow]
-    variants: list[Variant]
     kde_curves: dict[str, tuple[np.ndarray, np.ndarray]]
     tables: dict[str, tuple[list[str], list[list]]]
-    summary: list[tuple[float, float]]
 
 
 def _percentile(ordered: np.ndarray, q: float) -> float:
@@ -153,10 +154,13 @@ def delta_summary(columns: dict[float, list[float]]) -> list[tuple[float, float]
     return [(delta, float(np.mean(values))) for delta, values in columns.items()]
 
 
-def aggregate(rows: list[StudyRow], variants: list[Variant]) -> StudyResult:
-    """A study's aggregate files, by the rules in this module's docstring.
-    Rows follow the instruments' order; `variants` are the study's, skeleton
-    variants by increasing delta."""
+def aggregate(rows: list[StudyRow], variants: list[Variant], depth: int) -> StudyResult:
+    """A study's files, by the rules in this module's docstring. Rows follow
+    the instruments' order; `variants` are the study's, skeleton variants by
+    increasing delta, and `depth` its CTW depth."""
+    alphabet = {v.name: v.alphabet for v in variants}
+    entropy = [[r.instrument, r.variant, r.n, depth, alphabet[r.variant], float(r.entropy)] for r in rows]
+    tables = {"entropy.csv": (ENTROPY_CSV_HEADER, entropy)}
     table = entropy_by_instrument(rows)
     columns = {v.name: [values[v.name] for values in table.values() if v.name in values] for v in variants}
     kde_curves = {}
@@ -166,7 +170,6 @@ def aggregate(rows: list[StudyRow], variants: list[Variant]) -> StudyResult:
                 kde_curves[f"kde_{name}.csv"] = kernel_density(values)
             except ValueError as exc:
                 logger.warning("kde skipped for %s: %s", name, exc)
-    tables = {}
     present = [name for name, values in columns.items() if values]
     if len(present) >= 2:
         try:
@@ -185,11 +188,12 @@ def aggregate(rows: list[StudyRow], variants: list[Variant]) -> StudyResult:
         tables[f"scatter_orig4_{finest}.csv"] = (["instrument", "value_orig4", f"value_{finest}"], pairs)
     summary = delta_summary({v.delta: columns[v.name] for v in skeletons if columns[v.name]})
     tables["summary.csv"] = (["delta", "mean_entropy"], [[float(d), m] for d, m in summary])
-    return StudyResult(rows, variants, kde_curves, tables, summary)
+    return StudyResult(rows, kde_curves, tables)
 
 
-def format_summary_table(summary: list[tuple[float, float]]) -> str:
-    """Two-column text table: step size against mean entropy rate."""
+def format_summary_table(summary: list) -> str:
+    """Two-column text table of (step size, mean entropy rate) pairs, such
+    as the rows of summary.csv."""
     lines = [f"{'delta':<7} mean_entropy"]
     for delta, mean in summary:
         lines.append(f"{delta:<7g} {mean:.2f}")

@@ -19,6 +19,7 @@ from voho.homogenise import decompose, skeleton_to_symbols
 from voho.ingest import SyntheticSpec, load_prices, log_returns
 from voho.pipeline import synthetic_series
 from voho.quantise import quantile_bins
+from voho.stats import format_summary_table
 
 from conftest import daily_rows, make_series, run, run_python, write_daily_csv, write_tick_csv
 
@@ -230,6 +231,17 @@ def test_a_config_longer_than_the_bound_is_a_config_error(tmp_path, monkeypatch)
     )
 
 
+def test_a_config_with_a_byte_order_mark_is_read_as_one_without(tmp_path, monkeypatch):
+    text = json.dumps({"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100, "out_dir": str(tmp_path / "out")})
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    monkeypatch.setattr(pipeline, "MAX_CONFIG_CHARS", len(text))  # the mark is not counted
+    assert pipeline.config_from_json(marked) == pipeline.config_from_json(plain)
+    assert run(["study", "--config", str(marked)])[0] == 0
+
+
 @pytest.mark.parametrize("command", ["synth", "decompose"])
 def test_an_output_path_that_is_a_fifo_is_refused_not_replaced(tmp_path, command):
     config = write_config(tmp_path / "study.json", {"synthetic": {"instruments": 2, "n": 300}, "min_daily": 100})
@@ -273,7 +285,10 @@ def test_study_out_writes_the_files_of_the_config_with_that_out_dir(tmp_path):
     in_config = write_config(tmp_path / "in_config.json", {**config, "out_dir": str(tmp_path / "b")})
     code, out, _ = run(["study", "--config", str(as_flag), "--out", str(tmp_path / "a")])
     assert code == 0
-    assert out.startswith(f"12 entropy estimate(s) -> {tmp_path / 'a'}\n")
+    with open(tmp_path / "a" / "summary.csv", newline="", encoding="utf-8") as fh:
+        summary = [(float(delta), float(mean)) for delta, mean in list(csv.reader(fh))[1:]]
+    assert [delta for delta, _ in summary] == [0.5, 1.0]
+    assert out == f"12 entropy estimate(s) -> {tmp_path / 'a'}\n{format_summary_table(summary)}\n"
     assert run(["study", "--config", str(in_config)])[0] == 0
     assert not (tmp_path / "unused").exists()
     written = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
@@ -325,8 +340,8 @@ def test_a_study_without_deltas_scores_the_originals_alone(tmp_path):
         "synthetic": {"instruments": 3, "n": 300, "seed": 4}, "deltas": [], "depth": 6, "min_daily": 100,
         "out_dir": str(tmp_path / "out"),
     })
-    assert run(["study", "--config", str(config)])[0] == 0
     out = tmp_path / "out"
+    assert run(["study", "--config", str(config)])[:2] == (0, f"6 entropy estimate(s) -> {out}\n")  # no table
     assert sorted(p.name for p in out.iterdir()) == [
         "corr.csv", "entropy.csv", "kde_orig2.csv", "kde_orig4.csv", "summary.csv",
     ]

@@ -22,6 +22,16 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
+def test_the_package_root_names_the_study_api_alone():
+    # every layer function has one import path, through its module
+    assert sorted(voho.__all__) == sorted([
+        "run_study", "config_from_json", "validate_config", "StudyConfig", "InputSpec", "SyntheticSpec",
+        "StudyResult", "VohoError", "ConfigError", "DataError", "AllInstrumentsFailedError",
+    ])
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [name for name in voho.__all__ if f"`{name}`" not in readme] == []
+
+
 def _modules() -> list[str]:
     """The name of every module of voho."""
     return sorted(path.stem for path in Path(voho.__file__).parent.glob("*.py"))

@@ -17,7 +17,6 @@ from voho import ctw, homogenise, pipeline
 from voho.errors import AllInstrumentsFailedError, ConfigError, DataError
 from voho.ingest import generate_synthetic_path
 from voho.pipeline import (
-    ENTROPY_CSV_HEADER,
     InputSpec,
     StudyConfig,
     SyntheticSpec,
@@ -27,7 +26,7 @@ from voho.pipeline import (
     score_sequences,
     validate_config,
 )
-from voho.stats import entropy_by_instrument
+from voho.stats import ENTROPY_CSV_HEADER, entropy_by_instrument
 from voho.variants import Variant
 
 from conftest import run, write_tick_csv
@@ -86,7 +85,8 @@ def outputs(results):
 
 def reference_files(result, depth: int) -> dict[str, bytes]:
     """Every output file of a study as earlier versions wrote it: one
-    csv.writer per file, every float written as repr(float(x))."""
+    csv.writer per file, every float written as repr(float(x)), each
+    variant's alphabet and the finest delta taken from its name."""
 
     def csv_bytes(header, rows) -> bytes:
         out = io.StringIO()
@@ -98,19 +98,18 @@ def reference_files(result, depth: int) -> dict[str, bytes]:
     def fmt(x) -> str:
         return repr(float(x))
 
-    alphabet = {v.name: v.alphabet for v in result.variants}
     files = {
         "entropy.csv": csv_bytes(
             ENTROPY_CSV_HEADER,
-            [[r.instrument, r.variant, r.n, depth, alphabet[r.variant], fmt(r.entropy)] for r in result.rows],
+            [[r.instrument, r.variant, r.n, depth, 4 if r.variant == "orig4" else 2, fmt(r.entropy)] for r in result.rows],
         ),
-        "summary.csv": csv_bytes(["delta", "mean_entropy"], [[fmt(d), fmt(m)] for d, m in result.summary]),
+        "summary.csv": csv_bytes(["delta", "mean_entropy"], [[fmt(d), fmt(m)] for d, m in result.tables["summary.csv"][1]]),
     }
     corr_header, corr_rows = result.tables["corr.csv"]
     files["corr.csv"] = csv_bytes(corr_header, [[v] + [fmt(x) for x in xs] for v, *xs in corr_rows])
     for name, (grid, density) in result.kde_curves.items():
         files[name] = csv_bytes(["x", "density"], [[fmt(x), fmt(d)] for x, d in zip(grid, density)])
-    finest = next(v.name for v in result.variants if v.delta is not None)
+    finest = next(r.variant for r in result.rows if r.variant.startswith("delta_"))
     files[f"scatter_orig4_{finest}.csv"] = csv_bytes(
         ["instrument", "value_orig4", f"value_{finest}"],
         [[i, fmt(values["orig4"]), fmt(values[finest])] for i, values in entropy_by_instrument(result.rows).items()],
@@ -559,7 +558,8 @@ def test_an_interrupted_write_leaves_no_outputs_and_propagates(tmp_path, monkeyp
 def test_every_file_a_study_writes_has_a_name_the_sweep_and_input_guard_match(results):
     root, by_order = results
     for order, result in by_order.items():
-        names = ["entropy.csv", *result.kde_curves, *result.tables]
+        names = [*result.tables, *result.kde_curves]
+        assert names[0] == "entropy.csv"
         assert sorted(names) == sorted(p.name for p in (root / order).iterdir())
         for name in names:
             assert pipeline._is_output_name(name) and pipeline._is_output_name(name + ".part")

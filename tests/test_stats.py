@@ -175,7 +175,8 @@ class TestDeltaSummary:
             StudyRow("I", "delta_0.05", 0.13, 500),
             StudyRow("I", "delta_1", 0.32, 40),
         ]
-        assert aggregate(rows, study_variants(["orig2"], [0.05, 1.0])).summary == [(0.05, 0.13), (1.0, 0.32)]
+        summary = aggregate(rows, study_variants(["orig2"], [0.05, 1.0]), 20).tables["summary.csv"]
+        assert summary == (["delta", "mean_entropy"], [[0.05, 0.13], [1.0, 0.32]])
 
     def test_mean_over_instruments(self):
         assert delta_summary({0.5: [0.2, 0.4]}) == [(0.5, pytest.approx(0.3))]
@@ -193,16 +194,15 @@ class TestAggregate:
             for instrument, values in {"A": (0.9, 0.1, 0.5), "B": (1.0, 0.4, 0.6), "C": (0.7, 0.3, 0.9)}.items()
             for variant, value in zip(("orig2", "orig4", "delta_1"), values)
         ]
-        result = aggregate(rows, study_variants(["orig2", "orig4"], [0.5, 1.0]))
+        result = aggregate(rows, study_variants(["orig2", "orig4"], [0.5, 1.0]), 20)
         assert list(result.kde_curves) == ["kde_orig2.csv", "kde_orig4.csv", "kde_delta_1.csv"]
         # no scatter file: the finest skeleton variant, delta_0.5, has no estimates
-        assert list(result.tables) == ["corr.csv", "summary.csv"]
+        assert list(result.tables) == ["entropy.csv", "corr.csv", "summary.csv"]
         header, body = result.tables["corr.csv"]
         assert header == ["variant", "orig2", "orig4", "delta_1"]
         assert [line[0] for line in body] == ["orig2", "orig4", "delta_1"]
         assert body[0][3] == pearson([0.9, 1.0, 0.7], [0.5, 0.6, 0.9])
-        assert result.summary == [(1.0, pytest.approx(2.0 / 3.0))]
-        assert result.tables["summary.csv"] == (["delta", "mean_entropy"], [[1.0, result.summary[0][1]]])
+        assert result.tables["summary.csv"] == (["delta", "mean_entropy"], [[1.0, pytest.approx(2.0 / 3.0)]])
 
     def test_every_table_holds_python_floats_only(self):
         rows = [
@@ -210,11 +210,14 @@ class TestAggregate:
             for instrument, values in {"A": (0.9, 0.1, 0.5), "B": (1.0, 0.4, 0.6), "C": (0.7, 0.3, 0.9)}.items()
             for variant, value in zip(("orig2", "orig4", "delta_1"), values)
         ]
-        result = aggregate(rows, study_variants(["orig2", "orig4"], [1]))
-        assert list(result.tables) == ["corr.csv", "scatter_orig4_delta_1.csv", "summary.csv"]
+        result = aggregate(rows, study_variants(["orig2", "orig4"], [1]), 20)
+        assert list(result.tables) == ["entropy.csv", "corr.csv", "scatter_orig4_delta_1.csv", "summary.csv"]
+        assert result.tables["entropy.csv"][1][:2] == [["A", "orig2", 100, 20, 2, 0.9], ["A", "orig4", 100, 20, 4, 0.1]]
         assert result.tables["scatter_orig4_delta_1.csv"] == (
             ["instrument", "value_orig4", "value_delta_1"],
             [["A", 0.1, 0.5], ["B", 0.4, 0.6], ["C", 0.3, 0.9]],
         )
+        # entropy.csv's n, depth and alphabet are its only ints
         numbers = [x for _, body in result.tables.values() for line in body for x in line if not isinstance(x, str)]
-        assert numbers and {type(x) for x in numbers} == {float}
+        assert {type(x) for x in numbers} == {int, float}
+        assert [x for x in numbers if type(x) is int] == [100, 20, 2, 100, 20, 4, 100, 20, 2] * 3
