@@ -1,4 +1,4 @@
-"""End-to-end study orchestration: config, the per-instrument loop, and every file voho writes.
+"""End-to-end study orchestration: config, the per-instrument loop, and the writing of every file.
 
 A study loads (or synthesises) price series, keeps the eligible ones and
 writes the aggregate CSV outputs. Each instrument is handled in three steps:
@@ -41,8 +41,8 @@ from .ingest import (
     log_returns,
 )
 from .quantise import quantile_bins
-from .stats import StudyResult, StudyRow, aggregate
-from .variants import ORIGINAL_VARIANTS, Variant, name_clashes, study_variants
+from .stats import KDE_CSV_HEADER, ORIGINAL_VARIANTS, OUTPUT_FILES, StudyResult, StudyRow, Variant
+from .stats import aggregate, name_clashes, study_variants
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,6 @@ MAX_CONFIG_CHARS = 1 << 24
 # bytes of one input file, checked before any input is read: loading a file
 # held 2.6 (daily) to 4.4 (tick) times its size, so one stays under 5 GB
 MAX_INPUT_BYTES = 1 << 30
-# the names, as glob patterns, of every file a study writes into out_dir
-OUTPUT_FILES = ("entropy.csv", "summary.csv", "corr.csv", "kde_*.csv", "scatter_*.csv")
 
 
 @dataclass
@@ -71,11 +69,10 @@ class InputSpec:
 @dataclass
 class StudyConfig:
     """A study. `variants` names the originals to score (orig2, orig4);
-    each of the strictly increasing `deltas` adds a skeleton variant named
-    `delta_{delta:g}`, the step to six significant digits. Either list may
-    be empty, not both; the data come from `inputs`, `synthetic` or both.
-    validate_config refuses deltas that share a name (1.0000001 and
-    1.0000002 are both `delta_1`), since every output file is keyed by it."""
+    each of the strictly increasing `deltas` adds a skeleton variant, named
+    as `stats` says, and validate_config refuses deltas that share a name.
+    Either list may be empty, not both; the data come from `inputs`,
+    `synthetic` or both."""
 
     inputs: list[InputSpec] = field(default_factory=list)
     synthetic: SyntheticSpec | None = None
@@ -217,10 +214,14 @@ def validate_config(config: StudyConfig) -> list[str]:
         errors.append(f"crossing must be one of {CROSSING_MODES}")
     if not os.fspath(config.out_dir):  # "" would write into the working directory
         errors.append("out_dir must not be empty")
+    if out_problem := _unusable_path(config.out_dir):
+        errors.append(f"out_dir {config.out_dir!r}: {out_problem}")
     for spec in config.inputs:
         if spec.format not in FORMATS:
             errors.append(f"input {spec.path!r}: format must be daily or tick")
-        if _swept(spec.path, config.out_dir):
+        if problem := _unusable_path(spec.path):
+            errors.append(f"input {spec.path!r}: {problem}")
+        elif not out_problem and _swept(spec.path, config.out_dir):
             errors.append(f"input {spec.path!r}: lies in out_dir under an output file name, which a study removes")
     if config.synthetic is not None:
         errors += [f"synthetic {problem}" for problem in config.synthetic.problems()]
@@ -250,18 +251,24 @@ def instrument_sequences(
     with its symbol array for score_sequences, plus the name and event count
     of each skeleton variant dropped for having fewer than min_skeleton_events
     events. Log returns are taken only when an original variant is asked for;
-    of each skeleton of instrument_skeletons only the symbol array is kept."""
+    of each skeleton of instrument_skeletons only the symbol array is kept.
+    DataError before the kept skeletons' events pass homogenise.MAX_EVENTS."""
     if any(v.delta is None for v in variants):
         returns = log_returns(series)
     skeletons = instrument_skeletons(series, [v.delta for v in variants if v.delta is not None], domain, crossing)
     kept: list[tuple[Variant, np.ndarray]] = []
     dropped: list[tuple[str, int]] = []
+    events: list[int] = []  # of each kept skeleton
     for variant in variants:
         if variant.delta is None:
             kept.append((variant, quantile_bins(returns, variant.alphabet)))
         elif len(skeleton := next(skeletons)) < min_skeleton_events:
             dropped.append((variant.name, len(skeleton)))
         else:
+            events.append(len(skeleton))
+            if sum(events) > homogenise.MAX_EVENTS:
+                raise DataError(f"{sum(events)} skeleton events over {len(events)} kept delta(s), more than the "
+                                f"limit of {homogenise.MAX_EVENTS} for one instrument")
             kept.append((variant, skeleton_to_symbols(skeleton)))
     return kept, dropped
 
@@ -316,16 +323,20 @@ def _is_output_name(name: str) -> bool:
     return any(fnmatchcase(name, pattern + part) for pattern in OUTPUT_FILES for part in ("", ".part"))
 
 
+def _unusable_path(path: str | os.PathLike) -> str | None:
+    """Why no file can have the name `path`, or None if one can."""
+    try:
+        return "holds a NUL, which names no file" if b"\0" in os.fsencode(path) else None
+    except UnicodeEncodeError:  # a lone surrogate, as a JSON string may hold
+        return "holds a character the file system cannot encode"
+
+
 def _swept(path: str | os.PathLike, out: str | os.PathLike) -> bool:
     """Whether _remove_outputs(out) would remove the file at `path`: its
     name in its directory, or the file it links to, lies in `out` under a
-    name _is_output_name accepts. A path holding a NUL names no file and is
-    not swept."""
-    try:
-        out = os.path.realpath(out)
-        files = [os.path.join(os.path.realpath(os.path.dirname(path)), os.path.basename(path)), os.path.realpath(path)]
-    except ValueError:
-        return False
+    name _is_output_name accepts. Both must pass _unusable_path."""
+    out = os.path.realpath(out)
+    files = [os.path.join(os.path.realpath(os.path.dirname(path)), os.path.basename(path)), os.path.realpath(path)]
     return any(os.path.dirname(file) == out and _is_output_name(os.path.basename(file)) for file in files)
 
 
@@ -487,7 +498,8 @@ def _persist(result: StudyResult, out: Path) -> None:
         for name, (grid, density) in result.kde_curves.items():
             # 512 rows of plain numbers: one string, not one csv.writer call per value
             with open_output(out / name) as fh:
-                fh.write("x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
+                fh.write(",".join(KDE_CSV_HEADER) + "\n")
+                fh.write("".join(f"{x!r},{d!r}\n" for x, d in zip(grid.tolist(), density.tolist())))
     except BaseException as exc:
         _remove_outputs(out)
         if isinstance(exc, OSError):

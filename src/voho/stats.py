@@ -1,4 +1,10 @@
-"""Cross-instrument aggregation: kernel densities, correlations, summaries.
+"""A study's variants and files, and the aggregation across instruments.
+
+A study scores variants for each instrument. `orig2` and `orig4` are the
+log returns binned into 2 and 4 equal-count states. A skeleton variant is
+the up/down sequence of the skeleton with step size delta, named
+`delta_{delta:g}`: the step to six significant digits. Every output file
+is keyed by the name, so validate_config refuses steps that share one.
 
 `aggregate` turns a study's entropy rows into every file it writes, each
 named and given its header here. It groups the rows once into a table of
@@ -26,17 +32,55 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-
-from .variants import Variant
 
 logger = logging.getLogger(__name__)
 
 KDE_GRID_POINTS = 512
 KDE_GRID_PAD = 3.0  # grid spans the data range padded by this many bandwidths
+ORIGINAL_ALPHABETS = {"orig2": 2, "orig4": 4}
+ORIGINAL_VARIANTS = tuple(ORIGINAL_ALPHABETS)
+# the names, as glob patterns, of every file a study writes into out_dir
+OUTPUT_FILES = ("entropy.csv", "summary.csv", "corr.csv", "kde_*.csv", "scatter_*.csv")
 ENTROPY_CSV_HEADER = ["instrument", "variant", "n", "depth", "alphabet", "entropy_bits_per_symbol"]
+KDE_CSV_HEADER = ["x", "density"]
+
+
+@dataclass(frozen=True)
+class Variant:
+    """A scored sequence: its name, its alphabet size and, for a skeleton
+    variant, its step size (None for the originals)."""
+
+    name: str
+    alphabet: int
+    delta: float | None = None
+
+    @classmethod
+    def skeleton(cls, delta: float) -> Variant:
+        return cls(f"delta_{delta:g}", 2, delta)
+
+
+def study_variants(originals: Iterable[str], deltas: Iterable[float]) -> list[Variant]:
+    """A study's variants in output order: the requested originals in the
+    order of ORIGINAL_VARIANTS, then one skeleton variant per delta."""
+    requested = set(originals)
+    chosen = [Variant(name, m) for name, m in ORIGINAL_ALPHABETS.items() if name in requested]
+    return chosen + [Variant.skeleton(delta) for delta in deltas]
+
+
+def name_clashes(sources: Iterable[tuple[str, str]]) -> list[str]:
+    """One message for each variant name that an earlier one already has;
+    each name comes paired with the way it was given."""
+    first: dict[str, str] = {}
+    errors = []
+    for source, name in sources:
+        if name in first:
+            errors.append(f"{first[name]} and {source} share the variant name {name!r}")
+        first.setdefault(name, source)
+    return errors
 
 
 @dataclass(frozen=True)

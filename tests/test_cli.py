@@ -63,6 +63,12 @@ def write_config(path, config: dict):
         ('{"domain": "Logpath"}', ["domain must be one of ('price', 'logpath')"]),
         ('{"crossing": "both"}', ["crossing must be one of ('multi', 'single')"]),
         ('{"inputs": [{"path": "p.csv", "format": "hourly"}]}', ["input 'p.csv': format must be daily or tick"]),
+        (json.dumps({"inputs": [{"path": "a\0b.csv", "format": "tick"}]}), ["input 'a\\x00b.csv': holds a NUL"]),
+        (json.dumps({"synthetic": {"n": 100}, "out_dir": "o\0ut"}), ["out_dir 'o\\x00ut': holds a NUL"]),
+        (
+            '{"inputs": [{"path": "a\\ud800b.csv", "format": "tick"}]}',
+            ["input 'a\\ud800b.csv': holds a character the file system cannot encode"],
+        ),
         # a config error with or without the interpreter's limit on integer digits
         ('{"deltas": [' + "1" * 5000 + "]}", []),
         ("[" * 100_000, ["not valid JSON"]),
@@ -73,6 +79,7 @@ def write_config(path, config: dict):
         "zero-delta", "non-finite-delta", "repeated-delta", "nothing-to-score", "repeated-original", "repeated-key",
         "repeated-synthetic-key", "no-data",
         "min-daily", "min-skeleton-events", "unknown-domain", "unknown-crossing", "unknown-input-format",
+        "input-path-holding-a-nul", "out-dir-holding-a-nul", "input-path-holding-a-lone-surrogate",
         "integer-over-the-digit-limit", "nested-too-deeply",
     ],
 )

@@ -306,6 +306,12 @@ class TestEventBound:
         with pytest.raises(DataError, match="at least inf"):
             decompose(np.array([0.0, 1.0]), 1e-320)
 
+    def test_a_far_lower_bound_is_written_short(self):
+        # the floor of a huge u, written out whole, is 300 digits of float noise
+        with pytest.raises(DataError) as info:
+            decompose(np.array([1000.0, 1001.3]), 1e-300)
+        assert len(str(info.value)) < 100
+
     def test_single_mode_is_bounded_by_the_sample_count(self):
         skel = decompose(np.array([0.0, 1e9, 1e9]), 1.0, crossing="single")
         assert skel.level_indices.tolist() == [1, 2]

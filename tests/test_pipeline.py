@@ -13,7 +13,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from voho import ctw, homogenise, pipeline
+from voho import ctw, homogenise, pipeline, stats
 from voho.errors import AllInstrumentsFailedError, ConfigError, DataError
 from voho.ingest import generate_synthetic_path
 from voho.pipeline import (
@@ -26,8 +26,7 @@ from voho.pipeline import (
     score_sequences,
     validate_config,
 )
-from voho.stats import ENTROPY_CSV_HEADER, entropy_by_instrument
-from voho.variants import Variant
+from voho.stats import ENTROPY_CSV_HEADER, Variant, entropy_by_instrument
 
 from conftest import run, write_tick_csv
 
@@ -410,6 +409,24 @@ def test_a_refused_skeleton_names_its_instrument_once(tmp_path, caplog, monkeypa
     assert str(raised.value) == f"all 2 eligible instrument(s) failed; first error: {first}"
 
 
+@pytest.mark.parametrize("limit", [500, 501], ids=["over", "at"])
+def test_one_instruments_kept_skeletons_are_bounded_together(tmp_path, caplog, monkeypatch, limit):
+    # A keeps 400 and 101 events at deltas 0.5 and 1, each under the limit,
+    # and drops the 5 at delta 5, which do not count; B keeps 77 in all
+    monkeypatch.setattr(homogenise, "MAX_EVENTS", limit)
+    config = tick_config(tmp_path, walk("A", 1, 400) + walk("B", 2))
+    config = replace(config, deltas=[0.5, 1.0, 5.0], min_skeleton_events=10)
+    with caplog.at_level(logging.WARNING, logger="voho.pipeline"):
+        run_study(config)
+    scored = {row[0] for row in read_csv(tmp_path / "out" / "entropy.csv")[1:]}
+    failed = [m for m in caplog.messages if m.startswith("instrument ")]
+    if limit == 500:
+        message = "501 skeleton events over 2 kept delta(s), more than the limit of 500 for one instrument"
+        assert (failed, scored) == ([f"instrument A failed: {message}"], {"B"})
+    else:
+        assert (failed, scored) == ([], {"A", "B"})
+
+
 def filled(out):
     """`out` after a study of every output kind, plus a file of the user's."""
     study(out)
@@ -570,7 +587,7 @@ def test_every_file_a_study_writes_has_a_name_the_sweep_and_input_guard_match(re
 def test_the_sweep_removes_the_partial_files_of_a_killed_study(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    partial = [name.replace("*", "x") + ".part" for name in pipeline.OUTPUT_FILES]
+    partial = [name.replace("*", "x") + ".part" for name in stats.OUTPUT_FILES]
     kept = ["notes.part", "entropy.csv.bak"]
     for name in partial + kept:
         (out / name).write_text("partial\n", encoding="utf-8")

@@ -18,8 +18,8 @@ from voho.stats import (
     pearson,
     _percentile,
     silverman_bandwidth,
+    study_variants,
 )
-from voho.variants import study_variants
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
