@@ -222,7 +222,7 @@ def _skeleton_levels(values: np.ndarray, delta: float, crossing: str) -> np.ndar
         return _lagging_levels(np.clip(u, -bound, bound))
     reach = float(np.max(np.abs(u)))
     if reach > MAX_EVENTS + 1:  # reaching level k_j takes |k_j| >= floor(|u_j|) events
-        raise _too_many_events(delta, f"at least {np.floor(reach):.15g}")
+        raise _too_many_events(delta, f"at least {np.floor(reach):.{3 if reach >= 2**53 else 15}g}")
     return _levels(u)
 
 

@@ -70,7 +70,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     """This interpreter run with args in a subprocess that imports voho from
-    this source tree, its output captured as text."""
+    where this process imported it, its output captured as text."""
     src = str(Path(voho.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
