@@ -63,9 +63,10 @@ class SkeletonSeries:
     The per-event arrays are derived from that form each time they are
     read, in O(events), and are not kept, so a list of skeletons stays
     O(samples): `directions` (+1 or -1), `level_indices` (the level index
-    after each event; its level is base_level + level_indices[i] * delta)
-    and `times` (each event's interpolated time); the sample that produced
-    each event is np.repeat(moved_at, np.abs(steps)). The event index
+    after each event, the running sum of `directions`), `levels()` (each
+    event's level path[0] + level_indices[i] * delta) and `times` (each
+    event's time, interpolated to its level); the sample that produced each
+    event is np.repeat(moved_at, np.abs(steps)). The event index
     itself (1-based) is the time-change estimate at that event.
     """
 
@@ -89,10 +90,6 @@ class SkeletonSeries:
     def __len__(self) -> int:
         return int(np.abs(self.steps).sum())
 
-    @property
-    def base_level(self) -> float:
-        return float(self.path[0])
-
     def _per_event(self, per_run: np.ndarray) -> np.ndarray:
         return np.repeat(per_run, np.abs(self.steps))
 
@@ -102,7 +99,7 @@ class SkeletonSeries:
 
     @property
     def level_indices(self) -> np.ndarray:
-        return _read_only(np.cumsum(self._per_event(np.sign(self.steps))))
+        return _read_only(np.cumsum(self.directions))
 
     @property
     def times(self) -> np.ndarray:
@@ -117,15 +114,15 @@ class SkeletonSeries:
         flat = dx == 0.0
         dx[flat] = 1.0
         t_prev, x_prev, dx, dt = (self._per_event(a) for a in (t[j - 1], x[j - 1], dx, t[j] - t[j - 1]))
-        fraction = np.clip((x[0] + self.level_indices * self.delta - x_prev) / dx, 0.0, 1.0)
+        fraction = np.clip((self.levels() - x_prev) / dx, 0.0, 1.0)
         event_times = t_prev + fraction * dt
         flat = self._per_event(flat)
         event_times[flat] = self._per_event(t[j])[flat]
         return _read_only(event_times)
 
     def levels(self) -> np.ndarray:
-        """Skeleton values base_level + k_i * delta."""
-        return self.base_level + self.level_indices * self.delta
+        """Each event's skeleton value path[0] + k_i * delta."""
+        return self.path[0] + self.level_indices * self.delta
 
 
 def decompose(
@@ -155,7 +152,15 @@ def decompose(
     the samples in single mode; reading an event array of the result costs
     O(events). Above MAX_EVENTS events a DataError is raised.
     """
-    values = _checked_path(values, delta, crossing)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be a positive finite number")
+    if values.ndim != 1 or values.size < 2:
+        raise ValueError("path must be 1-d with at least 2 samples")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path contains non-finite values")
+    if crossing not in CROSSING_MODES:
+        raise ValueError(f"unknown crossing mode {crossing!r}")
     if times is None:
         times = np.arange(values.size, dtype=np.float64)
     else:
@@ -177,19 +182,6 @@ def decompose(
         moved_at=moved + 1,
         steps=steps,
     )
-
-
-def _checked_path(values: np.ndarray, delta: float, crossing: str) -> np.ndarray:
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be a positive finite number")
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("path must be 1-d with at least 2 samples")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("path contains non-finite values")
-    if crossing not in CROSSING_MODES:
-        raise ValueError(f"unknown crossing mode {crossing!r}")
-    return values
 
 
 def _skeleton_levels(values: np.ndarray, delta: float, crossing: str) -> np.ndarray:

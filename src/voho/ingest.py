@@ -325,6 +325,9 @@ def log_returns(series: PriceSeries) -> np.ndarray:
 
     For tick data, observations whose price equals the previous one are
     removed before differencing, so every emitted return is nonzero.
+    Where the ratio of two prices is not a finite normal float (1e300 over
+    1e-300 overflows), r_t is taken as ln(p_t) - ln(p_{t-1}), so every
+    return is finite.
     """
     if len(series) < 2:
         raise ValueError("need at least 2 observations")
@@ -334,7 +337,14 @@ def log_returns(series: PriceSeries) -> np.ndarray:
         keep[0] = True
         keep[1:] = np.diff(prices) != 0.0
         prices = prices[keep]
-    return np.log(prices[1:] / prices[:-1])
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = prices[1:] / prices[:-1]
+    finfo = np.finfo(np.float64)
+    lossy = ~((ratio >= finfo.tiny) & (ratio <= finfo.max))
+    ratio[lossy] = 1.0
+    returns = np.log(ratio)
+    returns[lossy] = np.log(prices[1:][lossy]) - np.log(prices[:-1][lossy])
+    return returns
 
 
 @dataclass

@@ -55,8 +55,9 @@ CSV_SLICE_EVENTS = 65_536
 # characters of a config file read before it is refused as too long, so a
 # price file given as the config is not read whole
 MAX_CONFIG_CHARS = 1 << 24
-# bytes of one input file, checked before any input is read: loading a file
-# held 2.6 (daily) to 4.4 (tick) times its size, so one stays under 5 GB
+# bytes of a study's input files together, checked before any input is read:
+# a study holds every loaded input at once, and loading a file held 2.5 (daily)
+# to 4.0 (tick) times its size, so the loads stay under about 4.3 GB together
 MAX_INPUT_BYTES = 1 << 30
 
 
@@ -282,12 +283,12 @@ def score_sequences(sequences: list[tuple[Variant, np.ndarray]], depth: int) -> 
 def gather_series(config: StudyConfig) -> list[PriceSeries]:
     """Every instrument a study of `config` loads: the series of each of its
     inputs in order, then its synthetic paths. DataError, before any input
-    is read, when an input file is larger than MAX_INPUT_BYTES; then when
-    none is produced or when two share an instrument id."""
+    is read, when the input files hold more than MAX_INPUT_BYTES together;
+    then when none is produced or when two share an instrument id."""
     limit = MAX_INPUT_BYTES
-    for spec in config.inputs:
-        if (size := os.stat(spec.path).st_size) > limit:
-            raise DataError(f"{spec.path}: {size} bytes, more than the limit of {limit} for an input file")
+    if (total := sum(os.stat(spec.path).st_size for spec in config.inputs)) > limit:
+        raise DataError(f"{len(config.inputs)} input file(s) hold {total} bytes, more than the limit of {limit} "
+                        "for a study's inputs together")
     series: list[PriceSeries] = []
     for spec in config.inputs:
         loaded = load_prices(spec.path, spec.format)

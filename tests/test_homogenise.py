@@ -35,7 +35,7 @@ def residuals_by_sample(values, skeleton):
         while position < len(src) and src[position] == j:
             k += dirs[position]
             position += 1
-        out.append(abs(values[j] - (skeleton.base_level + k * skeleton.delta)))
+        out.append(abs(values[j] - (skeleton.path[0] + k * skeleton.delta)))
     return out
 
 

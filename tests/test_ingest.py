@@ -597,6 +597,16 @@ class TestLogReturns:
         r = log_returns(make_series([100.0, 100.0, 100.0], kind="tick"))
         assert len(r) == 0 and r.dtype == np.float64
 
+    def test_a_ratio_outside_the_normal_floats_gives_the_log_difference(self):
+        # 1e300 / 1e-300 overflows, 1e-300 / 1e300 underflows to 0 and
+        # 1e-310 / 1.0 is subnormal; the other ratios keep np.log(ratio)
+        prices = np.array([100.0, 105.0, 1e-300, 1e300, 1e-300, 1.0, 1e-310, 1e-5])
+        r = log_returns(make_series(prices))
+        lossy = np.array([False, False, True, True, False, True, False])
+        assert np.all(np.isfinite(r))
+        assert np.array_equal(r[lossy], np.log(prices[1:])[lossy] - np.log(prices[:-1])[lossy])
+        assert np.array_equal(r[~lossy], np.log(prices[1:][~lossy] / prices[:-1][~lossy]))
+
     def test_cumsum_reproduces_log_price(self, rng):
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=500)))
         series = make_series(prices)

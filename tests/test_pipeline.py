@@ -28,7 +28,7 @@ from voho.pipeline import (
 )
 from voho.stats import ENTROPY_CSV_HEADER, Variant, entropy_by_instrument
 
-from conftest import run, write_tick_csv
+from conftest import daily_rows, run, write_daily_csv, write_tick_csv
 
 VARIANTS = ["orig2", "orig4", "delta_0.5", "delta_1"]
 INSTRUMENTS = ["SYN000", "SYN001", "SYN002"]
@@ -598,11 +598,11 @@ def test_the_sweep_removes_the_partial_files_of_a_killed_study(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["study", "ingest", "decompose"])
-def test_an_input_over_the_size_bound_is_refused_before_any_input_is_read(tmp_path, monkeypatch, command):
+def test_inputs_over_the_size_bound_together_are_refused_before_any_input_is_read(tmp_path, monkeypatch, command):
     first = write_tick_csv(tmp_path / "first.csv", three_changes("A"))
     second = write_tick_csv(tmp_path / "second.csv", two_changes("B") + three_changes("C"))
-    size = second.stat().st_size
-    assert first.stat().st_size < size
+    size = first.stat().st_size + second.stat().st_size
+    assert max(first.stat().st_size, second.stat().st_size) < size - 1  # each alone is under the bound
     loaded = []
     real_load_prices = pipeline.load_prices
 
@@ -623,13 +623,33 @@ def test_an_input_over_the_size_bound_is_refused_before_any_input_is_read(tmp_pa
     path = tmp_path / "config.json"
     path.write_text(json.dumps(asdict(config)), encoding="utf-8")
     args = [command, "--config", str(path)] + (["--out", str(tmp_path / "skel.csv")] if command == "decompose" else [])
-    message = f"{second}: {size} bytes, more than the limit of {size - 1} for an input file"
+    message = f"2 input file(s) hold {size} bytes, more than the limit of {size - 1} for a study's inputs together"
     assert run(args) == (2, "", f"data error: {message}\n")
     assert loaded == []
 
     monkeypatch.setattr(pipeline, "MAX_INPUT_BYTES", size)
     assert run(args)[0] == 0
     assert loaded == [str(first), str(second)]
+
+
+def test_a_study_of_inputs_without_instruments_is_a_data_error_and_writes_nothing(tmp_path):
+    daily = write_daily_csv(tmp_path / "daily.csv", [])
+    ticks = write_tick_csv(tmp_path / "ticks.csv", [])
+    out = tmp_path / "out"
+    config = StudyConfig(inputs=[InputSpec(str(daily), "daily"), InputSpec(str(ticks), "tick")], out_dir=str(out))
+    with pytest.raises(DataError, match="^no input sources produced any instrument$"):
+        run_study(config)
+    assert not out.exists()
+
+
+def test_prices_whose_ratio_overflows_are_scored(tmp_path):
+    data = write_daily_csv(tmp_path / "daily.csv", daily_rows("A", [1e-300, 1e300] * 60))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inputs": [{"path": str(data), "format": "daily"}], "deltas": [],
+                                  "min_daily": 100, "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+    assert run(["study", "--config", str(config)]) == (0, f"2 entropy estimate(s) -> {tmp_path / 'out'}\n", "")
+    rows = read_csv(tmp_path / "out" / "entropy.csv")
+    assert [(r[0], r[1]) for r in rows[1:]] == [("A", "orig2"), ("A", "orig4")]
 
 
 def test_an_instrument_whose_variants_are_all_dropped_has_not_failed(tmp_path, caplog):
